@@ -19,8 +19,10 @@ Sampling exploits exchangeability twice over:
   exactly j times (successive conditional binomials over Poisson tails),
   places j sorted uniform flip times per such bit, and merges.  This is an
   exact event-level sample of the aggregated birth-death chain on the 1-bit
-  count (down rate n r/2, up rate (K-n) r/2) at O(total flips) cost with no
-  per-bit state.
+  count (down rate n r/2, up rate (K-n) r/2) with no per-bit state.  The
+  merge is one value sort of the single-flip times (each a -2 step, nearly
+  all flips at small mu), an argsort of the multi-flip times, and a stable
+  sort that merges the two sorted runs in linear time.
 * sample_trajectory_checkpointed advances the 1-bit count n directly between
   checkpoints via two binomials (each bit keeps its value over a span D with
   probability (1+e^{-rD})/2), exact at the checkpoints, for K far beyond
@@ -29,6 +31,10 @@ Sampling exploits exchangeability twice over:
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
 k_off = ceil(k_mean(t_l + t_dec)), t_l = l*t_prot + (l-1)*t_dec.
+
+A ClockTrajectory caches its piece edges (0, times..., horizon) and piece
+values (K, k after each flip...); pieces, the band checks and the window
+passages read slices of these instead of rebuilding them per call.
 """
 
 from __future__ import annotations
@@ -154,24 +160,55 @@ class ClockTrajectory:
         return self.times.size
 
     @cached_property
-    def k_values(self) -> np.ndarray:
-        """Polarization after each flip; |k| <= K throughout."""
-        k = self.n_bits + np.cumsum(self.steps, dtype=np.int64)
-        if k.size and np.abs(k).max() > self.n_bits:
+    def edges(self) -> np.ndarray:
+        """Piece edges (0, times..., horizon); read-only."""
+        edges = np.concatenate(([0.0], self.times, [self.horizon]))
+        edges.flags.writeable = False
+        return edges
+
+    @cached_property
+    def piece_values(self) -> np.ndarray:
+        """Polarization on each piece, (K, k after each flip...); read-only."""
+        k = np.empty(self.steps.size + 1, dtype=np.int64)
+        k[0] = self.n_bits
+        k[1:] = self.steps
+        np.cumsum(k, out=k)
+        if k.min() < -self.n_bits or k.max() > self.n_bits:
             raise ValueError("polarization left [-K, K]; inconsistent steps")
+        k.flags.writeable = False
         return k
+
+    @property
+    def k_values(self) -> np.ndarray:
+        """Polarization after each flip, |k| <= K throughout; read-only."""
+        return self.piece_values[1:]
 
     def k_at(self, t):
         """Piecewise-constant evaluation (value after the last flip <= t)."""
         idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
-        k = np.concatenate(([self.n_bits], self.k_values))[idx]
+        k = self.piece_values[idx]
         return int(k) if k.ndim == 0 else k
 
-    def pieces(self, upto: float):
-        """(starts, ends, values) of the constant pieces covering [0, upto]."""
+    def piece_edges(self, upto: float):
+        """(edges, values) of the constant pieces covering [0, upto].
+
+        Piece i spans [edges[i], edges[i+1]] at value values[i].  Both are
+        read-only views of the cached arrays, except that the edges are
+        copied when upto is not the edge that ends its piece.
+        """
         m = int(np.searchsorted(self.times, upto, side="right"))
-        edges = np.concatenate(([0.0], self.times[:m], [upto]))
-        values = np.concatenate(([self.n_bits], self.k_values[:m]))
+        edges = self.edges[:m + 2]
+        if edges[-1] != upto:
+            edges = edges.copy()
+            edges[-1] = upto
+        return edges, self.piece_values[:m + 1]
+
+    def pieces(self, upto: float):
+        """(starts, ends, values) of the constant pieces covering [0, upto].
+
+        The arrays may be read-only views of the cached piece arrays.
+        """
+        edges, values = self.piece_edges(upto)
         return edges[:-1], edges[1:], values
 
 
@@ -193,11 +230,16 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     tail ratios, give each bit with exactly j flips j sorted uniform times
     (Poisson arrivals conditioned on their count), alternate step signs
     starting at -2 (a bit at 1 flips down first), and merge by time.
+
+    The single-flip times, whose steps are all -2, are sorted by value
+    alone; only the multi-flip times are argsorted with their steps, and
+    the two sorted runs are merged (see _merge_by_time).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     gen = as_generator(rng)
     mu = params.rate_r * horizon / 2.0
+    single = np.empty(0, dtype=float)
     times_parts, steps_parts = [], []
     sf = -math.expm1(-mu)          # P(count >= 1)
     pmf = math.exp(-mu)            # P(count = 0)
@@ -209,7 +251,10 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
         ratio = min(sf_next / sf, 1.0) if sf > 0 else 0.0
         n_ge_next = int(gen.binomial(n_ge, ratio))
         m = n_ge - n_ge_next
-        if m:
+        if m and j == 1:
+            single = gen.random(m)
+            single *= horizon
+        elif m:
             t = np.sort(gen.random((m, j)), axis=1).ravel() * horizon
             s = np.empty((m, j), dtype=np.int8)
             s[:, 0::2] = -2
@@ -218,16 +263,28 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
             steps_parts.append(s.ravel())
         n_ge, sf = n_ge_next, sf_next
         j += 1
-    if times_parts:
-        times = np.concatenate(times_parts)
-        steps = np.concatenate(steps_parts)
-        order = np.argsort(times)
-        times, steps = times[order], steps[order]
-    else:
-        times = np.empty(0, dtype=float)
-        steps = np.empty(0, dtype=np.int8)
+    single.sort()
+    multi = np.concatenate([single[:0]] + times_parts)
+    multi_steps = np.concatenate([np.empty(0, dtype=np.int8)] + steps_parts)
+    times, steps = _merge_by_time(single, multi, multi_steps)
     return ClockTrajectory(times=times, steps=steps, n_bits=params.n_bits,
                            horizon=horizon)
+
+
+def _merge_by_time(single, multi, multi_steps):
+    """Merge sorted single-flip times (steps -2) with the multi-flip flips.
+
+    The argsorted multi-flip times form a second sorted run after the
+    single-flip times, and a stable sort merges two runs in linear time.  A
+    multi-flip time thus goes after every equal single-flip time; equal
+    multi-flip times come in np.argsort's order, which is unspecified.
+    """
+    order = np.argsort(multi)
+    times = np.concatenate((single, multi[order]))
+    steps = np.concatenate((np.full(single.size, -2, dtype=np.int8),
+                            multi_steps[order]))
+    order = np.argsort(times, kind="stable")
+    return times[order], steps[order]
 
 
 def checkpoint_times(spacing: float, horizon: float) -> np.ndarray:
@@ -279,11 +336,10 @@ def sample_trajectory_checkpointed(params: ClockParams, checkpoint_spacing: floa
     return ClockCheckpoints(times=times, k_values=k, n_bits=params.n_bits)
 
 
-def _piece_arrays(traj: ClockTrajectory, params: ClockParams):
-    starts, ends, values = traj.pieces(upto=min(traj.horizon, params.t_max))
-    kbar_start = mean_polarization(starts, params)
-    kbar_end = mean_polarization(ends, params)
-    return starts, ends, values, kbar_start, kbar_end
+def _band_pieces(traj: ClockTrajectory, params: ClockParams):
+    """(edges, values, k_mean at every edge) of the pieces covering [0, t_max]."""
+    edges, values = traj.piece_edges(min(traj.horizon, params.t_max))
+    return edges, values, mean_polarization(edges, params)
 
 
 def is_good(traj, params: ClockParams) -> bool:
@@ -301,9 +357,9 @@ def is_good(traj, params: ClockParams) -> bool:
         return bool(np.all(np.abs(traj.k_values[sel] - kbar) < band))
     if traj.horizon < params.t_max:
         raise ValueError("trajectory must cover [0, t_max]")
-    _, _, values, kbar_start, kbar_end = _piece_arrays(traj, params)
-    return bool(np.all(values - kbar_end < band)
-                and np.all(kbar_start - values < band))
+    _, values, kbar = _band_pieces(traj, params)
+    return bool(np.all(values - kbar[1:] < band)
+                and np.all(kbar[:-1] - values < band))
 
 
 def first_exit(traj: ClockTrajectory, params: ClockParams):
@@ -315,20 +371,20 @@ def first_exit(traj: ClockTrajectory, params: ClockParams):
     solved in closed form, no time grid.
     """
     band = params.band_half_width
-    starts, ends, values, kbar_start, kbar_end = _piece_arrays(traj, params)
+    edges, values, kbar = _band_pieces(traj, params)
     candidates = []
 
-    vert = np.abs(values - kbar_start) >= band
+    vert = np.abs(values - kbar[:-1]) >= band
     if vert.any():
         i = int(np.argmax(vert))
-        candidates.append((float(starts[i]), "vertical"))
+        candidates.append((float(edges[i]), "vertical"))
 
-    upper = values - kbar_end >= band
+    upper = values - kbar[1:] >= band
     if upper.any():
         i = int(np.argmax(upper))
         # k_mean(t*) = values[i] - band, inside this piece
         t_cross = math.log(params.n_bits / (values[i] - band)) / params.rate_r
-        candidates.append((max(float(starts[i]), t_cross), "horizontal"))
+        candidates.append((max(float(edges[i]), t_cross), "horizontal"))
 
     if not candidates:
         return None
@@ -347,9 +403,10 @@ def max_time_error(traj, params: ClockParams) -> float:
         sel = traj.times <= params.t_max
         est = time_estimate(traj.k_values[sel], params)
         return float(np.max(np.abs(est - traj.times[sel])))
-    starts, ends, values, _, _ = _piece_arrays(traj, params)
+    edges, values = traj.piece_edges(min(traj.horizon, params.t_max))
     est = time_estimate(values, params)
-    return float(max(np.max(np.abs(est - starts)), np.max(np.abs(est - ends))))
+    return float(max(np.max(np.abs(est - edges[:-1])),
+                     np.max(np.abs(est - edges[1:]))))
 
 
 @dataclass(frozen=True)
@@ -449,19 +506,19 @@ def window_passage(traj: ClockTrajectory, window: LevelWindow, t_dec: float):
     reaches t_dec, or the last exit from the window if it never does; None
     if the window is never entered.
     """
-    starts, ends, values = traj.pieces(upto=traj.horizon)
-    mask = (values >= window.k_off) & (values <= window.k_on)
-    if not mask.any():
+    edges, values = traj.piece_edges(traj.horizon)
+    inside = np.flatnonzero((values >= window.k_off) & (values <= window.k_on))
+    if not inside.size:
         return None, 0.0
-    durs = (ends - starts)[mask]
+    durs = edges[inside + 1] - edges[inside]
     cum = np.cumsum(durs)
     total = float(cum[-1])
     if total >= t_dec:
         i = int(np.searchsorted(cum, t_dec, side="left"))
         offset = t_dec - (cum[i] - durs[i])
-        decode_time = float(starts[mask][i] + offset)
+        decode_time = float(edges[inside[i]] + offset)
     else:
-        decode_time = float(ends[mask][-1])
+        decode_time = float(edges[inside[-1] + 1])
     return decode_time, total
 
 

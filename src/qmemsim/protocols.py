@@ -44,6 +44,8 @@ from .fivequbit import BLOCK, decode_blocks
 from .pauli import RngStream, as_generator, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -69,8 +71,8 @@ class ProtocolParams:
     block_size: int = 5
 
     def __post_init__(self):
-        if self.rate_r < 0:
-            raise ValueError("rate_r must be nonnegative")
+        if self.rate_r <= 0:
+            raise ValueError("rate_r must be positive")
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
         if not 0.0 < self.p_star < 1.0:
@@ -290,6 +292,12 @@ def _trial_streams(rng, trials: int):
     return gens[:trials], gens[trials]
 
 
+def _kick_probability(exponent: float) -> float:
+    """min(1, e^exponent - 1); exactly 1 from exponent ln 2 on, where
+    math.expm1 would otherwise overflow for exponents past about 709.78."""
+    return 1.0 if exponent >= _LN2 else math.expm1(exponent)
+
+
 @dataclass(frozen=True)
 class ClockRunDiagnostics:
     """Per-trial pass-1 record of one clock-controlled run."""
@@ -336,8 +344,8 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         passages = [deterministic_passage(w, clock, params.t_dec) for w in schedule]
         for j, (decode_time, total) in enumerate(passages):
             taus[:, j] = decode_time
-            kick_probs[:, j] = min(1.0, math.expm1(
-                params.h_norm * abs(total - params.t_dec)))
+            kick_probs[:, j] = _kick_probability(
+                params.h_norm * abs(total - params.t_dec))
         if np.any(np.diff(taus[0]) <= 0):
             raise ScheduleInfeasibleError("mean-path decode times not increasing")
         noise_gen = as_generator(rng if not isinstance(rng, (int, np.integer))
@@ -354,9 +362,12 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                     aborted[i] = True
                     break
                 taus[i, j] = decode_time
-                kick_probs[i, j] = min(1.0, math.expm1(
-                    params.h_norm * abs(total - params.t_dec)))
+                kick_probs[i, j] = _kick_probability(
+                    params.h_norm * abs(total - params.t_dec))
                 previous = decode_time
+            # free this trajectory and its cached piece arrays before the
+            # next one is sampled, which would otherwise hold both at once
+            del traj
 
     # pass 2: noise on the code register between decode instants
     frames = np.zeros((trials, params.n_qubits), dtype=np.uint8)

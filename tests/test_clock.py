@@ -18,9 +18,9 @@ from qmemsim.clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                            sample_count_matrix, sample_trajectory,
                            sample_trajectory_checkpointed, time_error_bound,
                            time_estimate, vertical_exit_rate_bound,
-                           window_passage, window_schedule)
+                           window_passage, window_schedule, _merge_by_time)
 from qmemsim.bounds import clock_size_for
-from qmemsim.pauli import RngStream
+from qmemsim.pauli import RngStream, as_generator
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
 
@@ -139,6 +139,104 @@ def test_sample_trajectory_structure():
     assert np.abs(traj.k_values).max() <= 64
     with pytest.raises(ValueError):
         sample_trajectory(params, horizon=0.0, rng=RngStream(1))
+
+
+def argsort_sample_trajectory(params, horizon, rng):
+    """Reference sampler: the same draws, merged by one argsort over all flips."""
+    gen = as_generator(rng)
+    mu = params.rate_r * horizon / 2.0
+    times_parts, steps_parts = [], []
+    sf = -math.expm1(-mu)
+    pmf = math.exp(-mu)
+    n_ge = int(gen.binomial(params.n_bits, sf))
+    j = 1
+    while n_ge > 0:
+        pmf *= mu / j
+        sf_next = max(sf - pmf, 0.0)
+        ratio = min(sf_next / sf, 1.0) if sf > 0 else 0.0
+        n_ge_next = int(gen.binomial(n_ge, ratio))
+        m = n_ge - n_ge_next
+        if m:
+            t = np.sort(gen.random((m, j)), axis=1).ravel() * horizon
+            s = np.empty((m, j), dtype=np.int8)
+            s[:, 0::2] = -2
+            s[:, 1::2] = 2
+            times_parts.append(t)
+            steps_parts.append(s.ravel())
+        n_ge, sf = n_ge_next, sf_next
+        j += 1
+    if not times_parts:
+        return np.empty(0, dtype=float), np.empty(0, dtype=np.int8)
+    times = np.concatenate(times_parts)
+    steps = np.concatenate(steps_parts)
+    order = np.argsort(times)
+    return times[order], steps[order]
+
+
+@pytest.mark.parametrize("n_bits", [16, 4096, 1_000_000])
+@pytest.mark.parametrize("mu", [0.005, 0.05, 0.5, 1.5])
+def test_sample_trajectory_matches_argsort_reference(n_bits, mu):
+    params = ClockParams(n_bits=n_bits, epsilon=0.25, t_max=1.0, rate_r=1.0)
+    horizon = 2.0 * mu
+    for seed in (30, 31, 32):
+        traj = sample_trajectory(params, horizon, RngStream(seed, key=(n_bits,)))
+        times, steps = argsort_sample_trajectory(
+            params, horizon, RngStream(seed, key=(n_bits,)))
+        assert traj.times.dtype == times.dtype
+        assert traj.steps.dtype == steps.dtype
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.steps.tobytes() == steps.tobytes()
+
+
+def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
+    # single-flip times drawn from a few values, so most multi-flip times
+    # tie with some; the merge must order them as a stable argsort of
+    # (single, multi) would (multi-flip times are distinct among themselves)
+    gen = np.random.default_rng(35)
+    for n_single, n_multi, n_values in [(0, 0, 8), (0, 5, 8), (7, 0, 8),
+                                        (40, 3, 8), (3, 6, 8), (200, 8, 8),
+                                        (5000, 40, 50)]:
+        single = np.sort(gen.integers(0, n_values, n_single).astype(float))
+        multi = gen.permutation(n_values)[:n_multi].astype(float)
+        multi_steps = gen.choice(np.array([-2, 2], dtype=np.int8), n_multi)
+        times, steps = _merge_by_time(single, multi, multi_steps)
+        all_times = np.concatenate((single, multi))
+        all_steps = np.concatenate((np.full(n_single, -2, dtype=np.int8),
+                                    multi_steps))
+        order = np.argsort(all_times, kind="stable")
+        assert times.tobytes() == all_times[order].tobytes()
+        assert steps.tobytes() == all_steps[order].tobytes()
+
+
+def test_piece_view_matches_concatenation():
+    params = ClockParams(n_bits=4096, epsilon=0.25, t_max=1.0, rate_r=1.0)
+    traj = sample_trajectory(params, 1.2, RngStream(33))
+    assert np.array_equal(traj.k_values,
+                          4096 + np.cumsum(traj.steps, dtype=np.int64))
+    for upto in (0.0, 0.37, 1.0, 1.2, 1.5):
+        m = int(np.searchsorted(traj.times, upto, side="right"))
+        edges = np.concatenate(([0.0], traj.times[:m], [upto]))
+        values = np.concatenate(([4096], traj.k_values[:m]))
+        starts, ends, vals = traj.pieces(upto)
+        assert np.array_equal(starts, edges[:-1])
+        assert np.array_equal(ends, edges[1:])
+        assert np.array_equal(vals, values)
+    # over the whole horizon the pieces are views of the cached arrays
+    starts, ends, vals = traj.pieces(traj.horizon)
+    assert np.shares_memory(starts, traj.edges)
+    assert np.shares_memory(vals, traj.piece_values)
+    # and read-only, so no caller can corrupt the cached trajectory
+    for view in (starts, ends, vals, traj.edges, traj.k_values):
+        with pytest.raises(ValueError):
+            view[0] = 0
+
+
+def test_inconsistent_steps_rejected():
+    traj = ClockTrajectory(times=np.array([0.1, 0.2]),
+                           steps=np.array([-2, -40], dtype=np.int64),
+                           n_bits=16, horizon=1.0)
+    with pytest.raises(ValueError):
+        traj.k_values
 
 
 def test_trajectory_parity_and_k_at():
@@ -352,6 +450,78 @@ def test_window_passage_crafted():
     # window never entered
     never = LevelWindow(level=1, t_start=0.2, k_on=20, k_off=18)
     assert window_passage(traj, never, t_dec=0.5) == (None, 0.0)
+
+
+def full_scan_passage(traj, window, t_dec):
+    """Reference window passage: mask and accumulate over every piece."""
+    starts, ends, values = traj.pieces(upto=traj.horizon)
+    mask = (values >= window.k_off) & (values <= window.k_on)
+    if not mask.any():
+        return None, 0.0
+    durs = (ends - starts)[mask]
+    cum = np.cumsum(durs)
+    total = float(cum[-1])
+    if total >= t_dec:
+        i = int(np.searchsorted(cum, t_dec, side="left"))
+        return float(starts[mask][i] + (t_dec - (cum[i] - durs[i]))), total
+    return float(ends[mask][-1]), total
+
+
+def crafted(steps, times, n_bits=32, horizon=2.0):
+    return ClockTrajectory(times=np.asarray(times, dtype=float),
+                           steps=np.asarray(steps, dtype=np.int64),
+                           n_bits=n_bits, horizon=horizon)
+
+
+@pytest.mark.parametrize("traj, window, t_dec", [
+    # never entered: k stays above the window
+    (crafted([-2, -2], [0.3, 0.6]), LevelWindow(1, 0.2, 20, 18), 0.5),
+    # never entered: k jumps from above k_on straight below k_off
+    (crafted([-2, -12, -2], [0.3, 0.6, 0.9]), LevelWindow(1, 0.2, 26, 22), 0.5),
+    # never entered: k stays below the window
+    (crafted([-30], [0.1]), LevelWindow(1, 0.2, 20, 18), 0.5),
+    # left and re-entered: k bounces back above k_on in between
+    (crafted([-2, -2, 2, 2, -2, -2, -2], [0.2, 0.4, 0.5, 0.7, 1.0, 1.3, 1.6]),
+     LevelWindow(1, 0.2, 28, 26), 0.5),
+    # left upward and re-entered after the accumulated time would have
+    # sufficed had it stayed
+    (crafted([-4, 4, -4, -2, -2, -2], [0.1, 0.3, 0.8, 0.9, 1.1, 1.9]),
+     LevelWindow(1, 0.2, 28, 26), 0.45),
+    # total occupancy below t_dec: decode at the last exit
+    (crafted([-2, -2, -2, -2], [0.2, 0.3, 0.4, 0.5]),
+     LevelWindow(1, 0.2, 28, 26), 0.5),
+    # occupancy runs to the horizon
+    (crafted([-2, -2], [0.2, 0.3]), LevelWindow(1, 0.2, 28, 26), 5.0),
+    # window entered at the very first piece
+    (crafted([-2], [0.4]), LevelWindow(1, 0.0, 32, 30), 0.3),
+])
+def test_window_passage_matches_full_scan(traj, window, t_dec):
+    assert window_passage(traj, window, t_dec) == full_scan_passage(
+        traj, window, t_dec)
+
+
+def test_window_passage_on_band_exiting_trajectory():
+    # one huge downward jump leaves the band; the window past the jump is
+    # still occupied and timed exactly
+    traj = crafted([-2, -3000, 2, 2], [0.1, 0.3, 0.5, 1.5], n_bits=4096)
+    assert not is_good(traj, REF)
+    window = LevelWindow(1, 0.2, 1100, 1090)
+    assert window_passage(traj, window, 0.4) == full_scan_passage(
+        traj, window, 0.4)
+    # in-window pieces: [0.3,0.5] k=1094, [0.5,1.5] k=1096, [1.5,2.0] k=1098
+    assert window_passage(traj, window, 0.4) == (pytest.approx(0.7),
+                                                 pytest.approx(1.7))
+    # sampled trajectories with a narrow band: good and bad ones alike
+    params = ClockParams(n_bits=1024, epsilon=0.05, t_max=1.0, rate_r=1.0)
+    sched = window_schedule(2, t_prot=0.3, t_dec=0.05, params=params)
+    n_bad = 0
+    for i in range(40):
+        traj = sample_trajectory(params, 1.0, RngStream(34, key=(i,)))
+        n_bad += not is_good(traj, params)
+        for w in sched:
+            assert window_passage(traj, w, 0.05) == full_scan_passage(
+                traj, w, 0.05)
+    assert n_bad > 0
 
 
 def test_deterministic_passage():

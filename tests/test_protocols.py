@@ -6,6 +6,7 @@ summing over all 1024 error strings, composed with fresh depolarizing noise
 by XOR convolution, and pushed through the outer block the same way.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_circuit_model,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
-                               with_sized_clock)
+                               with_sized_clock, _kick_probability)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,7 +61,7 @@ def xor_convolve(a, b):
 @pytest.mark.parametrize("kwargs", [
     dict(rate_r=-1.0), dict(levels=-1), dict(p_star=0.0), dict(p_star=1.0),
     dict(block_size=3), dict(t_prot=0.0), dict(t_dec=-0.1), dict(delta=-1e-9),
-    dict(epsilon=0.5), dict(epsilon=0.0),
+    dict(epsilon=0.5), dict(epsilon=0.0), dict(rate_r=0.0),
 ])
 def test_params_validation(kwargs):
     base = dict(rate_r=1.0, levels=2, t_prot=0.01, t_dec=0.001)
@@ -320,6 +321,30 @@ def test_clock_controlled_reproducible():
     assert a.counts.tolist() == b.counts.tolist() == c.counts.tolist()
     other = simulate_clock_controlled(UNIT, 150, RngStream(51))
     assert a.counts.tolist() != other.counts.tolist()
+
+
+def test_clock_controlled_pinned_digest():
+    # recorded from the argsort sampler and the full-scan window passage;
+    # the sort-and-merge sampler and bounded scan must reproduce it bit for bit
+    params = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.3, t_dec=0.05,
+                            delta=0.0025, epsilon=0.1, clock_bits=1024)
+    est, diag = simulate_clock_controlled(params, 64, RngStream(61),
+                                          return_diagnostics=True)
+    assert est.counts.tolist() == [26, 10, 13, 15]
+    assert int(diag.aborted.sum()) == 4 and int((~diag.good).sum()) == 2
+    digest = hashlib.sha256()
+    for part in (est.counts.astype(np.int64), diag.good, diag.aborted,
+                 diag.decode_times):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest()[:32] == "e5997cffaa44b08c49fee70c22ae44db"
+
+
+def test_kick_probability_saturates_without_overflow():
+    assert _kick_probability(1e4) == 1.0
+    assert _kick_probability(math.inf) == 1.0
+    for x in (0.0, 1e-9, 0.3, math.log(2.0) - 1e-12, math.log(2.0), 0.9,
+              1.0, 700.0):
+        assert _kick_probability(x) == min(1.0, math.expm1(x))
 
 
 def test_clock_code_rate_override_isolates_clock_noise():
