@@ -21,8 +21,9 @@ Sampling exploits exchangeability twice over:
   exact event-level sample of the aggregated birth-death chain on the 1-bit
   count (down rate n r/2, up rate (K-n) r/2) with no per-bit state.  The
   merge is one value sort of the single-flip times (each a -2 step, nearly
-  all flips at small mu), an argsort of the multi-flip times, and a stable
-  sort that merges the two sorted runs in linear time.
+  all flips at small mu) and an argsort of the multi-flip times, which are
+  then inserted at their searchsorted positions; the merged times are
+  written straight into the trajectory's piece-edge buffer.
 * sample_trajectory_checkpointed advances the 1-bit count n directly between
   checkpoints via two binomials (each bit keeps its value over a span D with
   probability (1+e^{-rD})/2), exact at the checkpoints, for K far beyond
@@ -33,8 +34,14 @@ k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
 k_off = ceil(k_mean(t_l + t_dec)), t_l = l*t_prot + (l-1)*t_dec.
 
 A ClockTrajectory caches its piece edges (0, times..., horizon) and piece
-values (K, k after each flip...); pieces, the band checks and the window
-passages read slices of these instead of rebuilding them per call.
+values (K, k after each flip...), both read-only; pieces, the band checks and
+the window passages read slices of these instead of rebuilding them per call.
+A sampled trajectory keeps its flip times once: its times are the read-only
+view edges[1:-1] of the one edge buffer, and its piece values are int32.
+At acceptance criterion 6 (about 2.55 M flips) that is about 33 MB per
+trajectory, and about 45 MB at the peak of sampling.  is_good walks the
+pieces up to t_max in chunks of _BAND_CHUNK and stops at the first chunk
+that leaves the band, so it needs no full-length temporaries.
 """
 
 from __future__ import annotations
@@ -156,20 +163,38 @@ class ClockTrajectory:
         if self.times.shape != self.steps.shape:
             raise ValueError("times and steps must align")
 
+    @classmethod
+    def _from_edges(cls, edges: np.ndarray, steps: np.ndarray, n_bits: int,
+                    horizon: float) -> "ClockTrajectory":
+        """Trajectory whose times are the view edges[1:-1] of a filled
+        (0, times..., horizon) buffer, which becomes the cached edges."""
+        edges.flags.writeable = False
+        traj = cls(times=edges[1:-1], steps=steps, n_bits=n_bits, horizon=horizon)
+        traj.__dict__["edges"] = edges
+        return traj
+
     def __len__(self):
         return self.times.size
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Piece edges (0, times..., horizon); read-only."""
+        """Piece edges (0, times..., horizon); read-only.  Sampled
+        trajectories come with it filled (see _from_edges)."""
         edges = np.concatenate(([0.0], self.times, [self.horizon]))
         edges.flags.writeable = False
         return edges
 
     @cached_property
     def piece_values(self) -> np.ndarray:
-        """Polarization on each piece, (K, k after each flip...); read-only."""
-        k = np.empty(self.steps.size + 1, dtype=np.int64)
+        """Polarization on each piece, (K, k after each flip...); read-only.
+
+        int32 for int8 steps (as sampled) while K < 2^31 - 128, else int64.
+        A partial sum of int8 steps then leaves [-K, K] by at most 128
+        before it could wrap, so the range check below still sees it; int32
+        halves the memory and the memory traffic of every pass over it.
+        """
+        narrow = self.steps.dtype == np.int8 and self.n_bits < 2**31 - 128
+        k = np.empty(self.steps.size + 1, dtype=np.int32 if narrow else np.int64)
         k[0] = self.n_bits
         k[1:] = self.steps
         np.cumsum(k, out=k)
@@ -266,25 +291,32 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     single.sort()
     multi = np.concatenate([single[:0]] + times_parts)
     multi_steps = np.concatenate([np.empty(0, dtype=np.int8)] + steps_parts)
-    times, steps = _merge_by_time(single, multi, multi_steps)
-    return ClockTrajectory(times=times, steps=steps, n_bits=params.n_bits,
-                           horizon=horizon)
+    edges = np.empty(single.size + multi.size + 2)
+    edges[0], edges[-1] = 0.0, horizon
+    steps = _merge_by_time(single, multi, multi_steps, edges[1:-1])
+    return ClockTrajectory._from_edges(edges, steps, params.n_bits, horizon)
 
 
-def _merge_by_time(single, multi, multi_steps):
+def _merge_by_time(single, multi, multi_steps, out):
     """Merge sorted single-flip times (steps -2) with the multi-flip flips.
 
-    The argsorted multi-flip times form a second sorted run after the
-    single-flip times, and a stable sort merges two runs in linear time.  A
-    multi-flip time thus goes after every equal single-flip time; equal
-    multi-flip times come in np.argsort's order, which is unspecified.
+    Writes the merged times into out and returns their steps, in the order
+    of a stable sort of (single, argsorted multi): the multi-flip times are
+    argsorted and each is inserted after every equal single-flip time, at
+    its searchsorted position plus the number of multi-flip times before it.
+    Equal multi-flip times come in np.argsort's order, which is unspecified.
     """
     order = np.argsort(multi)
-    times = np.concatenate((single, multi[order]))
-    steps = np.concatenate((np.full(single.size, -2, dtype=np.int8),
-                            multi_steps[order]))
-    order = np.argsort(times, kind="stable")
-    return times[order], steps[order]
+    multi = multi[order]
+    at = np.searchsorted(single, multi, side="right")
+    at += np.arange(multi.size)
+    is_single = np.ones(out.size, dtype=bool)
+    is_single[at] = False
+    out[is_single] = single
+    out[at] = multi
+    steps = np.full(out.size, -2, dtype=np.int8)
+    steps[at] = multi_steps[order]
+    return steps
 
 
 def checkpoint_times(spacing: float, horizon: float) -> np.ndarray:
@@ -336,10 +368,14 @@ def sample_trajectory_checkpointed(params: ClockParams, checkpoint_spacing: floa
     return ClockCheckpoints(times=times, k_values=k, n_bits=params.n_bits)
 
 
-def _band_pieces(traj: ClockTrajectory, params: ClockParams):
-    """(edges, values, k_mean at every edge) of the pieces covering [0, t_max]."""
-    edges, values = traj.piece_edges(min(traj.horizon, params.t_max))
-    return edges, values, mean_polarization(edges, params)
+# pieces per band-check chunk: small enough that the chunk's float
+# temporaries stay in cache, large enough that the per-chunk calls are cheap
+_BAND_CHUNK = 1 << 15
+
+
+def _require_coverage(traj: ClockTrajectory, params: ClockParams):
+    if traj.horizon < params.t_max:
+        raise ValueError("trajectory must cover [0, t_max]")
 
 
 def is_good(traj, params: ClockParams) -> bool:
@@ -347,19 +383,31 @@ def is_good(traj, params: ClockParams) -> bool:
 
     Event trajectories are checked exactly: within a piece k is constant and
     k_mean decreases, so the downward slack is tightest at the piece start
-    and the upward slack at the piece end.  Checkpointed trajectories are
-    checked at their checkpoints (the resolution they carry).
+    and the upward slack at the piece end.  The pieces are checked in chunks
+    of _BAND_CHUNK, stopping at the first chunk with a violation.
+    Checkpointed trajectories are checked at their checkpoints (the
+    resolution they carry).
     """
     band = params.band_half_width
     if isinstance(traj, ClockCheckpoints):
         sel = traj.times <= params.t_max
         kbar = mean_polarization(traj.times[sel], params)
         return bool(np.all(np.abs(traj.k_values[sel] - kbar) < band))
-    if traj.horizon < params.t_max:
-        raise ValueError("trajectory must cover [0, t_max]")
-    _, values, kbar = _band_pieces(traj, params)
-    return bool(np.all(values - kbar[1:] < band)
-                and np.all(kbar[:-1] - values < band))
+    _require_coverage(traj, params)
+    # pieces 0..m cover [0, t_max]; piece m is cut at t_max
+    m = int(np.searchsorted(traj.times, params.t_max, side="right"))
+    edges, values = traj.edges, traj.piece_values
+    for start in range(0, m + 1, _BAND_CHUNK):
+        stop = min(start + _BAND_CHUNK, m + 1)
+        chunk_edges = edges[start:stop + 1]
+        if stop == m + 1:
+            chunk_edges = np.append(chunk_edges[:-1], params.t_max)
+        kbar = mean_polarization(chunk_edges, params)
+        chunk = values[start:stop]
+        if not (np.all(chunk - kbar[1:] < band)
+                and np.all(kbar[:-1] - chunk < band)):
+            return False
+    return True
 
 
 def first_exit(traj: ClockTrajectory, params: ClockParams):
@@ -371,7 +419,9 @@ def first_exit(traj: ClockTrajectory, params: ClockParams):
     solved in closed form, no time grid.
     """
     band = params.band_half_width
-    edges, values, kbar = _band_pieces(traj, params)
+    _require_coverage(traj, params)
+    edges, values = traj.piece_edges(params.t_max)
+    kbar = mean_polarization(edges, params)
     candidates = []
 
     vert = np.abs(values - kbar[:-1]) >= band
@@ -403,7 +453,8 @@ def max_time_error(traj, params: ClockParams) -> float:
         sel = traj.times <= params.t_max
         est = time_estimate(traj.k_values[sel], params)
         return float(np.max(np.abs(est - traj.times[sel])))
-    edges, values = traj.piece_edges(min(traj.horizon, params.t_max))
+    _require_coverage(traj, params)
+    edges, values = traj.piece_edges(params.t_max)
     est = time_estimate(values, params)
     return float(max(np.max(np.abs(est - edges[:-1])),
                      np.max(np.abs(est - edges[1:]))))

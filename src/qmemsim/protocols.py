@@ -32,6 +32,8 @@ decode_failure and counted as a full logical fault.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -292,6 +294,15 @@ def _trial_streams(rng, trials: int):
     return gens[:trials], gens[trials]
 
 
+def _pass1_workers(trials: int) -> int:
+    """Pass-1 threads: one per trial, at most one per CPU the process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity query on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(trials, cpus))
+
+
 def _kick_probability(exponent: float) -> float:
     """min(1, e^exponent - 1); exactly 1 from exponent ln 2 on, where
     math.expm1 would otherwise overflow for exponents past about 709.78."""
@@ -319,6 +330,15 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     the code qubits only, so clock noise can be studied in isolation.
     Returns a LogicalChannelEstimate, or with return_diagnostics a pair
     (estimate, ClockRunDiagnostics).
+
+    Pass 1 runs one trial per task on a thread pool of min(trials, CPUs
+    available to the process) workers; numpy's sampling, sorting and array
+    arithmetic release the interpreter lock, so the trials overlap.  Each
+    trial has its own random stream and writes only its own row, so results
+    do not depend on the worker count, and an exception raised in a trial
+    reaches the caller unchanged.  Every concurrent trial holds one
+    trajectory: about 45 MB at acceptance criterion 6 (K = 3.1e8, about
+    2.55 M flips).
     """
     if params.levels < 1:
         raise ValueError("clock strategy needs at least one level")
@@ -352,8 +372,10 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                                  else int(rng))
     else:
         streams, noise_gen = _trial_streams(rng, trials)
-        for i, stream in enumerate(streams):
-            traj = sample_trajectory(clock, horizon, stream)
+
+        def resolve_clock(i):
+            """Pass 1 of trial i; writes row i of good/aborted/taus/kick_probs."""
+            traj = sample_trajectory(clock, horizon, streams[i])
             good[i] = is_good(traj, clock)
             previous = -math.inf
             for j, window in enumerate(schedule):
@@ -365,9 +387,10 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                 kick_probs[i, j] = _kick_probability(
                     params.h_norm * abs(total - params.t_dec))
                 previous = decode_time
-            # free this trajectory and its cached piece arrays before the
-            # next one is sampled, which would otherwise hold both at once
-            del traj
+
+        with ThreadPoolExecutor(max_workers=_pass1_workers(trials)) as pool:
+            for _ in pool.map(resolve_clock, range(trials)):
+                pass
 
     # pass 2: noise on the code register between decode instants
     frames = np.zeros((trials, params.n_qubits), dtype=np.uint8)

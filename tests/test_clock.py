@@ -199,7 +199,8 @@ def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
         single = np.sort(gen.integers(0, n_values, n_single).astype(float))
         multi = gen.permutation(n_values)[:n_multi].astype(float)
         multi_steps = gen.choice(np.array([-2, 2], dtype=np.int8), n_multi)
-        times, steps = _merge_by_time(single, multi, multi_steps)
+        times = np.empty(n_single + n_multi)
+        steps = _merge_by_time(single, multi, multi_steps, times)
         all_times = np.concatenate((single, multi))
         all_steps = np.concatenate((np.full(n_single, -2, dtype=np.int8),
                                     multi_steps))
@@ -221,12 +222,14 @@ def test_piece_view_matches_concatenation():
         assert np.array_equal(starts, edges[:-1])
         assert np.array_equal(ends, edges[1:])
         assert np.array_equal(vals, values)
-    # over the whole horizon the pieces are views of the cached arrays
+    # over the whole horizon the pieces are views of the cached arrays, and
+    # a sampled trajectory's times are the interior of its edge buffer
     starts, ends, vals = traj.pieces(traj.horizon)
     assert np.shares_memory(starts, traj.edges)
     assert np.shares_memory(vals, traj.piece_values)
+    assert np.shares_memory(traj.times, traj.edges)
     # and read-only, so no caller can corrupt the cached trajectory
-    for view in (starts, ends, vals, traj.edges, traj.k_values):
+    for view in (starts, ends, vals, traj.edges, traj.k_values, traj.times):
         with pytest.raises(ValueError):
             view[0] = 0
 
@@ -237,6 +240,14 @@ def test_inconsistent_steps_rejected():
                            n_bits=16, horizon=1.0)
     with pytest.raises(ValueError):
         traj.k_values
+    # int8 steps, summed in int32 below K = 2^31 - 128 and in int64 above:
+    # the first sum past K is exact either way, though the next would wrap
+    for n_bits in (16, 2**31 - 129, 2**31 - 10):
+        traj = ClockTrajectory(times=np.array([0.1, 0.2, 0.3]),
+                               steps=np.array([127, 127, -2], dtype=np.int8),
+                               n_bits=n_bits, horizon=1.0)
+        with pytest.raises(ValueError):
+            traj.k_values
 
 
 def test_trajectory_parity_and_k_at():
@@ -324,6 +335,78 @@ def test_is_good_requires_coverage():
     traj = no_flip_trajectory(REF, horizon=1.0)
     with pytest.raises(ValueError):
         is_good(traj, REF)
+
+
+def test_band_analyses_require_coverage():
+    # a no-flip trajectory stopping at 0.05 says nothing about [0.05, t_max]
+    traj = no_flip_trajectory(REF, horizon=0.05)
+    for analysis in (is_good, first_exit, max_time_error):
+        with pytest.raises(ValueError, match=r"must cover \[0, t_max\]"):
+            analysis(traj, REF)
+
+
+def full_band_check(traj, params):
+    """Reference band check over the whole piece arrays at once."""
+    edges, values = traj.piece_edges(params.t_max)
+    kbar = mean_polarization(edges, params)
+    band = params.band_half_width
+    return bool(np.all(values - kbar[1:] < band)
+                and np.all(kbar[:-1] - values < band))
+
+
+def crafted_band_path(violation=None, piece=None, n_flips=120):
+    """K = 4096 path with a flip each time the mean reaches K-2, K-4, ...
+
+    Only the given piece leaves the band: "lower" and "upper" move its value
+    200 below or above the path, "horizontal" holds it constant past 80
+    further mean flips (the band half-width at epsilon 0.1 is about 147).
+    """
+    n_path = n_flips + (80 if violation == "horizontal" else 0)
+    times = np.log(4096.0 / (4096.0 - 2.0 * np.arange(1, n_path + 1)))
+    ks = 4096 - 2 * np.arange(1, n_path + 1)
+    if violation == "horizontal":
+        keep = np.r_[0:piece, piece + 80:n_path]
+        times, ks = times[keep], ks[keep]
+    elif violation is not None:
+        ks[piece - 1] += 200 if violation == "upper" else -200
+    steps = np.diff(np.concatenate(([4096], ks)))
+    return ClockTrajectory(times=times, steps=steps, n_bits=4096,
+                           horizon=float(times[-1]) + 0.01)
+
+
+@pytest.mark.parametrize("violation", ["lower", "upper", "horizontal"])
+@pytest.mark.parametrize("piece", [103, 104, 107, 108, 109])
+def test_chunked_band_check_matches_full_check(monkeypatch, violation, piece):
+    # chunks of 4 pieces: pieces 103/107 end a chunk, 104/108 start one
+    monkeypatch.setattr("qmemsim.clock._BAND_CHUNK", 4)
+    good_path = crafted_band_path(n_flips=200)
+    traj = crafted_band_path(violation, piece)
+    # t_max on a flip time or inside a piece around the violation, and at
+    # the horizon
+    near = traj.times[piece - 6:piece + 7]
+    t_maxes = np.concatenate((near, 0.5 * (near[:-1] + near[1:]), [traj.horizon]))
+    verdicts = set()
+    for t_max in t_maxes:
+        params = ClockParams(n_bits=4096, epsilon=0.1, t_max=float(t_max),
+                             rate_r=1.0)
+        verdict = is_good(traj, params)
+        assert verdict == full_band_check(traj, params)
+        assert is_good(good_path, params)
+        assert full_band_check(good_path, params)
+        verdicts.add(verdict)
+    # t_max falls both before and after the violation
+    assert verdicts == {True, False}
+
+
+def test_chunked_band_check_without_flips(monkeypatch):
+    monkeypatch.setattr("qmemsim.clock._BAND_CHUNK", 4)
+    params = ClockParams(n_bits=4096, epsilon=0.1, t_max=0.01, rate_r=1.0)
+    short = ClockParams(n_bits=4096, epsilon=0.1, t_max=0.02, rate_r=1.0)
+    traj = no_flip_trajectory(params, horizon=2.0)
+    # k = K stays within 147 of the mean until about t = 0.037
+    assert is_good(traj, params) and full_band_check(traj, params)
+    assert is_good(traj, short) and full_band_check(traj, short)
+    assert not is_good(traj, REF) and not full_band_check(traj, REF)
 
 
 def test_no_flip_trajectory_exits_horizontally():

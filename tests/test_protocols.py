@@ -8,12 +8,14 @@ by XOR convolution, and pushed through the outer block the same way.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
-from qmemsim.clock import ScheduleInfeasibleError
+from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
 from qmemsim.fivequbit import BLOCK, b_exact, default_table, unpack
 from qmemsim.pauli import RngStream
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
@@ -337,6 +339,51 @@ def test_clock_controlled_pinned_digest():
                  diag.decode_times):
         digest.update(np.ascontiguousarray(part).tobytes())
     assert digest.hexdigest()[:32] == "e5997cffaa44b08c49fee70c22ae44db"
+
+
+def clock_run_bytes(rng):
+    params = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.3, t_dec=0.05,
+                            delta=0.0025, epsilon=0.1, clock_bits=1024)
+    est, diag = simulate_clock_controlled(params, 24, rng,
+                                          return_diagnostics=True)
+    return [np.ascontiguousarray(part).tobytes()
+            for part in (est.counts, diag.good, diag.aborted,
+                         diag.decode_times, diag.kick_probs)]
+
+
+@pytest.mark.parametrize("make_rng", [lambda: RngStream(62), lambda: 62,
+                                      lambda: np.random.default_rng(62)],
+                         ids=["stream", "int", "generator"])
+def test_clock_controlled_independent_of_worker_count(monkeypatch, make_rng):
+    # 3 workers is more than the reference machine's cores; a short switch
+    # interval makes the threads interleave as often as they can
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(protocols, "_pass1_workers",
+                                lambda trials: workers)
+            runs.append(clock_run_bytes(make_rng()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_clock_trial_exception_reaches_caller(monkeypatch, workers):
+    failure = RuntimeError("trial 5 failed")
+
+    def sample(params, horizon, stream):
+        if stream.key[-1] == 5:
+            raise failure
+        return sample_trajectory(params, horizon, stream)
+
+    monkeypatch.setattr(protocols, "_pass1_workers", lambda trials: workers)
+    monkeypatch.setattr(protocols, "sample_trajectory", sample)
+    with pytest.raises(RuntimeError) as excinfo:
+        clock_run_bytes(RngStream(62))
+    assert excinfo.value is failure
 
 
 def test_kick_probability_saturates_without_overflow():
