@@ -13,10 +13,9 @@ from .bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
                      feasibility_search, information_decay_time,
                      iterate_round_recursion, quadratic_block_error)
 from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
-                    DegenerateWindowError, ExitStats, GoodProbBound,
-                    LevelWindow, OverlappingWindowsError,
-                    ScheduleInfeasibleError, WindowSchedule,
-                    checkpoint_times, deterministic_passage, exit_statistics,
+                    DegenerateWindowError, GoodProbBound, LevelWindow,
+                    OverlappingWindowsError, ScheduleInfeasibleError,
+                    WindowSchedule, checkpoint_times, deterministic_passage,
                     first_exit, good_prob_bound, is_good, max_time_error,
                     mean_polarization, polarization_variance,
                     sample_count_matrix, sample_trajectory,
@@ -24,9 +23,8 @@ from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     time_estimate, vertical_exit_rate_bound, window_passage,
                     window_schedule)
 from .fivequbit import (BLOCK, CodeSpec, DecoderTable, b_exact, b_monte_carlo,
-                        decode_block, decode_blocks, decode_concatenated,
-                        default_code, default_table, pack,
-                        quadratic_bound_range, sample_error_frames,
+                        decode_block, decode_blocks, default_code,
+                        default_table, pack, quadratic_bound_range,
                         syndrome_of, unpack)
 from .oracle import (average_fidelity, average_fidelity_numeric,
                      channel_distance, choi_from_map, depolarizing_choi,
@@ -35,11 +33,10 @@ from .oracle import (average_fidelity, average_fidelity_numeric,
                      mc_channel_tomography, oracle_equivalence_check,
                      pauli_mixture_choi, plus_state, trace_distance,
                      von_neumann_entropy)
-from .pauli import (CODE_LABELS, NoiseParams, RngStream, accumulate_noise,
-                    anticommutes, as_generator, frame_from_label,
-                    frame_to_label, identity_frame, pauli_mul,
-                    sample_cumulative_frames, single_qubit_probs,
-                    string_anticommutes, weight)
+from .pauli import (CODE_LABELS, RngStream, anticommutes, as_generator,
+                    depolarize, frame_from_label, frame_to_label,
+                    identity_frame, pauli_mul, sample_cumulative_frames,
+                    single_qubit_probs, string_anticommutes, weight)
 from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         LogicalChannelEstimate, ProtocolParams,
                         RepetitionEstimate, estimate_logical_channel,
@@ -48,7 +45,7 @@ from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         simulate_classical_repetition,
                         simulate_clock_controlled, simulate_unprotected,
                         with_sized_clock)
-from .stats import affine_fit, binomial_sigma, wilson_interval
+from .stats import affine_fit, wilson_interval
 
 __version__ = "0.1.0"
 

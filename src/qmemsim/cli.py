@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .protocols import (ProtocolParams, lifetime_scan,
                         simulate_circuit_model, simulate_classical_repetition,
                         simulate_clock_controlled, simulate_unprotected,
                         with_sized_clock)
+from .stats import wilson_interval
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -478,9 +478,9 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
         est = simulate_classical_repetition(v["n_bits"], v["t"], v["trials"],
                                             rng, rate_r=v["r"])
         f = est.failure_rate
-        sigma = math.sqrt(max(f * (1.0 - f), 1.0 / est.trials) / est.trials)
+        lo, hi = wilson_interval(est.failures, est.trials, z=3.0)
         row = (strategy, v["n_bits"], 0, v["t"], est.trials,
-               1.0 - f, f, 0.0, 0.0, 1.0 - f, 3.0 * sigma, 0, 0)
+               1.0 - f, f, 0.0, 0.0, 1.0 - f, (hi - lo) / 2.0, 0, 0)
     else:
         params = _protocol_params(v)
         if strategy == "unprotected":
@@ -506,9 +506,11 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
             n_clock = with_sized_clock(params).clock_bits
             t_span = params.schedule_end
         p = est.p_hat
+        # fidelity (2 p_I + 1)/3 maps the p_I interval with slope 2/3
+        lo, hi = wilson_interval(int(est.counts[0]), est.trials, z=3.0)
         row = (strategy, params.n_qubits, n_clock, t_span, est.trials,
                float(p[0]), float(p[1]), float(p[3]), float(p[2]),
-               est.avg_fidelity, 3.0 * est.fidelity_sigma,
+               est.avg_fidelity, (hi - lo) / 3.0,
                est.decode_failures, est.bad_trajectories)
     header = ("strategy", "N", "K", "t", "trials", "p_I", "p_X", "p_Y", "p_Z",
               "fid", "ci", "decode_failures", "bad_trajectories")

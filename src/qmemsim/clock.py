@@ -461,47 +461,6 @@ def max_time_error(traj, params: ClockParams) -> float:
 
 
 @dataclass(frozen=True)
-class ExitStats:
-    trials: int
-    n_good: int
-    n_vertical: int
-    n_horizontal: int
-    t_max: float
-
-    @property
-    def good_fraction(self) -> float:
-        return self.n_good / self.trials
-
-    @property
-    def vertical_rate(self) -> float:
-        """First vertical exits per trajectory per unit time."""
-        return self.n_vertical / (self.trials * self.t_max)
-
-
-def exit_statistics(trajectories, params: ClockParams) -> ExitStats:
-    """Classify each trajectory's first band exit; good = no exit.
-
-    Every non-good trajectory exits exactly once here (first exit), so
-    n_vertical + n_horizontal + n_good = trials by construction.
-    """
-    n_good = n_vert = n_horiz = 0
-    total = 0
-    for traj in trajectories:
-        total += 1
-        exit_ = first_exit(traj, params)
-        if exit_ is None:
-            n_good += 1
-        elif exit_[1] == "vertical":
-            n_vert += 1
-        else:
-            n_horiz += 1
-    if total == 0:
-        raise ValueError("no trajectories given")
-    return ExitStats(trials=total, n_good=n_good, n_vertical=n_vert,
-                     n_horizontal=n_horiz, t_max=params.t_max)
-
-
-@dataclass(frozen=True)
 class LevelWindow:
     level: int
     t_start: float       # nominal window-open time t_l

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import (I, X, Z, Y, anticommutes, frame_from_label, frame_to_label,
-                    string_anticommutes, as_generator)
+from .pauli import (I, X, Z, Y, anticommutes, depolarize, frame_from_label,
+                    string_anticommutes)
 from .stats import wilson_interval
 
 GENERATOR_LABELS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -162,25 +162,6 @@ def decode_blocks(frames, table: DecoderTable | None = None):
     return table.residuals[pack(frames)]
 
 
-def decode_concatenated(frame, levels, table: DecoderTable | None = None):
-    """Decode a 5**levels frame level by level (consecutive 5-tuples).
-
-    Accepts a single frame (5**levels,) or a batch (trials, 5**levels);
-    returns the residual code(s) after all levels.
-    """
-    table = table or default_table()
-    frames = np.asarray(frame, dtype=np.uint8)
-    single = frames.ndim == 1
-    if single:
-        frames = frames[None, :]
-    if frames.shape[1] != BLOCK ** levels:
-        raise ValueError(f"expected 5**{levels} qubits, got {frames.shape[1]}")
-    for _ in range(levels):
-        frames = decode_blocks(frames.reshape(frames.shape[0], -1, BLOCK), table)
-    out = frames[:, 0].astype(np.uint8)
-    return int(out[0]) if single else out
-
-
 def b_exact(p, table: DecoderTable | None = None) -> float:
     """Exact block logical error rate at depolarizing weight p.
 
@@ -209,17 +190,6 @@ class BlockErrorEstimate:
     trials: int
 
 
-def sample_error_frames(p, trials, rng, n_qubits=BLOCK):
-    """IID depolarizing-weight-p frames: X, Y, Z each with probability p/3."""
-    gen = as_generator(rng)
-    frames = np.zeros((trials, n_qubits), dtype=np.uint8)
-    mask = gen.random((trials, n_qubits)) < p
-    m = int(mask.sum())
-    if m:
-        frames[mask] = gen.integers(1, 4, m, dtype=np.uint8)
-    return frames
-
-
 def b_monte_carlo(p, trials, rng, table: DecoderTable | None = None,
                   z=3.2905) -> BlockErrorEstimate:
     """Monte Carlo estimate of the block error rate with a Wilson CI.
@@ -235,7 +205,7 @@ def b_monte_carlo(p, trials, rng, table: DecoderTable | None = None,
         return BlockErrorEstimate(p=0.0, estimate=0.0, ci_low=0.0, ci_high=0.0,
                                   trials=trials)
     table = table or default_table()
-    frames = sample_error_frames(p, trials, rng)
+    frames = depolarize(np.zeros((trials, BLOCK), dtype=np.uint8), p, rng)
     failures = int(np.count_nonzero(decode_blocks(frames, table)))
     lo, hi = wilson_interval(failures, trials, z=z)
     return BlockErrorEstimate(p=p, estimate=failures / trials, ci_low=lo,

@@ -1,4 +1,4 @@
-"""Pauli algebra modulo global phase, and event-level depolarizing noise.
+"""Pauli algebra modulo global phase, and depolarizing Pauli-frame noise.
 
 Single-qubit Paulis are encoded as two-bit integers packing the symplectic
 components, bit 0 = x, bit 1 = z:
@@ -10,14 +10,15 @@ anticommute iff the symplectic form x1*z2 + z1*x2 is odd, and an n-qubit
 string is a plain uint8 array multiplied elementwise by XOR.  Global phases
 are never tracked; they are unobservable for error accounting.
 
-Depolarizing noise at rate r is unraveled as a Poisson point process of rate
-r per qubit in which every event applies a Pauli drawn uniformly from
-{I, X, Y, Z}.  Identity events (rate r/4) are deliberate: this uniform form
-reproduces the replace-by-maximally-mixed generator directly and gives the
-single-qubit retention lambda(t) = exp(-r t), i.e. channel probabilities
-p_I = (1 + 3 e^{-rt})/4 and p_X = p_Y = p_Z = (1 - e^{-rt})/4.  Sampling
-only X/Y/Z at rate 3r/4 would give the same channel but different event
-statistics; everything downstream assumes the uniform convention.
+Depolarizing noise at rate r replaces a qubit by the maximally mixed state at
+rate r, i.e. applies a Pauli drawn uniformly from {I, X, Y, Z} at the events
+of a rate-r Poisson process.  The product of one or more uniform Paulis is
+again uniform, so after time t a qubit's cumulative frame is uniform with
+probability 1 - e^{-rt} and the identity otherwise: channel probabilities
+p_I = (1 + 3 e^{-rt})/4 and p_X = p_Y = p_Z = (1 - e^{-rt})/4, retention
+lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
+`depolarize` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each with probability
+p/3); no event times or counts are sampled.
 
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
@@ -80,22 +81,6 @@ def frame_to_label(frame):
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Depolarizing noise model: Pauli events at rate `rate_r` per qubit."""
-
-    rate_r: float
-
-    def __post_init__(self):
-        if not self.rate_r > 0:
-            raise ValueError("rate_r must be positive")
-
-    @property
-    def clock_flip_rate(self):
-        """Classical bits driven by the same noise flip at r/2."""
-        return self.rate_r / 2.0
-
-
-@dataclass(frozen=True)
 class RngStream:
     """Deterministic, hierarchically addressable random stream.
 
@@ -129,79 +114,33 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"cannot make a Generator from {type(rng).__name__}")
 
 
-@dataclass(frozen=True)
-class NoiseEvents:
-    """Time-ordered noise events on an n-qubit register."""
+def depolarize(frames, p, rng):
+    """XOR X, Y or Z, each with probability p/3, onto every cell, in place.
 
-    times: np.ndarray   # float64, ascending
-    qubits: np.ndarray  # int64 indices
-    paulis: np.ndarray  # uint8 codes, uniform over {I, X, Z, Y}
-
-    def __len__(self):
-        return self.times.size
-
-
-def sample_noise_events(n_qubits, duration, params: NoiseParams, rng) -> NoiseEvents:
-    """Draw all depolarizing events on [0, duration] for n_qubits qubits.
-
-    The merged process has rate n_qubits * r; each event lands on a uniform
-    qubit and applies a uniform Pauli, which is equivalent to independent
-    per-qubit Poisson processes.
+    frames is a (trials, n) uint8 array; p is a scalar or a per-trial array
+    (trials,).  Draws one uniform per cell, then one Pauli per hit cell in
+    row-major order.  Returns frames.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
     gen = as_generator(rng)
-    count = int(gen.poisson(n_qubits * params.rate_r * duration))
-    times = np.sort(gen.uniform(0.0, duration, count))
-    qubits = gen.integers(0, n_qubits, count)
-    paulis = gen.integers(0, 4, count, dtype=np.uint8)
-    return NoiseEvents(times=times, qubits=qubits, paulis=paulis)
-
-
-def apply_events(frame, events: NoiseEvents):
-    """Accumulate events into a Pauli frame (product modulo phase)."""
-    frame = np.array(frame, dtype=np.uint8, copy=True)
-    if len(events) and (events.qubits.min() < 0 or events.qubits.max() >= frame.shape[-1]):
-        raise IndexError("event qubit index out of range")
-    np.bitwise_xor.at(frame, events.qubits, events.paulis)
-    return frame
+    p = np.asarray(p, dtype=float)
+    hit = gen.random(frames.shape) < (p[:, None] if p.ndim == 1 else p)
+    frames[hit] ^= gen.integers(1, 4, np.count_nonzero(hit), dtype=np.uint8)
+    return frames
 
 
 def sample_cumulative_frames(n_qubits, duration, rate_r, trials, rng):
     """Cumulative Pauli frames of `trials` independent registers.
 
-    Exactly the product of that register's events over [0, duration]: each
-    (trial, qubit) cell draws its Poisson event count and XORs that many
-    uniform Pauli codes.  Event times are irrelevant here because frame
-    products commute modulo phase within an undisturbed interval.
-
-    duration may be a scalar or a per-trial array (trials,).
+    Each (trial, qubit) cell is depolarized once at weight
+    p = 3(1 - e^{-r duration})/4, the exact law of the product of its noise
+    events over [0, duration].  duration may be a scalar or a per-trial
+    array (trials,).
     """
-    gen = as_generator(rng)
     duration = np.asarray(duration, dtype=float)
     if np.any(duration < 0):
         raise ValueError("duration must be >= 0")
-    lam = rate_r * (duration[:, None] if duration.ndim == 1 else duration)
-    counts = gen.poisson(lam, size=(trials, n_qubits))
     frames = np.zeros((trials, n_qubits), dtype=np.uint8)
-    pending = counts
-    while True:
-        mask = pending > 0
-        m = int(mask.sum())
-        if m == 0:
-            break
-        frames[mask] ^= gen.integers(0, 4, m, dtype=np.uint8)
-        pending = pending - mask
-    return frames
-
-
-def accumulate_noise(frames, duration, rate_r, rng):
-    """XOR fresh cumulative noise of the given duration onto frames, in place."""
-    trials, n = frames.shape
-    frames ^= sample_cumulative_frames(n, duration, rate_r, trials, rng)
-    return frames
+    return depolarize(frames, -0.75 * np.expm1(-rate_r * duration), rng)
 
 
 def single_qubit_probs(t, rate_r):

@@ -37,13 +37,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, stats as sp_stats
 
 from .bounds import TWO_PI, clock_size_for
 from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
                     is_good, sample_trajectory, window_passage, window_schedule)
 from .fivequbit import BLOCK, decode_blocks
-from .pauli import RngStream, as_generator, sample_cumulative_frames
+from .pauli import (RngStream, as_generator, depolarize,
+                    sample_cumulative_frames)
 from .stats import affine_fit, wilson_interval
 
 _LN2 = math.log(2.0)
@@ -231,31 +231,39 @@ def simulate_classical_repetition(n_bits: int, t: float, trials: int, rng,
 
 
 def exact_majority_failure(n_bits: int, t: float, rate_r: float = 1.0) -> float:
-    """Exact binomial tail P[Binomial(n, q) > n/2], q = (1 - e^{-rt})/2."""
+    """Exact binomial tail P[Binomial(n, q) > n/2], q = (1 - e^{-rt})/2.
+
+    Since q <= 1/2 the first tail term, k = n//2 + 1, is the largest; it is
+    evaluated in log space with math.lgamma, and each later term follows
+    from its predecessor by the ratio (n - k)/(k + 1) * q/(1 - q) <= 1, so
+    nothing overflows and small terms underflow harmlessly to 0.
+    """
     if n_bits % 2 == 0:
         raise ValueError("n_bits must be odd")
     q = (1.0 - math.exp(-rate_r * t)) / 2.0
-    return float(sp_stats.binom.sf(n_bits // 2, n_bits, q))
+    if q == 0.0:
+        return 0.0
+    first = n_bits // 2 + 1
+    log_first = (math.lgamma(n_bits + 1) - math.lgamma(first + 1)
+                 - math.lgamma(n_bits - first + 1)
+                 + first * math.log(q) + (n_bits - first) * math.log1p(-q))
+    k = np.arange(first, n_bits)
+    ratios = (n_bits - k) / (k + 1.0) * (q / (1.0 - q))
+    return math.exp(log_first) * (1.0 + float(np.cumprod(ratios).sum()))
 
 
 def repetition_lifetime(n_bits: int, rate_r: float = 1.0,
                         failure_floor: float = 0.1) -> float:
     """Time at which the exact majority-vote failure reaches the floor.
 
-    The failure probability increases from 0 toward 1/2, so the floor must
-    lie in (0, 1/2).  Solved by bracketing and root finding on the exact
-    tail; no sampling involved.
+    The failure probability increases monotonically in t from 0 toward 1/2,
+    so the floor must lie in (0, 1/2).  Found by bisection on the exact tail
+    in units of 1/r (the tail depends on r t only); no sampling involved.
     """
     if not 0.0 < failure_floor < 0.5:
         raise ValueError("failure_floor must lie in (0, 1/2)")
-    hi = 1.0 / rate_r
-    while exact_majority_failure(n_bits, hi, rate_r) < failure_floor:
-        hi *= 2.0
-        if hi > 1e9 / rate_r:
-            raise RuntimeError("failure floor not reached; check parameters")
-    return float(optimize.brentq(
-        lambda t: exact_majority_failure(n_bits, t, rate_r) - failure_floor,
-        1e-12 / rate_r, hi, xtol=1e-12, rtol=1e-12))
+    return _bisect_lifetime(lambda t: 1.0 - exact_majority_failure(n_bits, t),
+                            1.0 - failure_floor, 1e-12, 1.0) / rate_r
 
 
 def simulate_circuit_model(params: ProtocolParams, trials: int, rng,
@@ -368,8 +376,7 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                 params.h_norm * abs(total - params.t_dec))
         if np.any(np.diff(taus[0]) <= 0):
             raise ScheduleInfeasibleError("mean-path decode times not increasing")
-        noise_gen = as_generator(rng if not isinstance(rng, (int, np.integer))
-                                 else int(rng))
+        noise_gen = as_generator(rng)
     else:
         streams, noise_gen = _trial_streams(rng, trials)
 
@@ -400,10 +407,7 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         frames ^= sample_cumulative_frames(frames.shape[1], dur, r_code,
                                            trials, noise_gen)
         frames = decode_blocks(frames.reshape(trials, -1, params.block_size))
-        kick = noise_gen.random(frames.shape) < kick_probs[:, j][:, None]
-        hits = int(kick.sum())
-        if hits:
-            frames[kick] ^= noise_gen.integers(1, 4, hits, dtype=np.uint8)
+        depolarize(frames, kick_probs[:, j], noise_gen)
         t_prev = taus[:, j]
     residuals = frames[~aborted, 0]
     estimate = estimate_logical_channel(residuals,
@@ -452,7 +456,7 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     d^level for level in levels_list); the returned lifetime is the largest
     grid point still meeting the floor.  circuit / clock: the protocol with
     the most rounds whose final fidelity meets the floor; lifetime is its
-    wall-clock storage span.  repetition: exact-tail root finding per odd n
+    wall-clock storage span.  repetition: exact-tail bisection per odd n
     in n_bits_list at failure floor 1 - fidelity_floor.
 
     The fitted slope is against the level count for circuit/clock and

@@ -19,10 +19,6 @@ def wilson_interval(successes, trials, z=3.2905):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def binomial_sigma(p, trials):
-    return np.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-
 def affine_fit(x, y):
     """Least-squares slope and intercept of y against x."""
     slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)

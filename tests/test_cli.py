@@ -10,6 +10,7 @@ from qmemsim.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, ExperimentConfig, main, parse_config,
                          render_rows_csv, result_payload, run_experiment,
                          write_result)
+from qmemsim.stats import wilson_interval
 
 
 def parse(d):
@@ -140,6 +141,22 @@ def test_memory_sim_repetition_row():
     assert res.summary["fid"] == pytest.approx(1.0 - res.summary["p_X"])
 
 
+@pytest.mark.parametrize("strategy,levels,scale", [
+    ("unprotected", 0, 2.0 / 3.0), ("circuit", 2, 2.0 / 3.0),
+    ("repetition", 1, 1.0)])
+def test_memory_sim_ci_nonzero_on_perfect_outcome(strategy, levels, scale):
+    # every trial succeeds, yet sampling was done: the z = 3 Wilson
+    # half-width (mapped to fidelity for quantum strategies) stays positive
+    res = run_experiment(parse({"subcommand": "memory-sim",
+                                "strategy": strategy, "levels": levels,
+                                "t": 0.0, "t_prot": 1e-9, "n_bits": 11,
+                                "trials": 200, "seed": 3}))
+    assert res.summary["fid"] == 1.0
+    lo, hi = wilson_interval(200, 200, z=3.0)
+    assert res.summary["ci"] == pytest.approx(scale * (hi - lo) / 2.0)
+    assert res.summary["ci"] > 0.0
+
+
 def test_memory_sim_clock_requires_sizing():
     with pytest.raises(ConfigError, match="size the clock"):
         run_experiment(parse({"subcommand": "memory-sim", "strategy": "clock",
@@ -213,6 +230,21 @@ def test_clock_verify_runner():
     assert res.summary["max_time_error_good"] <= res.summary["delta_half"]
     assert len(res.rows) == 40
     assert res.plot_columns.shape == (201, 4)
+
+
+def test_clock_verify_exit_partition():
+    # a small, wide-band clock exits often; each trial has exactly one class
+    res = run_experiment(parse({"subcommand": "clock-verify", "K": 64,
+                                "epsilon": 0.1, "t_max": 1.0, "trials": 200,
+                                "seed": 26}))
+    s = res.summary
+    n_good = round(s["good_fraction"] * 200)
+    assert s["n_vertical"] + s["n_horizontal"] + n_good == 200
+    assert s["n_vertical"] > 0 and s["n_horizontal"] > 0 and n_good > 0
+    kinds = [row[3] for row in res.rows]
+    assert kinds.count("vertical") == s["n_vertical"]
+    assert kinds.count("horizontal") == s["n_horizontal"]
+    assert sum(row[1] for row in res.rows) == n_good
 
 
 def test_clock_verify_checkpointed():

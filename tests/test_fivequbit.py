@@ -6,7 +6,6 @@ five-qubit Pauli strings against the generator set and then pinned here.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_block, decode_blocks,
-                               decode_concatenated, default_code,
-                               default_table, pack, quadratic_bound_range,
-                               sample_error_frames, syndrome_bits, syndrome_of,
-                               unpack)
+                               default_code, default_table, pack,
+                               quadratic_bound_range, syndrome_bits,
+                               syndrome_of, unpack)
 from qmemsim.pauli import (RngStream, frame_from_label, frame_to_label,
                            identity_frame, string_anticommutes, weight)
 
@@ -138,24 +136,6 @@ def test_decode_blocks_matches_scalar_decode():
             assert out[i, j] == decode_block(frames[i, j])
 
 
-def test_decode_concatenated_levels():
-    rng = RngStream(4).generator()
-    # level 0: a single physical qubit is its own residual
-    for code in range(4):
-        assert decode_concatenated(np.array([code], dtype=np.uint8), 0) == code
-    # level 1 is plain block decoding
-    block = rng.integers(0, 4, size=BLOCK, dtype=np.uint8)
-    assert decode_concatenated(block, 1) == decode_block(block)
-    # level 2 decodes inner blocks, then the block of residuals
-    frame = rng.integers(0, 4, size=BLOCK ** 2, dtype=np.uint8)
-    inner = decode_blocks(frame.reshape(1, BLOCK, BLOCK))[0]
-    assert decode_concatenated(frame, 2) == decode_block(inner)
-    # batched input returns one residual per trial
-    batch = rng.integers(0, 4, size=(7, BLOCK ** 2), dtype=np.uint8)
-    singles = [decode_concatenated(batch[i], 2) for i in range(7)]
-    assert decode_concatenated(batch, 2).tolist() == singles
-
-
 def test_b_exact_matches_frozen_polynomial():
     for p in (0.0, 0.001, 0.0137, 0.2, 0.5, 1.0):
         expected = sum(n * (p / 3.0) ** w * (1.0 - p) ** (5 - w)
@@ -190,16 +170,6 @@ def test_b_exact_quadratic_leading_order():
     # small p: b(p) = (N_2/9) p^2 + O(p^3), N_2/9 = 10
     p = 1e-5
     assert b_exact(p) / p ** 2 == pytest.approx(10.0, rel=1e-3)
-
-
-def test_sample_error_frames_marginals():
-    p, trials = 0.3, 100_000
-    frames = sample_error_frames(p, trials, RngStream(6))
-    rate = np.count_nonzero(frames) / frames.size
-    assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / frames.size)
-    nonzero = frames[frames > 0]
-    counts = np.bincount(nonzero, minlength=4)[1:]
-    assert counts.min() > 0.31 * nonzero.size
 
 
 def test_b_monte_carlo_ci_covers_exact():

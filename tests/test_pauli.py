@@ -1,4 +1,4 @@
-"""Pauli algebra, labels, RNG streams, and the event-level noise model."""
+"""Pauli algebra, labels, RNG streams, and the depolarizing frame sampler."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmemsim.pauli import (CODE_LABELS, NoiseParams, RngStream, anticommutes,
-                           apply_events, as_generator, frame_from_label,
-                           frame_to_label, identity_frame, pauli_mul,
-                           sample_cumulative_frames, sample_noise_events,
+from qmemsim.pauli import (CODE_LABELS, RngStream, anticommutes, as_generator,
+                           depolarize, frame_from_label, frame_to_label,
+                           identity_frame, pauli_mul, sample_cumulative_frames,
                            single_qubit_probs, string_anticommutes, weight)
 
 I, X, Z, Y = 0, 1, 2, 3
@@ -81,12 +80,6 @@ def test_weight_and_identity():
     assert identity_frame(3, trials=4).shape == (4, 3)
 
 
-def test_noise_params_validation():
-    with pytest.raises(ValueError):
-        NoiseParams(rate_r=0.0)
-    assert NoiseParams(rate_r=2.0).clock_flip_rate == 1.0
-
-
 def test_rng_stream_determinism():
     a = RngStream(123).child(0, 5).generator().random(4)
     b = RngStream(123).child(0, 5).generator().random(4)
@@ -106,36 +99,37 @@ def test_as_generator_accepts_each_form():
         as_generator("seed")
 
 
-def test_sample_noise_events_zero_duration():
-    events = sample_noise_events(3, 0.0, NoiseParams(1.0), 0)
-    assert len(events) == 0
-    with pytest.raises(ValueError):
-        sample_noise_events(3, -1.0, NoiseParams(1.0), 0)
+def test_depolarize_marginals():
+    p, trials = 0.3, 100_000
+    frames = depolarize(identity_frame(5, trials), p, RngStream(6))
+    rate = np.count_nonzero(frames) / frames.size
+    assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / frames.size)
+    nonzero = frames[frames > 0]
+    counts = np.bincount(nonzero, minlength=4)[1:]
+    assert counts.min() > 0.31 * nonzero.size
 
 
-def test_sample_noise_events_statistics():
-    params = NoiseParams(rate_r=2.0)
-    events = sample_noise_events(4, 3.0, params, 11)
-    mean = 4 * 2.0 * 3.0
-    assert abs(len(events) - mean) < 5 * math.sqrt(mean)
-    assert np.all(np.diff(events.times) >= 0)
-    assert events.qubits.min() >= 0 and events.qubits.max() < 4
-    assert set(np.unique(events.paulis)) <= {0, 1, 2, 3}
+def test_depolarize_per_trial_weights():
+    # row i is depolarized at weight p[i]; p = 0 rows stay untouched
+    weights = np.array([0.0, 0.1, 0.6, 1.0])
+    trials = 4 * 20_000
+    p = np.tile(weights, trials // 4)
+    frames = depolarize(identity_frame(3, trials), p, RngStream(7))
+    for i, w in enumerate(weights):
+        rows = frames[i::4]
+        rate = np.count_nonzero(rows) / rows.size
+        assert abs(rate - w) < 4 * math.sqrt(w * (1 - w) / rows.size) + 1e-12
+    assert not frames[0::4].any() and frames[3::4].all()
 
 
-def test_apply_events_is_xor_accumulation():
-    frame = frame_from_label("XIIII")
-    events = sample_noise_events(5, 0.5, NoiseParams(1.0), 3)
-    out = apply_events(frame, events)
-    expected = frame.copy()
-    for qubit, code in zip(events.qubits, events.paulis):
-        expected[qubit] ^= code
-    assert np.array_equal(out, expected)
-    # out-of-range events rejected
-    bad = type(events)(times=np.array([0.1]), qubits=np.array([9]),
-                       paulis=np.array([1], dtype=np.uint8))
-    with pytest.raises(IndexError):
-        apply_events(frame, bad)
+def test_depolarize_xors_in_place():
+    # depolarize composes onto an existing frame: same draws, XORed on
+    start = np.tile(frame_from_label("XIZYI"), (50, 1))
+    out = depolarize(start.copy(), 0.4, RngStream(3))
+    fresh = depolarize(identity_frame(5, 50), 0.4, RngStream(3))
+    assert np.array_equal(out, start ^ fresh)
+    frames = start.copy()
+    assert depolarize(frames, 0.4, RngStream(3)) is frames
 
 
 def test_single_qubit_probs():
@@ -149,7 +143,7 @@ def test_single_qubit_probs():
 
 
 def test_cumulative_frames_match_channel_probabilities():
-    # the layered-XOR sampler must reproduce the single-qubit channel
+    # the one-shot sampler must reproduce the single-qubit channel
     t, r, trials = 1.0, 1.0, 200_000
     frames = sample_cumulative_frames(1, t, r, trials, RngStream(5))
     counts = np.bincount(frames[:, 0], minlength=4)
@@ -176,6 +170,20 @@ def test_cumulative_frames_per_trial_durations():
     assert np.all(frames[[0, 1, 3]] == 0)
     with pytest.raises(ValueError):
         sample_cumulative_frames(3, np.array([0.1, -0.1]), 1.0, 2, RngStream(2))
+
+
+def test_cumulative_frames_per_trial_durations_match_channel():
+    # each duration group of a per-trial array follows its own channel
+    durations = np.array([0.1, 0.5, 2.0])
+    r, trials = 1.3, 3 * 60_000
+    frames = sample_cumulative_frames(2, np.tile(durations, trials // 3), r,
+                                      trials, RngStream(12))
+    for i, t in enumerate(durations):
+        group = frames[i::3].ravel()
+        counts = np.bincount(group, minlength=4)
+        expected = single_qubit_probs(t, r) * group.size
+        sigma = np.sqrt(expected * (1 - expected / group.size))
+        assert np.all(np.abs(counts - expected) < 4 * sigma + 1)
 
 
 def test_cumulative_frames_zero_rate():
