@@ -18,7 +18,7 @@ from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     WindowSchedule, checkpoint_times, deterministic_passage,
                     first_exit, good_prob_bound, is_good, max_time_error,
                     mean_polarization, polarization_variance,
-                    sample_count_matrix, sample_trajectory,
+                    sample_count_matrix, sample_passages, sample_trajectory,
                     sample_trajectory_checkpointed, time_error_bound,
                     time_estimate, vertical_exit_rate_bound, window_passage,
                     window_schedule)

@@ -28,6 +28,18 @@ Sampling exploits exchangeability twice over:
   checkpoints via two binomials (each bit keeps its value over a span D with
   probability (1+e^{-rD})/2), exact at the checkpoints, for K far beyond
   event-level reach.
+* sample_passages draws the band verdict and the window passages of one
+  path with the law of sample_trajectory + is_good + window_passage, but
+  resolves flips only where they decide something: it halves [0, horizon]
+  with multinomial draws of per-interval flip classes until each interval's
+  polarization range settles the band and every window, and resolves to
+  events only undecided intervals of at most LEAF_BITS active bits.  Its
+  cost follows the number of intervals needed, not the K r horizon / 2
+  flips.  refinement_pays tells when the root would be halved at all;
+  simulate_clock_controlled uses sample_passages for pass 1 exactly then,
+  and the event trio below that.  The event branch keeps every small-K
+  pass-1 stream as it was; that it is also the faster one there rests on
+  one-thread timing loops, not on a benchmark workload.
 
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
@@ -38,10 +50,11 @@ values (K, k after each flip...), both read-only; pieces, the band checks and
 the window passages read slices of these instead of rebuilding them per call.
 A sampled trajectory keeps its flip times once: its times are the read-only
 view edges[1:-1] of the one edge buffer, and its piece values are int32.
-At acceptance criterion 6 (about 2.55 M flips) that is about 33 MB per
-trajectory, and about 45 MB at the peak of sampling.  is_good walks the
-pieces up to t_max in chunks of _BAND_CHUNK and stops at the first chunk
-that leaves the band, so it needs no full-length temporaries.
+That is about 13 bytes per flip, about 18 at the peak of sampling: 33 and
+45 MB for the 2.55 M flips of the acceptance-criterion-6 clock, whose pass 1
+uses sample_passages instead.  is_good walks the pieces up to t_max in
+chunks of _BAND_CHUNK and stops at the first chunk that leaves the band, so
+it needs no full-length temporaries.
 """
 
 from __future__ import annotations
@@ -518,18 +531,21 @@ def window_passage(traj: ClockTrajectory, window: LevelWindow, t_dec: float):
     """
     edges, values = traj.piece_edges(traj.horizon)
     inside = np.flatnonzero((values >= window.k_off) & (values <= window.k_on))
-    if not inside.size:
+    return _passage(edges[inside], edges[inside + 1], t_dec)
+
+
+def _passage(starts, ends, t_dec: float):
+    """(decode_time, active_time) from the time-ordered, disjoint inside
+    segments [starts[i], ends[i]] of one window (see window_passage)."""
+    if not starts.size:
         return None, 0.0
-    durs = edges[inside + 1] - edges[inside]
+    durs = ends - starts
     cum = np.cumsum(durs)
     total = float(cum[-1])
     if total >= t_dec:
         i = int(np.searchsorted(cum, t_dec, side="left"))
-        offset = t_dec - (cum[i] - durs[i])
-        decode_time = float(edges[inside[i]] + offset)
-    else:
-        decode_time = float(edges[inside[-1] + 1])
-    return decode_time, total
+        return float(starts[i] + (t_dec - (cum[i] - durs[i]))), total
+    return float(ends[-1]), total
 
 
 def deterministic_passage(window: LevelWindow, params: ClockParams, t_dec: float):
@@ -539,3 +555,248 @@ def deterministic_passage(window: LevelWindow, params: ClockParams, t_dec: float
     total = t_exit - t_enter
     decode_time = t_enter + t_dec if total >= t_dec else t_exit
     return decode_time, total
+
+
+# an undecided interval with at most this many active bits (bits that flip
+# in it) is resolved to flip events instead of being halved again
+LEAF_BITS = 2048
+
+
+def refinement_pays(params: ClockParams, horizon: float) -> bool:
+    """True when sample_passages would halve its root interval [0, horizon]:
+    the expected number of bits that flip at all, K (1 - e^{-r horizon/2}),
+    exceeds LEAF_BITS.
+
+    Below that, pass 1 keeps the event trio, so every small-K stream is
+    unchanged.  The rule does not weigh the band width: for a band tight
+    enough that every interval on [0, t_max] stays undecided,
+    sample_passages resolves nearly all flips in leaves and is slower than
+    the event trio well above the cut-off.
+    """
+    return params.n_bits * -math.expm1(-params.rate_r * horizon / 2.0) > LEAF_BITS
+
+
+def _root_pvals(mu: float) -> np.ndarray:
+    """P(odd), P(even >= 2), P(none) for a Poisson(mu) flip count.
+
+    numpy's multinomial takes the last cell as the remainder, which keeps
+    its relative accuracy only while that cell is not tiny.  P(none) =
+    e^{-mu} comes last; it is far from tiny at every current caller
+    (mu = r horizon / 2 is below 0.01 at acceptance criterion 6 and at
+    most 1.5 in the tests, e^{-mu} >= 0.2) and would lose accuracy only
+    at large mu, once e^{-mu} nears the rounding error of 1.
+    """
+    odd = -math.expm1(-2.0 * mu) / 2.0
+    even = 2.0 * math.exp(-mu) * math.sinh(mu / 2.0) ** 2
+    return np.array([odd, even, math.exp(-mu)])
+
+
+def _split_pvals(m: float) -> np.ndarray:
+    """(2, 4) cell probabilities for halving one active bit's flip class.
+
+    Each half carries Poisson(m) flips.  Row 0 splits an odd count over
+    (left, right) = (none, odd), (odd, even), (even, odd), (odd, none);
+    row 1 an even count >= 2 over (none, even), (even, none), (even, even),
+    (odd, odd).  The common factor e^{-2m} cancels in the normalization;
+    each row's last cell, the multinomial's remainder, is never tiny.
+    """
+    odd, even = math.sinh(m), 2.0 * math.sinh(m / 2.0) ** 2
+    w = np.array([[odd, odd * even, even * odd, odd],
+                  [even, even, even * even, odd * odd]])
+    return w / w.sum(axis=1, keepdims=True)
+
+
+# cell of _split_pvals -> (left odd, left even, right odd, right even, and
+# right odd, right even for a right half entered in the other state)
+_HALVES = np.array([
+    [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0],
+], dtype=np.int64)
+
+
+def _halve(counts: np.ndarray, k_start: np.ndarray, m: float, gen):
+    """Counts and start polarizations of the left and right halves.
+
+    counts[i, s, c] is the number of bits of interval i that start in state
+    s and flip an odd (c = 0) or even >= 2 (c = 1) number of times in it.
+    A bit starts the right half in s XOR (parity of its left-half flips).
+    """
+    cells = gen.multinomial(counts, _split_pvals(m))    # (M, s, c, cell)
+    halves = cells.reshape(-1, 2, 8) @ _HALVES          # (M, s, 6)
+    left = halves[:, :, 0:2]
+    right = halves[:, :, 2:4] + halves[:, ::-1, 4:6]
+    k_mid = k_start + 2 * (left[:, 0, 0] - left[:, 1, 0])
+    return left, right, k_mid
+
+
+def _parity_tables(m: float):
+    """Inversion tables for a Poisson(m) flip count conditioned to be odd,
+    or even and >= 2: (cdf over 1, 3, 5, ...), (cdf over 2, 4, 6, ...)."""
+    top = int(m + 12.0 * math.sqrt(m) + 40.0)
+    j = np.arange(top + 1)
+    pmf = np.exp(j * math.log(m) - m
+                 - np.array([math.lgamma(x + 1.0) for x in range(top + 1)]))
+    tables = []
+    for part in (pmf[1::2], pmf[2::2]):
+        cdf = np.cumsum(part)
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        tables.append(cdf)
+    return tables
+
+
+def _leaf_pieces(starts, ends, k_start, counts, gen, rate_r):
+    """Resolve intervals [starts[i], ends[i]] (all of one length, in time
+    order) to flip events; returns the constant pieces (starts, ends,
+    values) of all of them, in time order.
+
+    Each active bit draws its flip count from Poisson(r D / 2) conditioned on
+    its parity class (odd, or even >= 2), by inversion, then that many
+    sorted uniform times; its steps alternate, starting at -2 for a bit at 1.
+    Every bit gets one uniform time up front; the few bits with two or more
+    flips replace it by the first of their sorted times.
+    """
+    n = starts.size
+    width = float(ends[0] - starts[0])
+    odd_cdf, even_cdf = _parity_tables(rate_r * width / 2.0)
+    per_class = counts.transpose(2, 0, 1).ravel()         # (c, leaf, s)
+    n_odd = int(per_class[:2 * n].sum())
+    owner = np.repeat(np.tile(np.arange(n).repeat(2), 2), per_class)
+    first = np.repeat(np.tile(np.array([2, -2], np.int8), 2 * n), per_class)
+    u = gen.random(owner.size)
+    multi = np.concatenate([np.flatnonzero(u[:n_odd] >= odd_cdf[0]),
+                            np.arange(n_odd, owner.size)])
+    flips = np.concatenate([
+        1 + 2 * np.searchsorted(odd_cdf, u[multi[multi < n_odd]], side="right"),
+        2 + 2 * np.searchsorted(even_cdf, u[n_odd:], side="right")])
+    times = gen.random(owner.size)
+    times *= width
+    times += starts[owner]
+    times_parts, steps_parts, owner_parts = [times], [first], [owner]
+    for j in np.flatnonzero(np.bincount(flips)):
+        rows = multi[flips == j]
+        t = np.sort(gen.random((rows.size, j)), axis=1)
+        t *= width
+        t += starts[owner[rows], None]
+        times[rows] = t[:, 0]
+        steps = np.repeat(-first[rows], j - 1)
+        steps.reshape(-1, j - 1)[:, 1::2] *= -1
+        times_parts.append(t[:, 1:].ravel())
+        steps_parts.append(steps)
+        owner_parts.append(np.repeat(owner[rows], j - 1))
+    per_leaf = np.bincount(np.concatenate(owner_parts), minlength=n)
+    times = np.concatenate(times_parts)
+    order = np.argsort(times)
+    times = times[order]
+    steps = np.concatenate(steps_parts)[order]
+    # the leaves are disjoint, so the sorted events come leaf by leaf
+    first_event = np.concatenate(([0], np.cumsum(per_leaf)[:-1]))
+    first_piece = first_event + np.arange(n)
+    at = np.arange(times.size) + np.repeat(np.arange(1, n + 1), per_leaf)
+    # |partial sums| <= 2 * events, far below 2^31
+    walk = np.concatenate(([0], np.cumsum(steps, dtype=np.int32)))
+    offset = k_start - walk[first_event]
+    p_starts = np.empty(times.size + n)
+    p_values = np.empty(times.size + n, dtype=np.int64)
+    p_starts[first_piece], p_starts[at] = starts, times
+    p_values[first_piece] = k_start
+    p_values[at] = walk[1:] + np.repeat(offset, per_leaf)
+    p_ends = np.empty_like(p_starts)
+    p_ends[:-1] = p_starts[1:]
+    p_ends[first_piece + per_leaf] = ends
+    return p_starts, p_ends, p_values
+
+
+def sample_passages(params: ClockParams, horizon: float, schedule,
+                    t_dec: float, rng):
+    """(good, [(decode_time, active_time) per window]) without all flips.
+
+    Same law as sample_trajectory over [0, horizon] followed by is_good and
+    window_passage for each window of schedule, but flips are resolved only
+    where the band verdict or a window passage depends on them.
+
+    An interval [a, b] is summarized by k(a) and, per start state s, the
+    numbers of bits flipping an odd or an even >= 2 number of times in it;
+    its A_s active bits starting in s keep k(t) within [k(a) - 2 A_1,
+    k(a) + 2 A_0] on [a, b].  The root [0, horizon] is one multinomial draw
+    over the K bits.  An interval whose range settles the band on
+    [a, min(b, t_max)] and the inside/outside of every window is done, and
+    an endpoint outside the band settles the verdict of the whole path.  An
+    undecided interval with at most LEAF_BITS active bits is resolved to
+    flip events (_leaf_pieces); any other one is halved (_halve).  Each
+    level of halving is one batch of multinomials and one batch of leaves.
+    """
+    if horizon < params.t_max:
+        raise ValueError("horizon must cover [0, t_max]")
+    gen = as_generator(rng)
+    n_bits, rate_r, t_max = params.n_bits, params.rate_r, params.t_max
+    band = params.band_half_width
+    k_off = np.array([w.k_off for w in schedule])
+    k_on = np.array([w.k_on for w in schedule])
+    found = []              # (window, starts, ends) of inside segments
+    in_band = True          # no band exit seen yet
+    counts = np.zeros((1, 2, 2), dtype=np.int64)
+    counts[0, 1] = gen.multinomial(n_bits, _root_pvals(rate_r * horizon / 2.0))[:2]
+    index = np.zeros(1, dtype=np.int64)
+    k_start = np.full(1, n_bits, dtype=np.int64)
+    level = 0
+    while True:
+        starts = np.ldexp(index.astype(float), -level) * horizon
+        ends = np.ldexp((index + 1).astype(float), -level) * horizon
+        active = counts.sum(axis=2)                       # (M, s)
+        low = k_start - 2 * active[:, 1]
+        high = k_start + 2 * active[:, 0]
+        undecided = np.zeros(index.size, dtype=bool)
+        if in_band:
+            kbar_start = n_bits * np.exp(-rate_r * starts)
+            kbar_end = n_bits * np.exp(-rate_r * np.minimum(ends, t_max))
+            k_end = k_start + 2 * (counts[:, 0, 0] - counts[:, 1, 0])
+            exits = ((starts <= t_max) & (np.abs(k_start - kbar_start) >= band)) \
+                | ((ends <= t_max) & (np.abs(k_end - kbar_end) >= band))
+            if exits.any():
+                in_band = False
+            else:
+                undecided = (starts <= t_max) & ~(
+                    (high - kbar_end < band) & (kbar_start - low < band))
+        inside = (low[:, None] >= k_off) & (high[:, None] <= k_on)
+        undecided |= np.any(~inside & (high[:, None] >= k_off)
+                            & (low[:, None] <= k_on), axis=1)
+        rows, cols = np.nonzero(inside & ~undecided[:, None])
+        found.append((cols, starts[rows], ends[rows]))
+        leaf = undecided & (active.sum(axis=1) <= LEAF_BITS)
+        if leaf.any():
+            p_starts, p_ends, values = _leaf_pieces(
+                starts[leaf], ends[leaf], k_start[leaf], counts[leaf], gen,
+                rate_r)
+            if in_band:
+                # is_good on the pieces that start by t_max, cut at t_max
+                cut = int(np.searchsorted(p_starts, t_max, side="right"))
+                kept = values[:cut]
+                kbar_start = n_bits * np.exp(-rate_r * p_starts[:cut])
+                kbar_end = n_bits * np.exp(-rate_r * np.minimum(p_ends[:cut], t_max))
+                in_band = not (np.any(kept - kbar_end >= band)
+                               or np.any(kbar_start - kept >= band))
+            # runs of inside pieces that touch become one segment
+            touch = p_ends[:-1] == p_starts[1:]
+            for w in range(k_off.size):
+                ins = (values >= k_off[w]) & (values <= k_on[w])
+                joined = ins[:-1] & ins[1:] & touch
+                opens, closes = ins.copy(), ins.copy()
+                opens[1:] &= ~joined
+                closes[:-1] &= ~joined
+                found.append((np.full(np.count_nonzero(opens), w),
+                              p_starts[opens], p_ends[closes]))
+        split = undecided & ~leaf
+        if not split.any():
+            break
+        left, right, k_mid = _halve(counts[split], k_start[split],
+                                    rate_r * math.ldexp(horizon, -level) / 4.0, gen)
+        index = np.stack([2 * index[split], 2 * index[split] + 1], axis=1).ravel()
+        k_start = np.stack([k_start[split], k_mid], axis=1).ravel()
+        counts = np.stack([left, right], axis=1).reshape(-1, 2, 2)
+        level += 1
+    window, starts, ends = (np.concatenate(part) for part in zip(*found))
+    order = np.argsort(starts)
+    window, starts, ends = window[order], starts[order], ends[order]
+    return in_band, [_passage(starts[window == w], ends[window == w], t_dec)
+                     for w in range(k_off.size)]

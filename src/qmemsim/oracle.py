@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,17 +74,24 @@ def pauli_string_matrix(codes) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=MAX_ORACLE_QUBITS)
 def _site_paulis(n: int):
-    """X_k, Z_k, Y_k embedded on each site k of an n-qubit register."""
+    """X_k, Z_k, Y_k embedded on each site k of an n-qubit register.
+
+    Built once per qubit count; the matrices are read-only, so no caller
+    can write into the cache.
+    """
     ops = []
     for k in range(n):
         site = []
         for p in (1, 2, 3):
             codes = [0] * n
             codes[k] = p
-            site.append(pauli_string_matrix(codes))
-        ops.append(site)
-    return ops
+            op = pauli_string_matrix(codes)
+            op.flags.writeable = False
+            site.append(op)
+        ops.append(tuple(site))
+    return tuple(ops)
 
 
 def master_rhs(rho: np.ndarray, h_matrix, rate_r: float, site_ops) -> np.ndarray:

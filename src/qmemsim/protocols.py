@@ -32,15 +32,14 @@ decode_failure and counted as a full logical fault.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import TWO_PI, clock_size_for
 from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
-                    is_good, sample_trajectory, window_passage, window_schedule)
+                    is_good, refinement_pays, sample_passages,
+                    sample_trajectory, window_passage, window_schedule)
 from .fivequbit import BLOCK, decode_blocks
 from .pauli import (RngStream, as_generator, depolarize,
                     sample_cumulative_frames)
@@ -154,10 +153,6 @@ class LogicalChannelEstimate:
         """Per-class binomial standard errors."""
         p = self.p_hat
         return np.sqrt(p * (1.0 - p) / self.trials)
-
-    def ci(self, z: float = 3.0) -> np.ndarray:
-        """Per-class confidence half-widths (default 3 sigma)."""
-        return z * self.sigma()
 
     @property
     def fidelity_sigma(self) -> float:
@@ -302,15 +297,6 @@ def _trial_streams(rng, trials: int):
     return gens[:trials], gens[trials]
 
 
-def _pass1_workers(trials: int) -> int:
-    """Pass-1 threads: one per trial, at most one per CPU the process may use."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity query on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(trials, cpus))
-
-
 def _kick_probability(exponent: float) -> float:
     """min(1, e^exponent - 1); exactly 1 from exponent ln 2 on, where
     math.expm1 would otherwise overflow for exponents past about 709.78."""
@@ -339,14 +325,18 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     Returns a LogicalChannelEstimate, or with return_diagnostics a pair
     (estimate, ClockRunDiagnostics).
 
-    Pass 1 runs one trial per task on a thread pool of min(trials, CPUs
-    available to the process) workers; numpy's sampling, sorting and array
-    arithmetic release the interpreter lock, so the trials overlap.  Each
-    trial has its own random stream and writes only its own row, so results
-    do not depend on the worker count, and an exception raised in a trial
-    reaches the caller unchanged.  Every concurrent trial holds one
-    trajectory: about 45 MB at acceptance criterion 6 (K = 3.1e8, about
-    2.55 M flips).
+    Pass 1 resolves each trial's clock on its own random stream.  When the
+    clock is large enough that refinement_pays, it draws the band verdict
+    and the window passages with clock.sample_passages, which resolves
+    flips only near the band edges and the window thresholds (a few ms per
+    trial at acceptance criterion 6, K = 3.1e8).  Below that, where about
+    LEAF_BITS bits or fewer flip at all, it samples the event-level
+    trajectory and analyses it with is_good and window_passage.  Trials run
+    one after another, so pass 1 holds one trial's clock state at a time:
+    an event-level trajectory takes about 18 bytes per flip while it is
+    sampled, and sample_passages about as much per resolved flip plus one
+    level of intervals (about 5000 flips at criterion 6, against the 2.55 M
+    flips, 45 MB, of its event-level trajectory).
     """
     if params.levels < 1:
         raise ValueError("clock strategy needs at least one level")
@@ -379,14 +369,17 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         noise_gen = as_generator(rng)
     else:
         streams, noise_gen = _trial_streams(rng, trials)
-
-        def resolve_clock(i):
-            """Pass 1 of trial i; writes row i of good/aborted/taus/kick_probs."""
-            traj = sample_trajectory(clock, horizon, streams[i])
-            good[i] = is_good(traj, clock)
+        refine = refinement_pays(clock, horizon)
+        for i in range(trials):
+            if refine:
+                good[i], passages = sample_passages(clock, horizon, schedule,
+                                                    params.t_dec, streams[i])
+            else:
+                traj = sample_trajectory(clock, horizon, streams[i])
+                good[i] = is_good(traj, clock)
+                passages = (window_passage(traj, w, params.t_dec) for w in schedule)
             previous = -math.inf
-            for j, window in enumerate(schedule):
-                decode_time, total = window_passage(traj, window, params.t_dec)
+            for j, (decode_time, total) in enumerate(passages):
                 if decode_time is None or decode_time <= previous:
                     aborted[i] = True
                     break
@@ -394,10 +387,6 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                 kick_probs[i, j] = _kick_probability(
                     params.h_norm * abs(total - params.t_dec))
                 previous = decode_time
-
-        with ThreadPoolExecutor(max_workers=_pass1_workers(trials)) as pool:
-            for _ in pool.map(resolve_clock, range(trials)):
-                pass
 
     # pass 2: noise on the code register between decode instants
     frames = np.zeros((trials, params.n_qubits), dtype=np.uint8)

@@ -1,0 +1,76 @@
+"""The numpy-only distribution tests of distribution_gate, on cases
+computed by hand from their definitions."""
+
+import math
+
+import numpy as np
+import pytest
+
+from distribution_gate import (chi2_sf, chi2_table, kolmogorov_sf, ks_2samp,
+                               ks_statistic)
+
+
+def test_ks_statistic_by_hand():
+    assert ks_statistic([1, 2, 3], [4, 5, 6]) == 1.0
+    assert ks_statistic([1, 2, 3, 4], [3, 4, 5, 6]) == 0.5
+    # ties: F_x(2) = 3/4 against F_y(2) = 1/3
+    assert ks_statistic([1, 2, 2, 3], [2, 3, 4]) == pytest.approx(5.0 / 12.0)
+    assert ks_statistic([0.5, 0.1], [0.1, 0.5]) == 0.0
+
+
+def test_kolmogorov_series_by_hand():
+    # first terms of 2 sum (-1)^{j-1} e^{-2 j^2 lam^2}
+    assert kolmogorov_sf(1.0) == pytest.approx(
+        2.0 * (math.exp(-2.0) - math.exp(-8.0) + math.exp(-18.0)), rel=1e-12)
+    # first term of the small-lambda series
+    assert kolmogorov_sf(0.5) == pytest.approx(
+        1.0 - math.sqrt(2.0 * math.pi) / 0.5 * math.exp(-math.pi ** 2 / 2.0),
+        rel=1e-12)
+    # the 5% point of the Kolmogorov distribution
+    assert kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=1e-4)
+    # the two series meet where the switch happens
+    j = np.arange(1, 50)
+    large = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j * j * 1.18 ** 2))
+    assert kolmogorov_sf(1.18) == pytest.approx(large, rel=1e-12)
+    assert kolmogorov_sf(0.0) == 1.0 and kolmogorov_sf(0.1) == 1.0
+
+
+def test_ks_2samp_p_value():
+    d, p = ks_2samp([1.0, 2.0], [2.0, 1.0])
+    assert d == 0.0 and p == 1.0
+    x = np.arange(100.0)
+    d, p = ks_2samp(x, x + 50.0)
+    root = math.sqrt(50.0)
+    assert d == pytest.approx(0.5)
+    assert p == pytest.approx(kolmogorov_sf((root + 0.12 + 0.11 / root) * 0.5))
+    assert p < 1e-4
+    with pytest.raises(ValueError):
+        ks_2samp([], [1.0])
+
+
+def test_chi2_sf_by_hand():
+    for x in (0.3, 2.0, 7.5):
+        assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-14)
+        assert chi2_sf(x, 4) == pytest.approx(math.exp(-x / 2.0) * (1.0 + x / 2.0),
+                                              rel=1e-14)
+        assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-14)
+        assert chi2_sf(x, 3) == pytest.approx(
+            math.erfc(math.sqrt(x / 2.0))
+            + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0), rel=1e-14)
+    # textbook 5% critical values
+    for dof, x in ((1, 3.841458820694124), (3, 7.814727903251178),
+                   (4, 9.487729036781154), (5, 11.070497693516351)):
+        assert chi2_sf(x, dof) == pytest.approx(0.05, rel=1e-9)
+    assert chi2_sf(0.0, 3) == 1.0
+
+
+def test_chi2_table_by_hand():
+    # expected 15 in every cell: statistic 4 * 25 / 15, one degree of freedom
+    stat, dof, p = chi2_table([[10, 20], [20, 10]])
+    assert stat == pytest.approx(20.0 / 3.0) and dof == 1
+    assert p == pytest.approx(math.erfc(math.sqrt(10.0 / 3.0)))
+    # an empty class is dropped, not divided by
+    stat, dof, p = chi2_table([[5, 0, 5], [5, 0, 5]])
+    assert stat == 0.0 and dof == 1 and p == 1.0
+    # a single populated class has nothing to compare
+    assert chi2_table([[7, 0], [3, 0]]) == (0.0, 0, 1.0)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qmemsim import oracle
 from qmemsim.bounds import avg_fidelity_depolarizing, information_decay_time
 from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES, apply_choi,
                             average_fidelity, average_fidelity_numeric,
@@ -87,6 +88,21 @@ def test_integrator_validation():
         lindblad_evolve(rho0, None, 1.0, -0.5)
     with pytest.raises(ValueError):
         lindblad_evolve(plus_state(MAX_ORACLE_QUBITS + 1), None, 1.0, 0.1)
+
+
+def test_cached_site_operators_change_nothing(monkeypatch):
+    ghz = ghz_state(3)
+    h = np.kron(np.kron(X, I2), Z)
+    cached = [lindblad_evolve(rho, h, 0.7, 0.05, dt=0.01)
+              for rho in (ghz, plus_state(3), ghz)]
+    ops = oracle._site_paulis(3)
+    assert oracle._site_paulis(3) is ops
+    with pytest.raises(ValueError):
+        ops[0][0][0, 0] = 5.0
+    # fresh operators on every call, as built before the cache existed
+    monkeypatch.setattr(oracle, "_site_paulis", oracle._site_paulis.__wrapped__)
+    fresh = lindblad_evolve(ghz, h, 0.7, 0.05, dt=0.01)
+    assert fresh.tobytes() == cached[0].tobytes() == cached[2].tobytes()
 
 
 def exact_driven(rho0_bloch, t, rate_r):
