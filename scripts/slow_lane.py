@@ -11,8 +11,9 @@ summary as the last line; it exits 1 if any check fails.
    window_passage, at K = 4096, 1e5 and 1e6 over three seeds with
    GATE_TRIALS trajectories a side, then at the acceptance-criterion-6
    clock (K = 310,991,506) with GATE_TRIALS refined trajectories against
-   CRITERION6_EVENTS event trajectories (about 0.1 s each).  Every p-value (chi-square on the band verdict and the abort class, KS
-   on each level's decode time and occupancy) must reach GATE_ALPHA.
+   CRITERION6_EVENTS event trajectories (about 0.1 s each).  Every
+   p-value (chi-square on the band verdict and the abort class, KS on each
+   level's decode time and occupancy) must reach GATE_ALPHA.
 2. The criterion-6 schedule (SCALED) at 1 to 4 levels: the round-boundary
    logical error of simulate_clock_controlled is at most p* at every level,
    and the lifetime_scan("clock") slope is within 10% of t_prot + t_dec, as
@@ -30,13 +31,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
 from distribution_gate import (compare_passages, passage_outcomes,  # noqa: E402
                                passage_samplers)
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
-from qmemsim.pauli import RngStream  # noqa: E402
 from qmemsim.protocols import (ProtocolParams, lifetime_scan,  # noqa: E402
                                simulate_clock_controlled, with_sized_clock)
 
@@ -80,9 +82,9 @@ def run_gate():
         for seed in (1, 2, 3):
             start = time.perf_counter()
             refined = passage_outcomes(refined_fn, GATE_TRIALS,
-                                       RngStream(seed, (n_bits, 0)))
+                                       np.random.default_rng([seed, n_bits, 0]))
             events = passage_outcomes(events_fn, GATE_TRIALS,
-                                      RngStream(seed, (n_bits, 1)))
+                                      np.random.default_rng([seed, n_bits, 1]))
             results.append(gate_line(f"K={n_bits} seed={seed}", refined, events,
                                      time.perf_counter() - start))
     # the criterion-6 clock, as simulate_clock_controlled builds it
@@ -93,9 +95,11 @@ def run_gate():
     horizon = sized.schedule_end + 10.0 * sized.delta
     refined_fn, events_fn = passage_samplers(params, horizon, schedule, sized.t_dec)
     start = time.perf_counter()
-    refined = passage_outcomes(refined_fn, GATE_TRIALS, RngStream(4, (0,)))
+    refined = passage_outcomes(refined_fn, GATE_TRIALS,
+                               np.random.default_rng([4, 0]))
     refined_s = time.perf_counter() - start
-    events = passage_outcomes(events_fn, CRITERION6_EVENTS, RngStream(4, (1,)))
+    events = passage_outcomes(events_fn, CRITERION6_EVENTS,
+                              np.random.default_rng([4, 1]))
     events_s = time.perf_counter() - start - refined_s
     result = gate_line(f"K={sized.clock_bits}", refined, events,
                        time.perf_counter() - start)
@@ -110,11 +114,11 @@ def run_gate():
 
 def run_scaled():
     start = time.perf_counter()
-    stream = RngStream(106)
+    gen = np.random.default_rng(106)
     errors, ok = [], True
     for level in (1, 2, 3, 4):
         est = simulate_clock_controlled(replace(SCALED, levels=level),
-                                        SCALED_TRIALS, stream.child(level))
+                                        SCALED_TRIALS, gen)
         errors.append(est.error_rate)
         ok = ok and est.error_rate <= SCALED.p_star
     print(f"{'PASS' if ok else 'FAIL'} SCALED round-boundary errors "
@@ -122,7 +126,8 @@ def run_scaled():
           f"({SCALED_TRIALS} trials each)", flush=True)
     span = SCALED.t_prot + SCALED.t_dec
     scan = lifetime_scan("clock", replace(SCALED, levels=4), 2.0 / 3.0,
-                         SCALED_TRIALS, RngStream(107), levels_list=(1, 2, 3, 4))
+                         SCALED_TRIALS, np.random.default_rng(107),
+                         levels_list=(1, 2, 3, 4))
     slope_ok = abs(scan.slope - span) / span <= 0.10
     print(f"{'PASS' if slope_ok else 'FAIL'} SCALED lifetime slope "
           f"{scan.slope:.6f} vs t_prot + t_dec = {span} (10% allowed), "

@@ -33,10 +33,10 @@ from .oracle import (average_fidelity, average_fidelity_numeric,
                      mc_channel_tomography, oracle_equivalence_check,
                      pauli_mixture_choi, plus_state, trace_distance,
                      von_neumann_entropy)
-from .pauli import (CODE_LABELS, RngStream, anticommutes, as_generator,
-                    depolarize, frame_from_label, frame_to_label,
-                    identity_frame, pauli_mul, sample_cumulative_frames,
-                    single_qubit_probs, string_anticommutes, weight)
+from .pauli import (CODE_LABELS, anticommutes, depolarize, frame_from_label,
+                    frame_to_label, identity_frame, pauli_mul,
+                    sample_cumulative_frames, single_qubit_probs,
+                    string_anticommutes, weight)
 from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         LogicalChannelEstimate, ProtocolParams,
                         RepetitionEstimate, estimate_logical_channel,

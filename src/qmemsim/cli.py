@@ -34,7 +34,7 @@ from .clock import (ClockParams, DegenerateWindowError, OverlappingWindowsError,
 from .fivequbit import (N_STRINGS, b_exact, b_monte_carlo, default_table,
                         quadratic_bound_range, unpack)
 from .oracle import oracle_equivalence_check
-from .pauli import CODE_LABELS, RngStream, frame_to_label
+from .pauli import CODE_LABELS, frame_to_label
 from .protocols import (ProtocolParams, lifetime_scan,
                         simulate_circuit_model, simulate_classical_repetition,
                         simulate_clock_controlled, simulate_unprotected,
@@ -214,7 +214,6 @@ SCHEMAS = {
 
 # subcommands whose natural output is a JSON report rather than CSV rows
 _JSON_ONLY = ("ledger", "oracle-check")
-_RESERVED_KEYS = ("subcommand", "out", "format")
 
 
 def _coerce(sub: str, key: str, value, spec: _Field):
@@ -361,21 +360,20 @@ def _run_clock_verify(cfg: ExperimentConfig) -> ExperimentResult:
                          t_max=v["t_max"], rate_r=v["r"])
     bound = good_prob_bound(params)
     delta_half = time_error_bound(params)
-    stream = RngStream(v["seed"])
+    gen = np.random.default_rng(v["seed"])
     spacing = v["checkpoint_spacing"]
     rows = []
     counts = {"none": 0, "vertical": 0, "horizontal": 0, "band": 0}
     max_err_good = 0.0
     max_err_all = 0.0
     for i in range(v["trials"]):
-        child = stream.child(0, i)
         if spacing is None:
-            traj = sample_trajectory(params, v["t_max"], child)
+            traj = sample_trajectory(params, v["t_max"], gen)
             exit_ = first_exit(traj, params)
             kind = "none" if exit_ is None else exit_[1]
         else:
             traj = sample_trajectory_checkpointed(params, spacing,
-                                                  v["t_max"], child)
+                                                  v["t_max"], gen)
             kind = "none" if is_good(traj, params) else "band"
         err = max_time_error(traj, params)
         good = kind == "none"
@@ -431,14 +429,14 @@ def _run_bp_curve(cfg: ExperimentConfig) -> ExperimentResult:
     if v["p_max"] <= v["p_min"]:
         raise ConfigError("bp-curve.p_max: must exceed p_min")
     ps = np.linspace(v["p_min"], v["p_max"], v["p_count"])
-    stream = RngStream(v["seed"])
+    gen = np.random.default_rng(v["seed"])
     rows = []
     covered = 0
     max_dev = 0.0
-    for i, p in enumerate(ps):
+    for p in ps:
         p = float(p)
         exact = b_exact(p)
-        est = b_monte_carlo(p, v["trials"], stream.child(0, i))
+        est = b_monte_carlo(p, v["trials"], gen)
         rows.append((p, exact, est.estimate, est.ci_low, est.ci_high))
         covered += est.ci_low <= exact <= est.ci_high
         max_dev = max(max_dev, abs(est.estimate - exact))
@@ -468,10 +466,21 @@ def _require(v, sub, key, strategy):
         raise ConfigError(f"{sub}.{key}: required for strategy '{strategy}'")
 
 
+def _require_levels(v, sub, strategy):
+    """circuit and clock decode at least one level; the schema admits
+    levels 0 because unprotected uses it."""
+    if v["levels"] < 1:
+        raise ConfigError(f"{sub}.levels: must be >= 1 for strategy "
+                          f"'{strategy}'")
+    if any(lev < 1 for lev in v.get("levels_list") or ()):
+        raise ConfigError(f"{sub}.levels_list: entries must be >= 1 for "
+                          f"strategy '{strategy}'")
+
+
 def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
     strategy = v["strategy"]
-    rng = RngStream(v["seed"])
+    rng = np.random.default_rng(v["seed"])
     n_clock = 0
     if strategy == "repetition":
         _require(v, "memory-sim", "t", strategy)
@@ -489,6 +498,7 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
             t_span = v["t"]
         elif strategy == "circuit":
             _require(v, "memory-sim", "t_prot", strategy)
+            _require_levels(v, "memory-sim", strategy)
             est = simulate_circuit_model(params, v["trials"], rng,
                                          round_spacing=v["round_spacing"])
             spacing = v["round_spacing"] or params.t_prot
@@ -496,6 +506,7 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
         else:
             _require(v, "memory-sim", "t_prot", strategy)
             _require(v, "memory-sim", "t_dec", strategy)
+            _require_levels(v, "memory-sim", strategy)
             if v["K"] is None and v["delta"] <= 0:
                 raise ConfigError("memory-sim.delta: must be positive to "
                                   "size the clock (or give K directly)")
@@ -524,6 +535,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     strategy = v["strategy"]
     if strategy in ("circuit", "clock"):
         _require(v, "lifetime-scan", "t_prot", strategy)
+        _require_levels(v, "lifetime-scan", strategy)
     if strategy == "clock":
         _require(v, "lifetime-scan", "t_dec", strategy)
         if v["K"] is None and v["delta"] <= 0:
@@ -533,7 +545,8 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     levels_list = tuple(v["levels_list"]) if v["levels_list"] else None
     n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
     scan = lifetime_scan(strategy, params, v["fidelity_floor"], v["trials"],
-                         RngStream(v["seed"]), levels_list=levels_list,
+                         np.random.default_rng(v["seed"]),
+                         levels_list=levels_list,
                          n_bits_list=n_bits_list, grid_step=v["grid_step"])
     rows = [(n, life, scan.slope) for n, life in scan.points]
     summary = {
@@ -569,14 +582,12 @@ def _run_ledger(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
-    stream = RngStream(v["seed"])
+    gen = np.random.default_rng(v["seed"])
     checks = []
-    idx = 0
     for n in v["n_values"]:
         for t in v["t_values"]:
-            comp = oracle_equivalence_check(n, v["r"], t, v["trials"],
-                                            stream.child(0, idx), dt=v["dt"])
-            idx += 1
+            comp = oracle_equivalence_check(n, v["r"], t, v["trials"], gen,
+                                            dt=v["dt"])
             checks.append({"n_qubits": n, "t": t, "trials": v["trials"],
                            "distance": comp.distance,
                            "pass": comp.distance <= v["tolerance"]})

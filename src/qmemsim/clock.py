@@ -37,17 +37,17 @@ Sampling exploits exchangeability twice over:
   cost follows the number of intervals needed, not the K r horizon / 2
   flips.  refinement_pays tells when the root would be halved at all;
   simulate_clock_controlled uses sample_passages for pass 1 exactly then,
-  and the event trio below that.  The event branch keeps every small-K
-  pass-1 stream as it was; that it is also the faster one there rests on
-  one-thread timing loops, not on a benchmark workload.
+  and the event trio below that, where one-thread timing loops found the
+  event trio faster; no benchmark workload runs pass 1 on that side.
 
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
 k_off = ceil(k_mean(t_l + t_dec)), t_l = l*t_prot + (l-1)*t_dec.
 
 A ClockTrajectory caches its piece edges (0, times..., horizon) and piece
-values (K, k after each flip...), both read-only; pieces, the band checks and
-the window passages read slices of these instead of rebuilding them per call.
+values (K, k after each flip...), both read-only; piece_edges, the band
+checks and the window passages read slices of these instead of rebuilding
+them per call.
 A sampled trajectory keeps its flip times once: its times are the read-only
 view edges[1:-1] of the one edge buffer, and its piece values are int32.
 That is about 13 bytes per flip, about 18 at the peak of sampling: 33 and
@@ -64,8 +64,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .pauli import as_generator
 
 
 class DegenerateWindowError(ValueError):
@@ -241,14 +239,6 @@ class ClockTrajectory:
             edges[-1] = upto
         return edges, self.piece_values[:m + 1]
 
-    def pieces(self, upto: float):
-        """(starts, ends, values) of the constant pieces covering [0, upto].
-
-        The arrays may be read-only views of the cached piece arrays.
-        """
-        edges, values = self.piece_edges(upto)
-        return edges[:-1], edges[1:], values
-
 
 @dataclass(frozen=True, eq=False)
 class ClockCheckpoints:
@@ -275,7 +265,7 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
     single = np.empty(0, dtype=float)
     times_parts, steps_parts = [], []
@@ -355,7 +345,7 @@ def sample_count_matrix(params: ClockParams, times: np.ndarray, trials: int,
     (1+e^{-rD})/2, each 0-bit turns 1 with probability (1-e^{-rD})/2, so
     n' = Binomial(n, keep) + Binomial(K-n, 1-keep).  Exact at the times.
     """
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     times = np.asarray(times, dtype=float)
     out = np.empty((trials, times.size), dtype=np.int64)
     n = np.full(trials, params.n_bits, dtype=np.int64)
@@ -567,11 +557,12 @@ def refinement_pays(params: ClockParams, horizon: float) -> bool:
     the expected number of bits that flip at all, K (1 - e^{-r horizon/2}),
     exceeds LEAF_BITS.
 
-    Below that, pass 1 keeps the event trio, so every small-K stream is
-    unchanged.  The rule does not weigh the band width: for a band tight
-    enough that every interval on [0, t_max] stays undecided,
-    sample_passages resolves nearly all flips in leaves and is slower than
-    the event trio well above the cut-off.
+    Below that, pass 1 keeps the event trio, which one-thread timing loops
+    found faster there (no benchmark workload covers that side).  The rule
+    does not weigh the band width: for a band tight enough that every
+    interval on [0, t_max] stays undecided, sample_passages resolves nearly
+    all flips in leaves and is slower than the event trio well above the
+    cut-off.
     """
     return params.n_bits * -math.expm1(-params.rate_r * horizon / 2.0) > LEAF_BITS
 
@@ -728,7 +719,7 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
     """
     if horizon < params.t_max:
         raise ValueError("horizon must cover [0, t_max]")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     n_bits, rate_r, t_max = params.n_bits, params.rate_r, params.t_max
     band = params.band_half_width
     k_off = np.array([w.k_off for w in schedule])

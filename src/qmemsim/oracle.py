@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import as_generator, sample_cumulative_frames
+from .pauli import sample_cumulative_frames
 
 PAULI_MATRICES = (
     np.eye(2, dtype=complex),
@@ -223,7 +223,7 @@ def average_fidelity_numeric(choi: np.ndarray, n_states: int, rng) -> float:
     average_fidelity up to Monte Carlo error."""
     if n_states < 1000:
         raise ValueError("n_states must be >= 1000 for a stable estimate")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     vecs = gen.normal(size=(n_states, 2)) + 1j * gen.normal(size=(n_states, 2))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     total = 0.0

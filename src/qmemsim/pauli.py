@@ -27,8 +27,6 @@ events), so a bit's value after time t is flipped with probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 I, X, Z, Y = 0, 1, 2, 3
@@ -80,40 +78,6 @@ def frame_to_label(frame):
     return "".join(CODE_LABELS[c] for c in np.asarray(frame))
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic, hierarchically addressable random stream.
-
-    Identical (master_seed, key) pairs give identical event sequences
-    regardless of how trials are distributed over workers, because each
-    stream derives from an independent SeedSequence spawn key rather than
-    from the consumption order of a shared generator.  child(i, j, ...)
-    extends the key, so per-trial streams are stable under reordering.
-    """
-
-    master_seed: int
-    key: tuple = (0,)
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.master_seed,
-                                    spawn_key=tuple(self.key))
-        return np.random.default_rng(ss)
-
-    def child(self, *indices: int) -> "RngStream":
-        return RngStream(self.master_seed, tuple(self.key) + tuple(indices))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator, an RngStream, or a plain int seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    raise TypeError(f"cannot make a Generator from {type(rng).__name__}")
-
-
 def depolarize(frames, p, rng):
     """XOR X, Y or Z, each with probability p/3, onto every cell, in place.
 
@@ -121,7 +85,7 @@ def depolarize(frames, p, rng):
     (trials,).  Draws one uniform per cell, then one Pauli per hit cell in
     row-major order.  Returns frames.
     """
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     p = np.asarray(p, dtype=float)
     hit = gen.random(frames.shape) < (p[:, None] if p.ndim == 1 else p)
     frames[hit] ^= gen.integers(1, 4, np.count_nonzero(hit), dtype=np.uint8)

@@ -32,7 +32,7 @@ decode_failure and counted as a full logical fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
                     is_good, refinement_pays, sample_passages,
                     sample_trajectory, window_passage, window_schedule)
 from .fivequbit import BLOCK, decode_blocks
-from .pauli import (RngStream, as_generator, depolarize,
-                    sample_cumulative_frames)
+from .pauli import depolarize, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
 
 _LN2 = math.log(2.0)
@@ -69,7 +68,6 @@ class ProtocolParams:
     clock_bits: int | None = None
     t_max: float | None = None
     h_norm: float | None = None
-    block_size: int = 5
 
     def __post_init__(self):
         if self.rate_r <= 0:
@@ -78,8 +76,6 @@ class ProtocolParams:
             raise ValueError("levels must be >= 0")
         if not 0.0 < self.p_star < 1.0:
             raise ValueError("p_star must lie in (0, 1)")
-        if self.block_size != BLOCK:
-            raise ValueError("decoder is built for five-qubit blocks")
         if self.t_prot is not None and self.t_prot <= 0:
             raise ValueError("t_prot must be positive")
         if self.t_dec is not None and self.t_dec <= 0:
@@ -98,7 +94,7 @@ class ProtocolParams:
 
     @property
     def n_qubits(self) -> int:
-        return self.block_size ** self.levels
+        return BLOCK ** self.levels
 
     def level_time(self, level: int) -> float:
         """Window-open time t_l = l*t_prot + (l-1)*t_dec."""
@@ -216,7 +212,7 @@ def simulate_classical_repetition(n_bits: int, t: float, trials: int, rng,
         raise ValueError("n_bits must be odd for an unambiguous vote")
     if n_bits < 1 or trials < 1:
         raise ValueError("n_bits and trials must be positive")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     q = (1.0 - math.exp(-rate_r * t)) / 2.0
     flipped = gen.binomial(n_bits, q, size=trials)
     failures = int((flipped > n_bits // 2).sum())
@@ -278,23 +274,13 @@ def simulate_circuit_model(params: ProtocolParams, trials: int, rng,
     if params.t_prot is None:
         raise ValueError("t_prot is required")
     spacing = params.t_prot if round_spacing is None else round_spacing
-    gen = as_generator(rng)
-    frames = np.zeros((trials, params.block_size ** levels), dtype=np.uint8)
+    gen = np.random.default_rng(rng)
+    frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
     for _ in range(levels):
         frames ^= sample_cumulative_frames(frames.shape[1], spacing,
                                            params.rate_r, trials, gen)
-        frames = decode_blocks(frames.reshape(trials, -1, params.block_size))
+        frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
     return estimate_logical_channel(frames[:, 0])
-
-
-def _trial_streams(rng, trials: int):
-    """(per-trial trajectory streams, shared noise generator)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = RngStream(int(rng))
-    if isinstance(rng, RngStream):
-        return [rng.child(0, i) for i in range(trials)], rng.child(1).generator()
-    gens = as_generator(rng).spawn(trials + 1)
-    return gens[:trials], gens[trials]
 
 
 def _kick_probability(exponent: float) -> float:
@@ -325,18 +311,20 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     Returns a LogicalChannelEstimate, or with return_diagnostics a pair
     (estimate, ClockRunDiagnostics).
 
-    Pass 1 resolves each trial's clock on its own random stream.  When the
-    clock is large enough that refinement_pays, it draws the band verdict
-    and the window passages with clock.sample_passages, which resolves
-    flips only near the band edges and the window thresholds (a few ms per
-    trial at acceptance criterion 6, K = 3.1e8).  Below that, where about
-    LEAF_BITS bits or fewer flip at all, it samples the event-level
-    trajectory and analyses it with is_good and window_passage.  Trials run
-    one after another, so pass 1 holds one trial's clock state at a time:
-    an event-level trajectory takes about 18 bytes per flip while it is
-    sampled, and sample_passages about as much per resolved flip plus one
-    level of intervals (about 5000 flips at criterion 6, against the 2.55 M
-    flips, 45 MB, of its event-level trajectory).
+    Both passes draw from one generator, np.random.default_rng(rng): pass 1
+    resolves the trials' clocks one after another, then pass 2 samples the
+    code-register noise of all trials.  When the clock is large enough that
+    refinement_pays, pass 1 draws the band verdict and the window passages
+    with clock.sample_passages, which resolves flips only near the band
+    edges and the window thresholds (a few ms per trial at acceptance
+    criterion 6, K = 3.1e8).  Below that, where about LEAF_BITS bits or
+    fewer flip at all, it samples the event-level trajectory and analyses
+    it with is_good and window_passage.  So pass 1 holds one trial's clock
+    state at a time: an event-level trajectory takes about 18 bytes per
+    flip while it is sampled, and sample_passages about as much per
+    resolved flip plus one level of intervals (about 5000 flips at
+    criterion 6, against the 2.55 M flips, 45 MB, of its event-level
+    trajectory).
     """
     if params.levels < 1:
         raise ValueError("clock strategy needs at least one level")
@@ -349,6 +337,7 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     clock = ClockParams(n_bits=params.clock_bits, epsilon=params.epsilon,
                         t_max=params.resolved_t_max(), rate_r=params.rate_r)
     schedule = window_schedule(params.levels, params.t_prot, params.t_dec, clock)
+    gen = np.random.default_rng(rng)
     horizon = params.schedule_end + 10.0 * params.delta
     levels = params.levels
     r_code = params.rate_r if code_rate_r is None else code_rate_r
@@ -366,16 +355,14 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                 params.h_norm * abs(total - params.t_dec))
         if np.any(np.diff(taus[0]) <= 0):
             raise ScheduleInfeasibleError("mean-path decode times not increasing")
-        noise_gen = as_generator(rng)
     else:
-        streams, noise_gen = _trial_streams(rng, trials)
         refine = refinement_pays(clock, horizon)
         for i in range(trials):
             if refine:
                 good[i], passages = sample_passages(clock, horizon, schedule,
-                                                    params.t_dec, streams[i])
+                                                    params.t_dec, gen)
             else:
-                traj = sample_trajectory(clock, horizon, streams[i])
+                traj = sample_trajectory(clock, horizon, gen)
                 good[i] = is_good(traj, clock)
                 passages = (window_passage(traj, w, params.t_dec) for w in schedule)
             previous = -math.inf
@@ -394,9 +381,9 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     for j in range(levels):
         dur = np.clip(taus[:, j] - t_prev, 0.0, None)
         frames ^= sample_cumulative_frames(frames.shape[1], dur, r_code,
-                                           trials, noise_gen)
-        frames = decode_blocks(frames.reshape(trials, -1, params.block_size))
-        depolarize(frames, kick_probs[:, j], noise_gen)
+                                           trials, gen)
+        frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
+        depolarize(frames, kick_probs[:, j], gen)
         t_prev = taus[:, j]
     residuals = frames[~aborted, 0]
     estimate = estimate_logical_channel(residuals,
@@ -453,7 +440,7 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     """
     if not 1.0 / 3.0 < fidelity_floor < 1.0:
         raise ValueError("fidelity_floor must lie in (1/3, 1)")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     points = []
     if strategy == "unprotected":
         levels_list = (0, 1, 3) if levels_list is None else levels_list
@@ -481,7 +468,7 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
                 if est.avg_fidelity >= fidelity_floor:
                     best = rounds * span
                     break
-            points.append((params.block_size ** lev, best))
+            points.append((BLOCK ** lev, best))
         xs = np.asarray(levels_list, dtype=float)
     elif strategy == "repetition":
         if n_bits_list is None:

@@ -105,21 +105,22 @@ def chi2_table(table):
 
 
 def passage_samplers(params, horizon, schedule, t_dec):
-    """(refined, events): stream -> (good, passages), drawn by
+    """(refined, events): generator -> (good, passages), drawn by
     clock.sample_passages and by the event trio respectively."""
-    def refined(stream):
-        return sample_passages(params, horizon, schedule, t_dec, stream)
+    def refined(gen):
+        return sample_passages(params, horizon, schedule, t_dec, gen)
 
-    def events(stream):
-        traj = sample_trajectory(params, horizon, stream)
+    def events(gen):
+        traj = sample_trajectory(params, horizon, gen)
         return is_good(traj, params), [window_passage(traj, w, t_dec)
                                        for w in schedule]
     return refined, events
 
 
-def passage_outcomes(sample, n: int, stream):
-    """Outcomes of n clock paths drawn by sample(stream.child(i)) ->
-    (good, [(decode_time, active_time) per window]).
+def passage_outcomes(sample, n: int, rng):
+    """Outcomes of n clock paths drawn one after another by sample(gen) ->
+    (good, [(decode_time, active_time) per window]), where gen is
+    np.random.default_rng(rng).
 
     Returns good (n,), abort class (n,) (0 for none, else 1 + the first
     level whose window is never entered or whose decode time does not
@@ -127,9 +128,10 @@ def passage_outcomes(sample, n: int, stream):
     times per level of the paths that enter that window, and the active
     times per level.
     """
+    gen = np.random.default_rng(rng)
     good, aborted, decode, active = [], [], [], []
-    for i in range(n):
-        ok, passages = sample(stream.child(i))
+    for _ in range(n):
+        ok, passages = sample(gen)
         good.append(ok)
         decode.append([math.nan if d is None else d for d, _ in passages])
         active.append([a for _, a in passages])

@@ -14,9 +14,9 @@ from qmemsim.bounds import (build_ledger, decode_budget, feasibility_search,
 from qmemsim.clock import (ClockParams, good_prob_bound, is_good,
                            max_time_error, sample_trajectory,
                            sample_trajectory_checkpointed, time_error_bound)
-from qmemsim.fivequbit import b_exact, b_monte_carlo, quadratic_bound_range
+from qmemsim.fivequbit import (BLOCK, b_exact, b_monte_carlo,
+                               quadratic_bound_range)
 from qmemsim.oracle import information_flow, oracle_equivalence_check
-from qmemsim.pauli import RngStream
 from qmemsim.protocols import (ProtocolParams, exact_majority_failure,
                                lifetime_scan, repetition_lifetime,
                                simulate_circuit_model,
@@ -35,12 +35,13 @@ def test_criterion_1_unprotected_lifetime():
     # fidelity at t = ln 3 / r is 2/3 within 3 sigma at 1e5 trials
     t_star = math.log(3.0)
     params = ProtocolParams(rate_r=1.0, levels=0)
-    est = simulate_unprotected(t_star, params, 100_000, RngStream(101))
+    est = simulate_unprotected(t_star, params, 100_000,
+                               np.random.default_rng(101))
     fid_ok = abs(est.avg_fidelity - 2.0 / 3.0) <= 3.0 * est.fidelity_sigma
     # lifetime is ln 3 / r up to the scan grid step, independent of N
     grid = 0.05
     scan = lifetime_scan("unprotected", params, 2.0 / 3.0, 30_000,
-                         RngStream(102), grid_step=grid)
+                         np.random.default_rng(102), grid_step=grid)
     sizes = [n for n, _ in scan.points]
     lives = [life for _, life in scan.points]
     lives_ok = all(abs(life - t_star) <= grid + 0.02 for life in lives)
@@ -53,13 +54,10 @@ def test_criterion_1_unprotected_lifetime():
 
 def test_criterion_2_oracle_equivalence():
     worst = 0.0
-    stream = RngStream(103)
-    idx = 0
+    gen = np.random.default_rng(103)
     for n in (1, 2, 3):
         for t in (0.5, 1.0, 2.0):
-            comp = oracle_equivalence_check(n, 1.0, t, 1_000_000,
-                                            stream.child(idx))
-            idx += 1
+            comp = oracle_equivalence_check(n, 1.0, t, 1_000_000, gen)
             worst = max(worst, comp.distance)
     ok = worst <= 5e-3
     report(2, ok, f"max MC-vs-integrator distance {worst:.2e} over "
@@ -72,10 +70,10 @@ def test_criterion_3_block_error_quadratic():
     p_max = quadratic_bound_range()
     grid = np.linspace(0.0, p_max, 400)
     bound_ok = all(b_exact(float(p)) <= 10.0 * p * p + 1e-12 for p in grid)
-    stream = RngStream(104)
+    gen = np.random.default_rng(104)
     covered = 0
-    for i, p in enumerate(np.linspace(0.001, 0.05, 20)):
-        est = b_monte_carlo(float(p), 50_000, stream.child(i))
+    for p in np.linspace(0.001, 0.05, 20):
+        est = b_monte_carlo(float(p), 50_000, gen)
         covered += est.ci_low <= b_exact(float(p)) <= est.ci_high
     mc_ok = covered == 20
     report(3, ratio_ok and bound_ok and mc_ok,
@@ -87,13 +85,13 @@ def test_criterion_4_clock_theorem():
     params = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
     bound = good_prob_bound(params)
     deficit_ok = 1e-40 < bound.deficit < 1e-37 and not bound.vacuous
-    stream = RngStream(105)
+    gen = np.random.default_rng(105)
     delta_half = time_error_bound(params)
     n_bad = 0
     worst_err = 0.0
     trials = 10_000
-    for i in range(trials):
-        traj = sample_trajectory(params, 2.0, stream.child(0, i))
+    for _ in range(trials):
+        traj = sample_trajectory(params, 2.0, gen)
         if is_good(traj, params):
             worst_err = max(worst_err, max_time_error(traj, params))
         else:
@@ -104,8 +102,8 @@ def test_criterion_4_clock_theorem():
     big_half = time_error_bound(big)
     worst_big = 0.0
     n_bad_big = 0
-    for i in range(200):
-        traj = sample_trajectory_checkpointed(big, 0.01, 2.0, stream.child(1, i))
+    for _ in range(200):
+        traj = sample_trajectory_checkpointed(big, 0.01, 2.0, gen)
         if is_good(traj, big):
             worst_big = max(worst_big, max_time_error(traj, big))
         else:
@@ -120,19 +118,19 @@ def test_criterion_4_clock_theorem():
 def test_criterion_5_circuit_log_scaling():
     found = feasibility_search(rate_r=1.0)
     assert found is not None
-    stream = RngStream(106)
+    gen = np.random.default_rng(106)
     errs = []
     boundary_ok = True
     for lev in (1, 2, 3, 4):
         params = ProtocolParams(rate_r=1.0, levels=lev, t_prot=found.t_prot,
                                 p_star=found.p_star)
-        est = simulate_circuit_model(params, 10_000, stream.child(lev))
+        est = simulate_circuit_model(params, 10_000, gen)
         errs.append(est.error_rate)
         boundary_ok = boundary_ok and est.error_rate <= found.p_star
     scan_params = ProtocolParams(rate_r=1.0, levels=4, t_prot=found.t_prot,
                                  p_star=found.p_star)
     scan = lifetime_scan("circuit", scan_params, 2.0 / 3.0, 2_000,
-                         RngStream(107), levels_list=(1, 2, 3, 4))
+                         np.random.default_rng(107), levels_list=(1, 2, 3, 4))
     slope_ok = abs(scan.slope - found.t_prot) / found.t_prot <= 0.10
     report(5, boundary_ok and slope_ok,
            f"round-boundary errors {[f'{e:.1e}' for e in errs]} all <= "
@@ -147,11 +145,12 @@ SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
 def test_criterion_6_clock_controlled_protocol():
     sized = with_sized_clock(SCALED)
     trials = 600
-    est, diag = simulate_clock_controlled(SCALED, trials, RngStream(108),
+    est, diag = simulate_clock_controlled(SCALED, trials,
+                                          np.random.default_rng(108),
                                           return_diagnostics=True)
-    circ = simulate_circuit_model(SCALED, 10_000, RngStream(109))
+    circ = simulate_circuit_model(SCALED, 10_000, np.random.default_rng(109))
     budget = decode_budget(SCALED.h_norm, SCALED.delta, SCALED.t_dec,
-                           SCALED.block_size, SCALED.rate_r)
+                           BLOCK, SCALED.rate_r)
     sigma = math.sqrt(est.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
     err_ok = est.error_rate <= circ.error_rate + budget + 3.0 * sigma
     pstar_ok = est.error_rate <= SCALED.p_star
@@ -179,7 +178,8 @@ def test_criterion_7_ledger_verdict():
 
 
 def test_criterion_8_classical_repetition():
-    est = simulate_classical_repetition(101, 2.0, 100_000, RngStream(110))
+    est = simulate_classical_repetition(101, 2.0, 100_000,
+                                        np.random.default_rng(110))
     exact = exact_majority_failure(101, 2.0)
     sigma = math.sqrt(exact * (1.0 - exact) / est.trials)
     mc_ok = abs(est.failure_rate - exact) <= 3.0 * sigma
@@ -194,7 +194,7 @@ def test_criterion_8_classical_repetition():
 
 
 def test_criterion_9_information_decay():
-    gen = RngStream(111).generator()
+    gen = np.random.default_rng(111)
     worst_gap = -math.inf
     for _ in range(20):
         g = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))

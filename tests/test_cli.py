@@ -331,13 +331,30 @@ def test_main_missing_config_file(capsys):
     assert "cannot read" in stderr
 
 
-def test_main_bad_parameter_exit(capsys):
+def test_main_bad_parameter_exit(tmp_path, capsys):
     code, _, stderr = run_main(capsys, ["clock-verify", "--config", "/dev/null"])
     assert code == EXIT_CONFIG  # empty file is invalid JSON
     code2, _, stderr2 = run_main(
         capsys, ["bp-curve", "--seed", "-3"])
     assert code2 == EXIT_CONFIG
     assert "unsigned" in stderr2
+    # the decoded strategies need a level; the schema admits 0 for
+    # unprotected, so the runners reject it for circuit and clock
+    base = {"t_prot": 0.5, "t_dec": 0.3, "delta": 0.02, "epsilon": 0.3,
+            "K": 4096, "trials": 10}
+    for sub, strategy, levels in [
+            ("memory-sim", "circuit", {"levels": 0}),
+            ("memory-sim", "clock", {"levels": 0}),
+            ("lifetime-scan", "circuit", {"levels": 0}),
+            ("lifetime-scan", "clock", {"levels": 0}),
+            ("lifetime-scan", "circuit", {"levels_list": [0]}),
+            ("lifetime-scan", "clock", {"levels_list": [1, 0]})]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": sub, "strategy": strategy,
+                                    **base, **levels}))
+        code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
+        assert code == EXIT_CONFIG, (sub, strategy, levels, stderr)
+        assert f"{sub}.{next(iter(levels))}: " in stderr
 
 
 def test_main_ledger_exit_codes(capsys):

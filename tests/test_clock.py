@@ -20,7 +20,6 @@ from qmemsim.clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                            time_estimate, vertical_exit_rate_bound,
                            window_passage, window_schedule, _merge_by_time)
 from qmemsim.bounds import clock_size_for
-from qmemsim.pauli import RngStream, as_generator
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
 
@@ -112,7 +111,7 @@ def test_clock_size_for_frozen_and_semantics():
     assert clock_size_for(0.0, 1.0, 1e6, 0.25) == 16  # clamped to minimum
     with pytest.raises(ValueError):
         clock_size_for(1.0, 1.0, 0.0, 0.25)
-    gen = RngStream(12).generator()
+    gen = np.random.default_rng(12)
     for _ in range(100):
         tau = float(gen.uniform(0.0, 2.0))
         r = float(gen.uniform(0.5, 2.0))
@@ -129,7 +128,7 @@ def test_clock_size_for_frozen_and_semantics():
 
 def test_sample_trajectory_structure():
     params = ClockParams(n_bits=64, epsilon=0.25, t_max=1.0, rate_r=1.0)
-    traj = sample_trajectory(params, horizon=1.5, rng=RngStream(7))
+    traj = sample_trajectory(params, horizon=1.5, rng=np.random.default_rng(7))
     assert np.all(np.diff(traj.times) >= 0)
     assert traj.times.size == 0 or (traj.times[0] >= 0 and traj.times[-1] <= 1.5)
     assert set(np.unique(traj.steps)).issubset({-2, 2})
@@ -138,12 +137,12 @@ def test_sample_trajectory_structure():
         assert traj.steps[0] == -2
     assert np.abs(traj.k_values).max() <= 64
     with pytest.raises(ValueError):
-        sample_trajectory(params, horizon=0.0, rng=RngStream(1))
+        sample_trajectory(params, horizon=0.0, rng=np.random.default_rng(1))
 
 
 def argsort_sample_trajectory(params, horizon, rng):
     """Reference sampler: the same draws, merged by one argsort over all flips."""
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
     times_parts, steps_parts = [], []
     sf = -math.expm1(-mu)
@@ -179,9 +178,10 @@ def test_sample_trajectory_matches_argsort_reference(n_bits, mu):
     params = ClockParams(n_bits=n_bits, epsilon=0.25, t_max=1.0, rate_r=1.0)
     horizon = 2.0 * mu
     for seed in (30, 31, 32):
-        traj = sample_trajectory(params, horizon, RngStream(seed, key=(n_bits,)))
+        traj = sample_trajectory(params, horizon,
+                                 np.random.default_rng([seed, n_bits]))
         times, steps = argsort_sample_trajectory(
-            params, horizon, RngStream(seed, key=(n_bits,)))
+            params, horizon, np.random.default_rng([seed, n_bits]))
         assert traj.times.dtype == times.dtype
         assert traj.steps.dtype == steps.dtype
         assert traj.times.tobytes() == times.tobytes()
@@ -211,25 +211,24 @@ def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
 
 def test_piece_view_matches_concatenation():
     params = ClockParams(n_bits=4096, epsilon=0.25, t_max=1.0, rate_r=1.0)
-    traj = sample_trajectory(params, 1.2, RngStream(33))
+    traj = sample_trajectory(params, 1.2, np.random.default_rng(33))
     assert np.array_equal(traj.k_values,
                           4096 + np.cumsum(traj.steps, dtype=np.int64))
     for upto in (0.0, 0.37, 1.0, 1.2, 1.5):
         m = int(np.searchsorted(traj.times, upto, side="right"))
-        edges = np.concatenate(([0.0], traj.times[:m], [upto]))
+        expected = np.concatenate(([0.0], traj.times[:m], [upto]))
         values = np.concatenate(([4096], traj.k_values[:m]))
-        starts, ends, vals = traj.pieces(upto)
-        assert np.array_equal(starts, edges[:-1])
-        assert np.array_equal(ends, edges[1:])
+        edges, vals = traj.piece_edges(upto)
+        assert np.array_equal(edges, expected)
         assert np.array_equal(vals, values)
     # over the whole horizon the pieces are views of the cached arrays, and
     # a sampled trajectory's times are the interior of its edge buffer
-    starts, ends, vals = traj.pieces(traj.horizon)
-    assert np.shares_memory(starts, traj.edges)
+    edges, vals = traj.piece_edges(traj.horizon)
+    assert np.shares_memory(edges, traj.edges)
     assert np.shares_memory(vals, traj.piece_values)
     assert np.shares_memory(traj.times, traj.edges)
     # and read-only, so no caller can corrupt the cached trajectory
-    for view in (starts, ends, vals, traj.edges, traj.k_values, traj.times):
+    for view in (edges, vals, traj.edges, traj.k_values, traj.times):
         with pytest.raises(ValueError):
             view[0] = 0
 
@@ -252,11 +251,12 @@ def test_inconsistent_steps_rejected():
 
 def test_trajectory_parity_and_k_at():
     params = ClockParams(n_bits=64, epsilon=0.25, t_max=1.0, rate_r=1.0)
-    traj = sample_trajectory(params, horizon=1.0, rng=RngStream(8))
+    traj = sample_trajectory(params, horizon=1.0, rng=np.random.default_rng(8))
     ks = traj.k_at(np.linspace(0.0, 1.0, 17))
     assert np.all((64 - ks) % 2 == 0)  # steps of +-2 preserve parity
     assert traj.k_at(0.0) == 64
-    starts, ends, values = traj.pieces(upto=1.0)
+    edges, values = traj.piece_edges(1.0)
+    starts, ends = edges[:-1], edges[1:]
     assert starts[0] == 0.0 and ends[-1] == 1.0
     assert np.all(starts[1:] == ends[:-1])
     mid = (starts + ends) / 2.0
@@ -266,7 +266,8 @@ def test_trajectory_parity_and_k_at():
 def test_trajectory_marginal_moments():
     params = ClockParams(n_bits=64, epsilon=0.25, t_max=2.0, rate_r=1.0)
     trials, t_obs = 3000, 0.7
-    ks = np.array([sample_trajectory(params, 1.5, RngStream(21, key=(i,))).k_at(t_obs)
+    ks = np.array([sample_trajectory(params, 1.5,
+                                     np.random.default_rng([21, i])).k_at(t_obs)
                    for i in range(trials)], dtype=float)
     mean = mean_polarization(t_obs, params)
     var = polarization_variance(t_obs, params)
@@ -280,7 +281,7 @@ def test_trajectory_conditional_decay():
     trials, t1, t2 = 3000, 0.4, 1.0
     resid = np.empty(trials)
     for i in range(trials):
-        traj = sample_trajectory(params, 1.5, RngStream(22, key=(i,)))
+        traj = sample_trajectory(params, 1.5, np.random.default_rng([22, i]))
         resid[i] = traj.k_at(t2) - traj.k_at(t1) * math.exp(-(t2 - t1))
     assert abs(resid.mean()) < 4.0 * resid.std(ddof=1) / math.sqrt(trials)
 
@@ -288,7 +289,8 @@ def test_trajectory_conditional_decay():
 def test_expected_flip_count():
     # each bit flips at Poisson rate r/2, so total events ~ K r h / 2
     params = ClockParams(n_bits=256, epsilon=0.25, t_max=2.0, rate_r=1.0)
-    counts = [len(sample_trajectory(params, 2.0, RngStream(23, key=(i,))))
+    counts = [len(sample_trajectory(params, 2.0,
+                                    np.random.default_rng([23, i])))
               for i in range(200)]
     expected = 256 * 1.0 * 2.0 / 2.0
     sigma = math.sqrt(expected / 200)
@@ -310,7 +312,7 @@ def test_checkpoint_times_grid():
 def test_count_matrix_moments():
     params = ClockParams(n_bits=256, epsilon=0.25, t_max=2.0, rate_r=1.0)
     times = np.array([0.5, 1.0])
-    n = sample_count_matrix(params, times, 4000, RngStream(24))
+    n = sample_count_matrix(params, times, 4000, np.random.default_rng(24))
     assert n.shape == (4000, 2)
     for c, t in enumerate(times):
         k = 2 * n[:, c] - 256
@@ -318,12 +320,14 @@ def test_count_matrix_moments():
         var = polarization_variance(t, params)
         assert abs(k.mean() - mean) < 5.0 * math.sqrt(var / 4000)
     with pytest.raises(ValueError):
-        sample_count_matrix(params, np.array([1.0, 0.5]), 10, RngStream(1))
+        sample_count_matrix(params, np.array([1.0, 0.5]), 10,
+                            np.random.default_rng(1))
 
 
 def test_checkpointed_trajectory():
     params = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
-    traj = sample_trajectory_checkpointed(params, 0.05, 2.0, RngStream(25))
+    traj = sample_trajectory_checkpointed(params, 0.05, 2.0,
+                                          np.random.default_rng(25))
     assert isinstance(traj, ClockCheckpoints)
     assert traj.times[0] == 0.0 and traj.k_values[0] == 4096
     assert traj.times[-1] == 2.0
@@ -444,7 +448,7 @@ def test_good_trajectory_within_band():
 
 def test_monte_carlo_respects_bounds():
     # theorem bounds must hold empirically where they are non-vacuous
-    trajs = [sample_trajectory(REF, 2.0, RngStream(27, key=(i,)))
+    trajs = [sample_trajectory(REF, 2.0, np.random.default_rng([27, i]))
              for i in range(300)]
     good_fraction = sum(first_exit(traj, REF) is None for traj in trajs) / 300
     gpb = good_prob_bound(REF)
@@ -465,7 +469,7 @@ def test_large_register_readout_accuracy():
     n_good = 0
     for i in range(50):
         traj = sample_trajectory_checkpointed(params, 0.01, 2.0,
-                                              RngStream(28, key=(i,)))
+                                              np.random.default_rng([28, i]))
         if is_good(traj, params):
             n_good += 1
             assert max_time_error(traj, params) <= delta_half
@@ -525,7 +529,8 @@ def test_window_passage_crafted():
 
 def full_scan_passage(traj, window, t_dec):
     """Reference window passage: mask and accumulate over every piece."""
-    starts, ends, values = traj.pieces(upto=traj.horizon)
+    edges, values = traj.piece_edges(traj.horizon)
+    starts, ends = edges[:-1], edges[1:]
     mask = (values >= window.k_off) & (values <= window.k_on)
     if not mask.any():
         return None, 0.0
@@ -587,7 +592,7 @@ def test_window_passage_on_band_exiting_trajectory():
     sched = window_schedule(2, t_prot=0.3, t_dec=0.05, params=params)
     n_bad = 0
     for i in range(40):
-        traj = sample_trajectory(params, 1.0, RngStream(34, key=(i,)))
+        traj = sample_trajectory(params, 1.0, np.random.default_rng([34, i]))
         n_bad += not is_good(traj, params)
         for w in sched:
             assert window_passage(traj, w, 0.05) == full_scan_passage(
@@ -624,7 +629,7 @@ def test_event_and_mean_passages_agree_for_large_registers():
     det_decode, _ = deterministic_passage(w, params, t_dec=0.05)
     traj = sample_trajectory(
         ClockParams(n_bits=4096, epsilon=1.0 / 6.0, t_max=1.0, rate_r=1.0),
-        1.0, RngStream(29))
+        1.0, np.random.default_rng(29))
     # scale the window to the smaller register to keep sampling cheap
     small = window_schedule(1, t_prot=0.2, t_dec=0.05,
                             params=ClockParams(n_bits=4096, epsilon=1.0 / 6.0,

@@ -16,8 +16,8 @@ from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                default_code, default_table, pack,
                                quadratic_bound_range, syndrome_bits,
                                syndrome_of, unpack)
-from qmemsim.pauli import (RngStream, frame_from_label, frame_to_label,
-                           identity_frame, string_anticommutes, weight)
+from qmemsim.pauli import (frame_from_label, frame_to_label, identity_frame,
+                           string_anticommutes, weight)
 
 GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -127,7 +127,7 @@ def test_decode_covariant_under_logicals(frame, logical):
 
 
 def test_decode_blocks_matches_scalar_decode():
-    rng = RngStream(3).generator()
+    rng = np.random.default_rng(3)
     frames = rng.integers(0, 4, size=(40, 3, BLOCK), dtype=np.uint8)
     out = decode_blocks(frames)
     assert out.shape == (40, 3)
@@ -173,14 +173,14 @@ def test_b_exact_quadratic_leading_order():
 
 
 def test_b_monte_carlo_ci_covers_exact():
-    stream = RngStream(9)
-    for i, p in enumerate(np.linspace(0.001, 0.5, 20)):
-        est = b_monte_carlo(float(p), 40_000, stream.child(i))
+    gen = np.random.default_rng(9)
+    for p in np.linspace(0.001, 0.5, 20):
+        est = b_monte_carlo(float(p), 40_000, gen)
         assert est.ci_low <= b_exact(float(p)) <= est.ci_high
 
 
 def test_b_monte_carlo_zero_p_short_circuit():
-    est = b_monte_carlo(0.0, 1000, RngStream(1))
+    est = b_monte_carlo(0.0, 1000, np.random.default_rng(1))
     assert est.estimate == est.ci_low == est.ci_high == 0.0
 
 

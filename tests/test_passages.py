@@ -16,7 +16,6 @@ from distribution_gate import (compare_passages, passage_outcomes,
 from qmemsim import clock
 from qmemsim.clock import (ClockParams, refinement_pays, sample_passages,
                            window_schedule)
-from qmemsim.pauli import RngStream
 
 # every gate p-value must reach this; about 1e-3 false alarms per config
 GATE_ALPHA = 1e-4
@@ -29,8 +28,10 @@ def gate(params, leaf_bits, trials, seed, monkeypatch):
     refined_fn, events_fn = passage_samplers(params, params.t_max + 0.1,
                                              schedule, T_DEC)
     monkeypatch.setattr(clock, "LEAF_BITS", leaf_bits)
-    refined = passage_outcomes(refined_fn, trials, RngStream(seed, (0,)))
-    events = passage_outcomes(events_fn, trials, RngStream(seed, (1,)))
+    refined = passage_outcomes(refined_fn, trials,
+                               np.random.default_rng([seed, 0]))
+    events = passage_outcomes(events_fn, trials,
+                              np.random.default_rng([seed, 1]))
     return refined, events, compare_passages(refined, events)
 
 
@@ -69,8 +70,10 @@ def test_refinement_pays_above_leaf_size():
 def test_passages_structure_and_reproducibility():
     params = ClockParams(n_bits=200_000, epsilon=0.1, t_max=1.6, rate_r=1.0)
     schedule = window_schedule(2, T_PROT, T_DEC, params)
-    first = sample_passages(params, 1.7, schedule, T_DEC, RngStream(73))
-    again = sample_passages(params, 1.7, schedule, T_DEC, RngStream(73))
+    first = sample_passages(params, 1.7, schedule, T_DEC,
+                            np.random.default_rng(73))
+    again = sample_passages(params, 1.7, schedule, T_DEC,
+                            np.random.default_rng(73))
     assert first == again
     good, passages = first
     assert isinstance(good, bool) and len(passages) == 2
@@ -82,7 +85,7 @@ def test_passages_structure_and_reproducibility():
         assert previous < decode_time <= 1.7
         previous = decode_time
     with pytest.raises(ValueError):
-        sample_passages(params, 1.5, schedule, T_DEC, RngStream(73))
+        sample_passages(params, 1.5, schedule, T_DEC, np.random.default_rng(73))
 
 
 def test_passages_window_never_entered():
@@ -90,18 +93,21 @@ def test_passages_window_never_entered():
     params = ClockParams(n_bits=100_000, epsilon=0.2, t_max=0.5, rate_r=1.0)
     late = clock.LevelWindow(level=1, t_start=5.0, k_on=700, k_off=600)
     good, [(decode_time, active)] = sample_passages(
-        params, 0.6, [late], T_DEC, RngStream(74))
+        params, 0.6, [late], T_DEC, np.random.default_rng(74))
     assert good and decode_time is None and active == 0.0
 
 
 def test_passages_band_exit_is_seen():
-    # a band of half-width K^0.51 around a mean that the path leaves for
-    # sure: at r = 1 and t_max = 3 the spread sqrt(K) is 3.5x the band
-    params = ClockParams(n_bits=1_000_000, epsilon=0.01, t_max=3.0,
+    # a band of half-width K^0.51, about 1.15 standard deviations of k(t)
+    # once t >> 1/r, which a path stays inside over [0, t_max] with a
+    # probability that falls about e^{-1.5 r t}: 1.6e-2 at t_max = 3,
+    # 8e-4 at 5 (2000 and 10^4 paths), so well below 1e-6 at 10
+    params = ClockParams(n_bits=1_000_000, epsilon=0.01, t_max=10.0,
                          rate_r=1.0)
     schedule = window_schedule(1, 0.2, 0.1, params)
-    bad = sum(not sample_passages(params, 3.0, schedule, 0.1,
-                                  RngStream(75, (i,)))[0] for i in range(20))
+    bad = sum(not sample_passages(params, 10.0, schedule, 0.1,
+                                  np.random.default_rng([75, i]))[0]
+              for i in range(20))
     assert bad == 20
 
 

@@ -1,4 +1,4 @@
-"""Pauli algebra, labels, RNG streams, and the depolarizing frame sampler."""
+"""Pauli algebra, labels, and the depolarizing frame sampler."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmemsim.pauli import (CODE_LABELS, RngStream, anticommutes, as_generator,
-                           depolarize, frame_from_label, frame_to_label,
-                           identity_frame, pauli_mul, sample_cumulative_frames,
+from qmemsim.pauli import (CODE_LABELS, anticommutes, depolarize,
+                           frame_from_label, frame_to_label, identity_frame,
+                           pauli_mul, sample_cumulative_frames,
                            single_qubit_probs, string_anticommutes, weight)
 
 I, X, Z, Y = 0, 1, 2, 3
@@ -80,28 +80,9 @@ def test_weight_and_identity():
     assert identity_frame(3, trials=4).shape == (4, 3)
 
 
-def test_rng_stream_determinism():
-    a = RngStream(123).child(0, 5).generator().random(4)
-    b = RngStream(123).child(0, 5).generator().random(4)
-    assert np.array_equal(a, b)
-    c = RngStream(123).child(0, 6).generator().random(4)
-    d = RngStream(124).child(0, 5).generator().random(4)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
-
-
-def test_as_generator_accepts_each_form():
-    assert isinstance(as_generator(7), np.random.Generator)
-    assert isinstance(as_generator(RngStream(7)), np.random.Generator)
-    gen = np.random.default_rng(7)
-    assert as_generator(gen) is gen
-    with pytest.raises(TypeError):
-        as_generator("seed")
-
-
 def test_depolarize_marginals():
     p, trials = 0.3, 100_000
-    frames = depolarize(identity_frame(5, trials), p, RngStream(6))
+    frames = depolarize(identity_frame(5, trials), p, np.random.default_rng(6))
     rate = np.count_nonzero(frames) / frames.size
     assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / frames.size)
     nonzero = frames[frames > 0]
@@ -114,7 +95,7 @@ def test_depolarize_per_trial_weights():
     weights = np.array([0.0, 0.1, 0.6, 1.0])
     trials = 4 * 20_000
     p = np.tile(weights, trials // 4)
-    frames = depolarize(identity_frame(3, trials), p, RngStream(7))
+    frames = depolarize(identity_frame(3, trials), p, np.random.default_rng(7))
     for i, w in enumerate(weights):
         rows = frames[i::4]
         rate = np.count_nonzero(rows) / rows.size
@@ -125,11 +106,11 @@ def test_depolarize_per_trial_weights():
 def test_depolarize_xors_in_place():
     # depolarize composes onto an existing frame: same draws, XORed on
     start = np.tile(frame_from_label("XIZYI"), (50, 1))
-    out = depolarize(start.copy(), 0.4, RngStream(3))
-    fresh = depolarize(identity_frame(5, 50), 0.4, RngStream(3))
+    out = depolarize(start.copy(), 0.4, np.random.default_rng(3))
+    fresh = depolarize(identity_frame(5, 50), 0.4, np.random.default_rng(3))
     assert np.array_equal(out, start ^ fresh)
     frames = start.copy()
-    assert depolarize(frames, 0.4, RngStream(3)) is frames
+    assert depolarize(frames, 0.4, np.random.default_rng(3)) is frames
 
 
 def test_single_qubit_probs():
@@ -145,7 +126,7 @@ def test_single_qubit_probs():
 def test_cumulative_frames_match_channel_probabilities():
     # the one-shot sampler must reproduce the single-qubit channel
     t, r, trials = 1.0, 1.0, 200_000
-    frames = sample_cumulative_frames(1, t, r, trials, RngStream(5))
+    frames = sample_cumulative_frames(1, t, r, trials, np.random.default_rng(5))
     counts = np.bincount(frames[:, 0], minlength=4)
     expected = single_qubit_probs(t, r) * trials
     sigma = np.sqrt(expected * (1 - expected / trials))
@@ -155,7 +136,7 @@ def test_cumulative_frames_match_channel_probabilities():
 def test_cumulative_frames_compose_in_time():
     # noise(t1) then noise(t2) has the law of noise(t1 + t2)
     r, trials = 1.0, 200_000
-    gen = RngStream(8).generator()
+    gen = np.random.default_rng(8)
     frames = sample_cumulative_frames(1, 0.3, r, trials, gen)
     frames ^= sample_cumulative_frames(1, 0.9, r, trials, gen)
     counts = np.bincount(frames[:, 0], minlength=4)
@@ -166,10 +147,12 @@ def test_cumulative_frames_compose_in_time():
 
 def test_cumulative_frames_per_trial_durations():
     durations = np.array([0.0, 0.0, 2.0, 0.0])
-    frames = sample_cumulative_frames(3, durations, 5.0, 4, RngStream(2))
+    frames = sample_cumulative_frames(3, durations, 5.0, 4,
+                                      np.random.default_rng(2))
     assert np.all(frames[[0, 1, 3]] == 0)
     with pytest.raises(ValueError):
-        sample_cumulative_frames(3, np.array([0.1, -0.1]), 1.0, 2, RngStream(2))
+        sample_cumulative_frames(3, np.array([0.1, -0.1]), 1.0, 2,
+                                 np.random.default_rng(2))
 
 
 def test_cumulative_frames_per_trial_durations_match_channel():
@@ -177,7 +160,7 @@ def test_cumulative_frames_per_trial_durations_match_channel():
     durations = np.array([0.1, 0.5, 2.0])
     r, trials = 1.3, 3 * 60_000
     frames = sample_cumulative_frames(2, np.tile(durations, trials // 3), r,
-                                      trials, RngStream(12))
+                                      trials, np.random.default_rng(12))
     for i, t in enumerate(durations):
         group = frames[i::3].ravel()
         counts = np.bincount(group, minlength=4)
@@ -187,5 +170,6 @@ def test_cumulative_frames_per_trial_durations_match_channel():
 
 
 def test_cumulative_frames_zero_rate():
-    frames = sample_cumulative_frames(4, 10.0, 0.0, 50, RngStream(1))
+    frames = sample_cumulative_frames(4, 10.0, 0.0, 50,
+                                      np.random.default_rng(1))
     assert not frames.any()

@@ -7,6 +7,7 @@ by XOR convolution, and pushed through the outer block the same way.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -20,7 +21,6 @@ from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
 from qmemsim.fivequbit import BLOCK, b_exact, default_table, unpack
-from qmemsim.pauli import RngStream
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -65,8 +65,8 @@ def xor_convolve(a, b):
 
 @pytest.mark.parametrize("kwargs", [
     dict(rate_r=-1.0), dict(levels=-1), dict(p_star=0.0), dict(p_star=1.0),
-    dict(block_size=3), dict(t_prot=0.0), dict(t_dec=-0.1), dict(delta=-1e-9),
-    dict(epsilon=0.5), dict(epsilon=0.0), dict(rate_r=0.0),
+    dict(t_prot=0.0), dict(t_dec=-0.1), dict(delta=-1e-9), dict(epsilon=0.5),
+    dict(epsilon=0.0), dict(rate_r=0.0),
 ])
 def test_params_validation(kwargs):
     base = dict(rate_r=1.0, levels=2, t_prot=0.01, t_dec=0.001)
@@ -162,10 +162,10 @@ def test_estimate_logical_channel_tally():
 
 def test_unprotected_at_zero_time():
     p = ProtocolParams(rate_r=1.0, levels=0)
-    est = simulate_unprotected(0.0, p, 500, RngStream(41))
+    est = simulate_unprotected(0.0, p, 500, np.random.default_rng(41))
     assert est.avg_fidelity == 1.0
     with pytest.raises(ValueError):
-        simulate_unprotected(-1.0, p, 10, RngStream(1))
+        simulate_unprotected(-1.0, p, 10, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -173,7 +173,7 @@ def test_unprotected_matches_channel_formula(levels):
     # marginal fidelity (1 + e^{-rt})/2 regardless of spectator count
     p = ProtocolParams(rate_r=1.0, levels=levels)
     t = math.log(3.0)
-    est = simulate_unprotected(t, p, 20_000, RngStream(42, key=(levels,)))
+    est = simulate_unprotected(t, p, 20_000, np.random.default_rng([42, levels]))
     expect = (1.0 + math.exp(-t)) / 2.0
     assert abs(est.avg_fidelity - expect) < 4.0 * est.fidelity_sigma
     # X, Z, Y classes are exchangeable for depolarizing noise
@@ -184,9 +184,9 @@ def test_unprotected_matches_channel_formula(levels):
 
 def test_repetition_validation():
     with pytest.raises(ValueError):
-        simulate_classical_repetition(10, 1.0, 100, RngStream(1))
+        simulate_classical_repetition(10, 1.0, 100, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        simulate_classical_repetition(11, 1.0, 0, RngStream(1))
+        simulate_classical_repetition(11, 1.0, 0, np.random.default_rng(1))
     with pytest.raises(ValueError):
         exact_majority_failure(4, 1.0)
     with pytest.raises(ValueError):
@@ -231,7 +231,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_repetition_simulation_matches_exact():
-    est = simulate_classical_repetition(101, 2.0, 100_000, RngStream(43))
+    est = simulate_classical_repetition(101, 2.0, 100_000,
+                                        np.random.default_rng(43))
     exact = exact_majority_failure(101, 2.0)
     sigma = math.sqrt(exact * (1.0 - exact) / est.trials)
     assert abs(est.failure_rate - exact) < 4.0 * sigma
@@ -256,15 +257,16 @@ def test_repetition_lifetime_frozen():
 def test_circuit_model_validation():
     with pytest.raises(ValueError):
         simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=0,
-                                              t_prot=0.5), 10, RngStream(1))
+                                              t_prot=0.5), 10,
+                               np.random.default_rng(1))
     with pytest.raises(ValueError):
         simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=1), 10,
-                               RngStream(1))
+                               np.random.default_rng(1))
 
 
 def test_circuit_single_round_matches_block_rate():
     p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5)
-    est = simulate_circuit_model(p, 100_000, RngStream(44))
+    est = simulate_circuit_model(p, 100_000, np.random.default_rng(44))
     q = 0.75 * (1.0 - math.exp(-0.5))
     expect = b_exact(q)
     sigma = math.sqrt(expect * (1.0 - expect) / est.trials)
@@ -274,7 +276,7 @@ def test_circuit_single_round_matches_block_rate():
 def test_circuit_two_rounds_match_enumeration_oracle():
     p = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.4)
     trials = 100_000
-    est = simulate_circuit_model(p, trials, RngStream(45))
+    est = simulate_circuit_model(p, trials, np.random.default_rng(45))
     q = 0.75 * (1.0 - math.exp(-0.4))
     site = depolarized_probs(q)
     inner = block_residual_probs(site)          # round 1 residual channel
@@ -288,7 +290,8 @@ def test_circuit_two_rounds_match_enumeration_oracle():
 
 def test_circuit_round_spacing_override():
     p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5)
-    est = simulate_circuit_model(p, 100_000, RngStream(46), round_spacing=0.2)
+    est = simulate_circuit_model(p, 100_000, np.random.default_rng(46),
+                                 round_spacing=0.2)
     q = 0.75 * (1.0 - math.exp(-0.2))
     expect = b_exact(q)
     sigma = math.sqrt(expect * (1.0 - expect) / est.trials)
@@ -297,7 +300,8 @@ def test_circuit_round_spacing_override():
 
 def test_circuit_storage_levels_override():
     p = ProtocolParams(rate_r=1.0, levels=3, t_prot=0.4)
-    est = simulate_circuit_model(p, 2_000, RngStream(47), storage_levels=1)
+    est = simulate_circuit_model(p, 2_000, np.random.default_rng(47),
+                                 storage_levels=1)
     assert est.trials == 2_000  # ran with 5 qubits, not 125
 
 
@@ -307,19 +311,19 @@ def test_clock_validation():
     with pytest.raises(ValueError):
         simulate_clock_controlled(ProtocolParams(rate_r=1.0, levels=0,
                                                  t_prot=0.5, t_dec=0.3),
-                                  10, RngStream(1))
+                                  10, np.random.default_rng(1))
     with pytest.raises(ValueError):
         simulate_clock_controlled(ProtocolParams(rate_r=1.0, levels=1),
-                                  10, RngStream(1))
+                                  10, np.random.default_rng(1))
     # delta must stay well below the schedule times
     bad = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5, t_dec=0.3,
                          delta=0.06, epsilon=0.3, clock_bits=4096)
     with pytest.raises(ScheduleInfeasibleError):
-        simulate_clock_controlled(bad, 10, RngStream(1))
+        simulate_clock_controlled(bad, 10, np.random.default_rng(1))
 
 
 def test_clock_controlled_unit_run():
-    est, diag = simulate_clock_controlled(UNIT, 300, RngStream(48),
+    est, diag = simulate_clock_controlled(UNIT, 300, np.random.default_rng(48),
                                           return_diagnostics=True)
     assert isinstance(diag, ClockRunDiagnostics)
     assert est.trials == 300
@@ -337,7 +341,7 @@ def test_clock_controlled_unit_run():
 def test_clock_controlled_two_levels_ordered():
     params = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.5, t_dec=0.3,
                             delta=0.02, epsilon=0.3, clock_bits=4096)
-    est, diag = simulate_clock_controlled(params, 200, RngStream(49),
+    est, diag = simulate_clock_controlled(params, 200, np.random.default_rng(49),
                                           return_diagnostics=True)
     ok = ~diag.aborted
     assert np.all(np.diff(diag.decode_times[ok], axis=1) > 0)
@@ -345,12 +349,17 @@ def test_clock_controlled_two_levels_ordered():
 
 
 def test_clock_controlled_reproducible():
-    a = simulate_clock_controlled(UNIT, 150, RngStream(50))
-    b = simulate_clock_controlled(UNIT, 150, RngStream(50))
-    c = simulate_clock_controlled(UNIT, 150, 50)  # plain int seed
-    assert a.counts.tolist() == b.counts.tolist() == c.counts.tolist()
-    other = simulate_clock_controlled(UNIT, 150, RngStream(51))
-    assert a.counts.tolist() != other.counts.tolist()
+    # an int seed s means np.random.default_rng(s), in both passes
+    a_est, a_diag = simulate_clock_controlled(UNIT, 150, 50,
+                                              return_diagnostics=True)
+    b_est, b_diag = simulate_clock_controlled(UNIT, 150,
+                                              np.random.default_rng(50),
+                                              return_diagnostics=True)
+    assert a_est.counts.tolist() == b_est.counts.tolist()
+    for field in ("good", "aborted", "decode_times", "kick_probs"):
+        assert np.array_equal(getattr(a_diag, field), getattr(b_diag, field))
+    other = simulate_clock_controlled(UNIT, 150, np.random.default_rng(51))
+    assert a_est.counts.tolist() != other.counts.tolist()
 
 
 PINNED = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.3, t_dec=0.05,
@@ -360,20 +369,20 @@ PINNED = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.3, t_dec=0.05,
 def test_clock_controlled_pinned_digest():
     # pass 1 (clock trajectories, decode times, kick probabilities) does not
     # depend on the code-qubit noise sampler; it is pinned bit for bit
-    _, diag = simulate_clock_controlled(PINNED, 64, RngStream(61),
+    _, diag = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61),
                                         return_diagnostics=True)
-    assert int(diag.aborted.sum()) == 4 and int((~diag.good).sum()) == 2
+    assert int(diag.aborted.sum()) == 7 and int((~diag.good).sum()) == 7
     digest = hashlib.sha256()
     for part in (diag.good, diag.aborted, diag.decode_times, diag.kick_probs):
         digest.update(np.ascontiguousarray(part).tobytes())
-    assert digest.hexdigest()[:32] == "da8419fbec9a08f6021023611c40ad98"
+    assert digest.hexdigest()[:32] == "c28206a5efb904ff49414cee9eccad1d"
 
 
 def test_clock_controlled_pinned_counts():
     # pass 2 (code-qubit noise), recorded from the one-shot frame sampler
-    est = simulate_clock_controlled(PINNED, 64, RngStream(61))
-    assert est.counts.tolist() == [24, 14, 16, 10]
-    assert est.decode_failures == 4 and est.bad_trajectories == 2
+    est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
+    assert est.counts.tolist() == [18, 15, 12, 19]
+    assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
 # a clock above the leaf size, so pass 1 runs clock.sample_passages
@@ -382,13 +391,13 @@ REFINED = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.1, t_dec=0.05,
 
 
 def test_clock_controlled_refined_pinned_digest():
-    _, diag = simulate_clock_controlled(REFINED, 48, RngStream(63),
+    _, diag = simulate_clock_controlled(REFINED, 48, np.random.default_rng(63),
                                         return_diagnostics=True)
     assert int(diag.aborted.sum()) == 0 and int((~diag.good).sum()) == 9
     digest = hashlib.sha256()
     for part in (diag.good, diag.aborted, diag.decode_times, diag.kick_probs):
         digest.update(np.ascontiguousarray(part).tobytes())
-    assert digest.hexdigest()[:32] == "29a445ca5b21b44b9d4126a0cfad990a"
+    assert digest.hexdigest()[:32] == "3dc9707dd0ce914338bb7fec46e659e7"
 
 
 def clock_run_bytes(rng):
@@ -402,15 +411,16 @@ def clock_run_bytes(rng):
 @pytest.mark.parametrize("failing", [1, 3])
 def test_clock_trial_exception_reaches_caller(monkeypatch, failing):
     failure = RuntimeError(f"trial {failing} failed")
+    trial = itertools.count()
 
-    def sample(params, horizon, stream):
-        if stream.key[-1] == failing:
+    def sample(params, horizon, rng):
+        if next(trial) == failing:
             raise failure
-        return sample_trajectory(params, horizon, stream)
+        return sample_trajectory(params, horizon, rng)
 
     monkeypatch.setattr(protocols, "sample_trajectory", sample)
     with pytest.raises(RuntimeError) as excinfo:
-        clock_run_bytes(RngStream(62))
+        clock_run_bytes(np.random.default_rng(62))
     assert excinfo.value is failure
 
 
@@ -425,19 +435,20 @@ def test_kick_probability_saturates_without_overflow():
 def test_clock_code_rate_override_isolates_clock_noise():
     # noiseless code qubits: only drive-mistiming kicks can hurt, and at
     # h_norm ~ 0.125 those are tiny
-    est = simulate_clock_controlled(UNIT, 400, RngStream(52), code_rate_r=0.0)
+    est = simulate_clock_controlled(UNIT, 400, np.random.default_rng(52),
+                                    code_rate_r=0.0)
     assert est.error_rate <= 0.05
 
 
 def test_deterministic_clock_matches_circuit_spacing():
-    det = simulate_clock_controlled(UNIT, 3000, RngStream(53),
+    det = simulate_clock_controlled(UNIT, 3000, np.random.default_rng(53),
                                     deterministic_clock=True)
-    circ = simulate_circuit_model(UNIT, 3000, RngStream(54),
+    circ = simulate_circuit_model(UNIT, 3000, np.random.default_rng(54),
                                   round_spacing=UNIT.t_prot + UNIT.t_dec)
     sigma = math.sqrt(det.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
     assert abs(det.error_rate - circ.error_rate) < 4.0 * sigma
     # the mean path is identical across trials
-    _, diag = simulate_clock_controlled(UNIT, 50, RngStream(55),
+    _, diag = simulate_clock_controlled(UNIT, 50, np.random.default_rng(55),
                                         deterministic_clock=True,
                                         return_diagnostics=True)
     assert np.ptp(diag.decode_times[:, 0]) == 0.0
@@ -449,17 +460,17 @@ def test_deterministic_clock_matches_circuit_spacing():
 def test_lifetime_scan_validation():
     p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5, t_dec=0.3)
     with pytest.raises(ValueError):
-        lifetime_scan("unprotected", p, 0.2, 100, RngStream(1))
+        lifetime_scan("unprotected", p, 0.2, 100, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        lifetime_scan("unprotected", p, 1.0, 100, RngStream(1))
+        lifetime_scan("unprotected", p, 1.0, 100, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        lifetime_scan("telepathy", p, 0.9, 100, RngStream(1))
+        lifetime_scan("telepathy", p, 0.9, 100, np.random.default_rng(1))
 
 
 def test_lifetime_scan_unprotected_flat():
     p = ProtocolParams(rate_r=1.0, levels=0)
-    scan = lifetime_scan("unprotected", p, 2.0 / 3.0, 20_000, RngStream(56),
-                         grid_step=0.05)
+    scan = lifetime_scan("unprotected", p, 2.0 / 3.0, 20_000,
+                         np.random.default_rng(56), grid_step=0.05)
     sizes = [n for n, _ in scan.points]
     assert sizes == [1, 5, 125]
     # fidelity floor 2/3 is crossed at t = ln 3 for every register size
@@ -470,7 +481,7 @@ def test_lifetime_scan_unprotected_flat():
 
 def test_lifetime_scan_repetition_frozen():
     p = ProtocolParams(rate_r=1.0, levels=0)
-    scan = lifetime_scan("repetition", p, 0.9, 1, RngStream(57))
+    scan = lifetime_scan("repetition", p, 0.9, 1, np.random.default_rng(57))
     expected = {11: 1.0090576526728927, 101: 2.06600700875396,
                 1001: 3.2069655920690328, 10001: 4.357214729532023}
     for (n, life) in scan.points:
@@ -481,7 +492,7 @@ def test_lifetime_scan_repetition_frozen():
 
 def test_lifetime_scan_circuit_slope_is_round_time():
     p = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.005, t_dec=0.001)
-    scan = lifetime_scan("circuit", p, 2.0 / 3.0, 2_000, RngStream(58),
+    scan = lifetime_scan("circuit", p, 2.0 / 3.0, 2_000, np.random.default_rng(58),
                          levels_list=(1, 2))
     assert scan.points == ((5, 0.005), (25, 0.010))
     assert scan.slope == pytest.approx(0.005, rel=1e-9)
@@ -490,12 +501,12 @@ def test_lifetime_scan_circuit_slope_is_round_time():
 def test_lifetime_scan_clock_single_point():
     # one round ends with fidelity ~ 0.61 (q ~ 0.41 over t_prot + t_dec),
     # so a floor of 0.5 is met and a floor of 2/3 is not
-    scan = lifetime_scan("clock", UNIT, 0.5, 400, RngStream(59),
+    scan = lifetime_scan("clock", UNIT, 0.5, 400, np.random.default_rng(59),
                          levels_list=(1,))
     (n, life), = scan.points
     assert n == 5
     assert life == pytest.approx(0.8)  # one full round of t_prot + t_dec
     assert scan.slope == 0.0 and scan.intercept == pytest.approx(0.8)
-    none = lifetime_scan("clock", UNIT, 2.0 / 3.0, 400, RngStream(59),
+    none = lifetime_scan("clock", UNIT, 2.0 / 3.0, 400, np.random.default_rng(59),
                          levels_list=(1,))
     assert none.points == ((5, 0.0),)
