@@ -22,10 +22,9 @@ from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     sample_trajectory_checkpointed, time_error_bound,
                     time_estimate, vertical_exit_rate_bound, window_passage,
                     window_schedule)
-from .fivequbit import (BLOCK, CodeSpec, DecoderTable, b_exact, b_monte_carlo,
-                        decode_block, decode_blocks, default_code,
-                        default_table, pack, quadratic_bound_range,
-                        syndrome_of, unpack)
+from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
+                        decode_block, decode_blocks, default_table, pack,
+                        quadratic_bound_range, syndrome_of, unpack)
 from .oracle import (average_fidelity, average_fidelity_numeric,
                      channel_distance, choi_from_map, depolarizing_choi,
                      ghz_state, information_content, information_flow,

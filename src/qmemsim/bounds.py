@@ -9,7 +9,8 @@ bounds the error weight accumulated while waiting for the round, and p_dec
 bounds the errors introduced by the timed decode itself (over/under-rotation
 from clock inaccuracy plus noise during the window).  A parameter set is
 certified when every iterate from p_0 = 0 stays at or below the per-qubit
-threshold p_star.
+threshold p_star.  The code is the five-qubit code throughout, so the
+block size d in the formulas below is fivequbit.BLOCK = 5.
 
 build_ledger evaluates the reference constant choices
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fivequbit import b_exact
+from .fivequbit import BLOCK, b_exact
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,10 +91,10 @@ def evolution_budget(t_prot: float, delta: float, rate_r: float) -> float:
     return rate_r * (t_prot - delta)
 
 
-def decode_budget(h_norm: float, delta: float, t_dec: float, block_size: int,
+def decode_budget(h_norm: float, delta: float, t_dec: float,
                   rate_r: float) -> float:
     """Timed-decode error bound e^{h_norm delta} - 1 + d r (t_dec + delta)."""
-    return math.expm1(h_norm * delta) + block_size * rate_r * (t_dec + delta)
+    return math.expm1(h_norm * delta) + BLOCK * rate_r * (t_dec + delta)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,9 @@ class RecursionTrace:
 
 
 def iterate_round_recursion(error_fn, p_evol: float, p_dec: float, levels: int,
-                            p_star: float, settle: int = 400) -> RecursionTrace:
+                            p_star: float) -> RecursionTrace:
+    """The first `levels` iterates, and the fixed point if 400 further
+    iterates settle to within 1e-14."""
     p = 0.0
     iterates = []
     for _ in range(levels):
@@ -122,7 +125,7 @@ def iterate_round_recursion(error_fn, p_evol: float, p_dec: float, levels: int,
     holds = all(q <= p_star for q in iterates)
     fixed_point = None
     q = p
-    for _ in range(settle):
+    for _ in range(400):
         nxt = error_fn(min(q + p_evol, 1.0)) + p_dec
         if abs(nxt - q) < 1e-14:
             fixed_point = nxt
@@ -137,7 +140,6 @@ class LedgerReport:
     # inputs
     rate_r: float
     p_star: float
-    block_size: int
     tau: float
     # derived constants
     t_prot: float
@@ -163,7 +165,7 @@ class LedgerReport:
     def to_dict(self) -> dict:
         return {
             "inputs": {"rate_r": self.rate_r, "p_star": self.p_star,
-                       "block_size": self.block_size, "tau": self.tau},
+                       "tau": self.tau},
             "derived": {"t_prot": self.t_prot, "t_dec": self.t_dec,
                         "delta": self.delta, "h_norm": self.h_norm,
                         "epsilon": self.epsilon, "clock_bits": self.clock_bits,
@@ -180,8 +182,7 @@ class LedgerReport:
         }
 
 
-def build_ledger(rate_r: float, p_star: float, block_size: int = 5,
-                 tau: float = 1.0) -> LedgerReport:
+def build_ledger(rate_r: float, p_star: float, tau: float = 1.0) -> LedgerReport:
     """Evaluate the reference constants and the round recursion verdict.
 
     The verdict carries the result; failing the inequality is a recorded
@@ -191,23 +192,22 @@ def build_ledger(rate_r: float, p_star: float, block_size: int = 5,
         raise ValueError("p_star must lie in (0, 1/40]")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    d = block_size
     t_prot = p_star / rate_r
-    t_dec = p_star / (4.0 * d * rate_r)
+    t_dec = p_star / (4.0 * BLOCK * rate_r)
     delta = p_star * t_dec / (8.0 * math.pi)
     h_norm = TWO_PI / t_dec
     epsilon = 1.0 / 6.0
     clock_bits = (2.0 * math.exp(rate_r * tau) / (rate_r * delta)) ** 3
     levels = math.ceil(tau / (t_prot + t_dec))
     p_evol = evolution_budget(t_prot, delta, rate_r)
-    p_dec = decode_budget(h_norm, delta, t_dec, d, rate_r)
+    p_dec = decode_budget(h_norm, delta, t_dec, rate_r)
     exact = iterate_round_recursion(b_exact, p_evol, p_dec, levels, p_star)
     quad = iterate_round_recursion(quadratic_block_error, p_evol, p_dec,
                                    levels, p_star)
-    return LedgerReport(rate_r=rate_r, p_star=p_star, block_size=d, tau=tau,
+    return LedgerReport(rate_r=rate_r, p_star=p_star, tau=tau,
                         t_prot=t_prot, t_dec=t_dec, delta=delta, h_norm=h_norm,
                         epsilon=epsilon, clock_bits=clock_bits, levels=levels,
-                        n_qubits=d ** levels, p_evol_bound=p_evol,
+                        n_qubits=BLOCK ** levels, p_evol_bound=p_evol,
                         p_dec_bound=p_dec, exact=exact, quadratic=quad)
 
 
@@ -220,7 +220,6 @@ class FeasibleConstants:
     c_dec: float
     c_delta: float
     rate_r: float
-    block_size: int
     t_prot: float
     t_dec: float
     delta: float
@@ -238,9 +237,8 @@ class FeasibleConstants:
     def to_dict(self) -> dict:
         return {"p_star": self.p_star, "c_prot": self.c_prot,
                 "c_dec": self.c_dec, "c_delta": self.c_delta,
-                "rate_r": self.rate_r, "block_size": self.block_size,
-                "t_prot": self.t_prot, "t_dec": self.t_dec,
-                "delta": self.delta, "h_norm": self.h_norm,
+                "rate_r": self.rate_r, "t_prot": self.t_prot,
+                "t_dec": self.t_dec, "delta": self.delta, "h_norm": self.h_norm,
                 "p_evol_bound": self.p_evol_bound,
                 "p_dec_bound": self.p_dec_bound, "levels": self.levels,
                 "iterates": list(self.trace.iterates),
@@ -248,28 +246,27 @@ class FeasibleConstants:
                 "margin": self.margin}
 
 
-def assess_constants(rate_r: float, block_size: int, p_star: float,
-                     c_prot: float, c_dec: float, c_delta: float,
+def assess_constants(rate_r: float, p_star: float, c_prot: float,
+                     c_dec: float, c_delta: float,
                      levels: int = 4) -> FeasibleConstants:
     """Evaluate one multiplier set; feasibility is judged by the caller."""
-    d = block_size
     t_prot = c_prot * p_star / rate_r
-    t_dec = c_dec * p_star / (d * rate_r)
+    t_dec = c_dec * p_star / (BLOCK * rate_r)
     delta = c_delta * t_dec
     h_norm = TWO_PI / t_dec
     p_evol = evolution_budget(t_prot, delta, rate_r)
-    p_dec = decode_budget(h_norm, delta, t_dec, d, rate_r)
+    p_dec = decode_budget(h_norm, delta, t_dec, rate_r)
     trace = iterate_round_recursion(b_exact, p_evol, p_dec, levels, p_star)
     return FeasibleConstants(p_star=p_star, c_prot=c_prot, c_dec=c_dec,
-                             c_delta=c_delta, rate_r=rate_r, block_size=d,
+                             c_delta=c_delta, rate_r=rate_r,
                              t_prot=t_prot, t_dec=t_dec, delta=delta,
                              h_norm=h_norm, p_evol_bound=p_evol,
                              p_dec_bound=p_dec, levels=levels, trace=trace)
 
 
-def feasibility_search(rate_r: float, block_size: int = 5,
-                       p_star_values=(0.01,), c_prot_values=(0.5,),
-                       c_dec_values=(0.25, 0.05), c_delta_values=None,
+def feasibility_search(rate_r: float, p_star_values=(0.01,),
+                       c_prot_values=(0.5,), c_dec_values=(0.25, 0.05),
+                       c_delta_values=None,
                        levels: int = 4, margin: float = 0.1):
     """First multiplier set on the grid contracting with the required margin.
 
@@ -288,8 +285,8 @@ def feasibility_search(rate_r: float, block_size: int = 5,
         for c_prot in c_prot_values:
             for c_dec in c_dec_values:
                 for c_delta in c_deltas:
-                    cand = assess_constants(rate_r, block_size, p_star,
-                                            c_prot, c_dec, c_delta, levels)
+                    cand = assess_constants(rate_r, p_star, c_prot, c_dec,
+                                            c_delta, levels)
                     fp = cand.trace.fixed_point
                     if (cand.trace.holds and fp is not None
                             and fp <= (1.0 - margin) * p_star):

@@ -183,9 +183,6 @@ SCHEMAS = {
     "ledger": {
         "r": _RATE,
         "p_star": _Field("float", 1.0 / 40.0, check=_open_unit),
-        "block_size": _Field("int", 5,
-                             check=lambda v: None if v == 5 else
-                             "only the five-qubit decoder is available"),
         "tau": _Field("float", 1.0, check=_positive),
         "search": _Field("bool", False),
         "p_star_values": _Field("list_float", None, allow_none=True,
@@ -477,6 +474,18 @@ def _require_levels(v, sub, strategy):
                           f"strategy '{strategy}'")
 
 
+def _require_decoded(v, sub, strategy):
+    """The fields strategy 'circuit' or 'clock' needs, checked in order:
+    t_prot, t_dec (clock), the levels, and a way to size the clock."""
+    _require(v, sub, "t_prot", strategy)
+    if strategy == "clock":
+        _require(v, sub, "t_dec", strategy)
+    _require_levels(v, sub, strategy)
+    if strategy == "clock" and v["K"] is None and v["delta"] <= 0:
+        raise ConfigError(f"{sub}.delta: must be positive to size the clock "
+                          "(or give K directly)")
+
+
 def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
     strategy = v["strategy"]
@@ -497,19 +506,13 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
             est = simulate_unprotected(v["t"], params, v["trials"], rng)
             t_span = v["t"]
         elif strategy == "circuit":
-            _require(v, "memory-sim", "t_prot", strategy)
-            _require_levels(v, "memory-sim", strategy)
+            _require_decoded(v, "memory-sim", strategy)
             est = simulate_circuit_model(params, v["trials"], rng,
                                          round_spacing=v["round_spacing"])
             spacing = v["round_spacing"] or params.t_prot
             t_span = params.levels * spacing
         else:
-            _require(v, "memory-sim", "t_prot", strategy)
-            _require(v, "memory-sim", "t_dec", strategy)
-            _require_levels(v, "memory-sim", strategy)
-            if v["K"] is None and v["delta"] <= 0:
-                raise ConfigError("memory-sim.delta: must be positive to "
-                                  "size the clock (or give K directly)")
+            _require_decoded(v, "memory-sim", strategy)
             est = simulate_clock_controlled(
                 params, v["trials"], rng,
                 deterministic_clock=v["deterministic_clock"],
@@ -534,13 +537,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
     strategy = v["strategy"]
     if strategy in ("circuit", "clock"):
-        _require(v, "lifetime-scan", "t_prot", strategy)
-        _require_levels(v, "lifetime-scan", strategy)
-    if strategy == "clock":
-        _require(v, "lifetime-scan", "t_dec", strategy)
-        if v["K"] is None and v["delta"] <= 0:
-            raise ConfigError("lifetime-scan.delta: must be positive to "
-                              "size the clock (or give K directly)")
+        _require_decoded(v, "lifetime-scan", strategy)
     params = _protocol_params(v)
     levels_list = tuple(v["levels_list"]) if v["levels_list"] else None
     n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
@@ -563,7 +560,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_ledger(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
-    report = build_ledger(v["r"], v["p_star"], v["block_size"], v["tau"])
+    report = build_ledger(v["r"], v["p_star"], v["tau"])
     summary = report.to_dict()
     if v["search"]:
         ranges = {}
@@ -571,7 +568,7 @@ def _run_ledger(cfg: ExperimentConfig) -> ExperimentResult:
                     "c_delta_values"):
             if v[key] is not None:
                 ranges[key] = tuple(v[key])
-        found = feasibility_search(v["r"], v["block_size"], levels=v["levels"],
+        found = feasibility_search(v["r"], levels=v["levels"],
                                    margin=v["margin"], **ranges)
         summary["search"] = found.to_dict() if found is not None else None
         exit_code = EXIT_OK if found is not None else EXIT_INFEASIBLE

@@ -43,6 +43,10 @@ Sampling exploits exchangeability twice over:
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
 k_off = ceil(k_mean(t_l + t_dec)), t_l = l*t_prot + (l-1)*t_dec.
+window_passage, the leaves of sample_passages and deterministic_passage
+share one rule: a piece is inside when its value is in [k_off, k_on]
+(_inside), and the passage follows from the time-ordered inside segments
+(_passage).
 
 A ClockTrajectory caches its piece edges (0, times..., horizon) and piece
 values (K, k after each flip...), both read-only; piece_edges, the band
@@ -520,13 +524,19 @@ def window_passage(traj: ClockTrajectory, window: LevelWindow, t_dec: float):
     if the window is never entered.
     """
     edges, values = traj.piece_edges(traj.horizon)
-    inside = np.flatnonzero((values >= window.k_off) & (values <= window.k_on))
+    inside = np.flatnonzero(_inside(values, window.k_off, window.k_on))
     return _passage(edges[inside], edges[inside + 1], t_dec)
+
+
+def _inside(values, k_off, k_on):
+    """Mask of the piece values that lie in the window [k_off, k_on]."""
+    return (values >= k_off) & (values <= k_on)
 
 
 def _passage(starts, ends, t_dec: float):
     """(decode_time, active_time) from the time-ordered, disjoint inside
-    segments [starts[i], ends[i]] of one window (see window_passage)."""
+    segments [starts[i], ends[i]] of one window (see window_passage); the
+    segments need not be merged where they touch."""
     if not starts.size:
         return None, 0.0
     durs = ends - starts
@@ -539,12 +549,11 @@ def _passage(starts, ends, t_dec: float):
 
 
 def deterministic_passage(window: LevelWindow, params: ClockParams, t_dec: float):
-    """Window passage of the noise-free path k(t) = k_mean(t) (mean-path limit)."""
+    """Window passage of the noise-free path k(t) = k_mean(t) (mean-path
+    limit): the one inside segment [t_enter, t_exit]."""
     t_enter = math.log(params.n_bits / window.k_on) / params.rate_r
     t_exit = math.log(params.n_bits / window.k_off) / params.rate_r
-    total = t_exit - t_enter
-    decode_time = t_enter + t_dec if total >= t_dec else t_exit
-    return decode_time, total
+    return _passage(np.array([t_enter]), np.array([t_exit]), t_dec)
 
 
 # an undecided interval with at most this many active bits (bits that flip
@@ -767,16 +776,10 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
                 kbar_end = n_bits * np.exp(-rate_r * np.minimum(p_ends[:cut], t_max))
                 in_band = not (np.any(kept - kbar_end >= band)
                                or np.any(kbar_start - kept >= band))
-            # runs of inside pieces that touch become one segment
-            touch = p_ends[:-1] == p_starts[1:]
             for w in range(k_off.size):
-                ins = (values >= k_off[w]) & (values <= k_on[w])
-                joined = ins[:-1] & ins[1:] & touch
-                opens, closes = ins.copy(), ins.copy()
-                opens[1:] &= ~joined
-                closes[:-1] &= ~joined
-                found.append((np.full(np.count_nonzero(opens), w),
-                              p_starts[opens], p_ends[closes]))
+                ins = _inside(values, k_off[w], k_on[w])
+                found.append((np.full(np.count_nonzero(ins), w),
+                              p_starts[ins], p_ends[ins]))
         split = undecided & ~leaf
         if not split.any():
             break

@@ -2,9 +2,10 @@
 
 Conventions, fixed once and tested:
 
-* Stabilizer generators, in order g1..g4: XZZXI, IXZZX, XIXZZ, ZXIXZ
-  (cyclic shifts of XZZXI; the fifth shift is the product of the others).
-* Logical operators: logical X = XXXXX, logical Z = ZZZZZ.
+* Stabilizer generators GENERATORS, in order g1..g4: XZZXI, IXZZX, XIXZZ,
+  ZXIXZ (cyclic shifts of XZZXI; the fifth shift is the product of the
+  others).
+* Logical operators: LOGICAL_X = XXXXX, LOGICAL_Z = ZZZZZ.
 * The syndrome of an error e is the 4-bit integer whose bit i is 1 iff e
   anticommutes with generator g_{i+1}; displayed as the tuple (s1, s2, s3, s4).
 * The 16 syndromes are in bijection with the 16 weight<=1 errors; the decoder
@@ -17,7 +18,8 @@ Conventions, fixed once and tested:
 Five-site Pauli strings pack into indices 0..1023 with site s contributing
 code * 4**s.  Because each base-4 digit occupies its own bit pair, bitwise
 XOR of packed indices is sitewise Pauli multiplication, and the whole decode
-map is a 1024-entry lookup table.
+map is a 1024-entry lookup table, built once (default_table) and shared by
+every decode and block error rate.
 
 Block error rate convention: ``b_exact(p)`` takes the depolarizing weight p,
 meaning each qubit independently suffers X, Y, Z each with probability p/3.
@@ -27,7 +29,7 @@ p(t) = 3(1 - e^{-rt})/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,22 +38,14 @@ from .pauli import (I, X, Z, Y, anticommutes, depolarize, frame_from_label,
                     string_anticommutes)
 from .stats import wilson_interval
 
-GENERATOR_LABELS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
-LOGICAL_X_LABEL = "XXXXX"
-LOGICAL_Z_LABEL = "ZZZZZ"
+GENERATORS = np.array([frame_from_label(s)
+                       for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")])
+LOGICAL_X = frame_from_label("XXXXX")
+LOGICAL_Z = frame_from_label("ZZZZZ")
 
 BLOCK = 5
 N_STRINGS = 4 ** BLOCK
 POW4 = 4 ** np.arange(BLOCK)
-
-
-@dataclass(frozen=True)
-class CodeSpec:
-    generators: np.ndarray = field(
-        default_factory=lambda: np.array([frame_from_label(s) for s in GENERATOR_LABELS]))
-    logical_x: np.ndarray = field(default_factory=lambda: frame_from_label(LOGICAL_X_LABEL))
-    logical_z: np.ndarray = field(default_factory=lambda: frame_from_label(LOGICAL_Z_LABEL))
-    distance: int = 3
 
 
 def pack(frames):
@@ -65,14 +59,13 @@ def unpack(indices):
     return ((idx[..., None] >> (2 * np.arange(BLOCK))) & 3).astype(np.uint8)
 
 
-def syndrome_of(frame, spec: CodeSpec | None = None) -> int:
+def syndrome_of(frame) -> int:
     """4-bit syndrome; bit i is the anticommutation with generator i+1."""
-    spec = spec or default_code()
     frame = np.asarray(frame, dtype=np.uint8)
     if frame.shape != (BLOCK,):
         raise ValueError("five-qubit block expected")
     s = 0
-    for i, g in enumerate(spec.generators):
+    for i, g in enumerate(GENERATORS):
         s |= int(string_anticommutes(frame, g)) << i
     return s
 
@@ -91,13 +84,12 @@ class DecoderTable:
     failing_weight_counts: np.ndarray  # (6,) counts of residual != I by error weight
 
     @classmethod
-    def build(cls, spec: CodeSpec | None = None) -> "DecoderTable":
-        spec = spec or default_code()
+    def build(cls) -> "DecoderTable":
         idx = np.arange(N_STRINGS)
         codes = unpack(idx)
 
         syn = np.zeros(N_STRINGS, dtype=np.uint8)
-        for i, g in enumerate(spec.generators):
+        for i, g in enumerate(GENERATORS):
             bits = np.bitwise_xor.reduce(anticommutes(codes, g[None, :]), axis=1) & 1
             syn |= (bits << i).astype(np.uint8)
 
@@ -110,22 +102,22 @@ class DecoderTable:
                 e[q] = p
                 low_weight.append(e)
         for e in low_weight:
-            s = syndrome_of(e, spec)
+            s = syndrome_of(e)
             if corrections[s] != -1:
                 raise RuntimeError("syndrome collision among weight<=1 errors")
             corrections[s] = int(pack(e))
 
         corrected = idx ^ corrections[syn]
         ccodes = unpack(corrected)
-        for i, g in enumerate(spec.generators):
+        for g in GENERATORS:
             bits = np.bitwise_xor.reduce(anticommutes(ccodes, g[None, :]), axis=1) & 1
             if bits.any():
                 raise RuntimeError("corrected error fails to commute with generators")
 
         x_comp = np.bitwise_xor.reduce(
-            anticommutes(ccodes, spec.logical_z[None, :]), axis=1) & 1
+            anticommutes(ccodes, LOGICAL_Z[None, :]), axis=1) & 1
         z_comp = np.bitwise_xor.reduce(
-            anticommutes(ccodes, spec.logical_x[None, :]), axis=1) & 1
+            anticommutes(ccodes, LOGICAL_X[None, :]), axis=1) & 1
         residuals = (x_comp | (z_comp << 1)).astype(np.uint8)
 
         weights = (codes != I).sum(axis=1)
@@ -139,30 +131,23 @@ def default_table() -> DecoderTable:
     return DecoderTable.build()
 
 
-@lru_cache(maxsize=1)
-def default_code() -> CodeSpec:
-    return CodeSpec()
-
-
-def decode_block(frame, table: DecoderTable | None = None) -> int:
+def decode_block(frame) -> int:
     """Residual logical Pauli code of one five-qubit error frame."""
-    table = table or default_table()
     frame = np.asarray(frame, dtype=np.uint8)
     if frame.shape != (BLOCK,):
         raise ValueError("five-qubit block expected")
-    return int(table.residuals[pack(frame)])
+    return int(default_table().residuals[pack(frame)])
 
 
-def decode_blocks(frames, table: DecoderTable | None = None):
+def decode_blocks(frames):
     """Vectorized decode of (..., 5) frames to residual codes (...)."""
-    table = table or default_table()
     frames = np.asarray(frames, dtype=np.uint8)
     if frames.shape[-1] != BLOCK:
         raise ValueError("last axis must have length 5")
-    return table.residuals[pack(frames)]
+    return default_table().residuals[pack(frames)]
 
 
-def b_exact(p, table: DecoderTable | None = None) -> float:
+def b_exact(p) -> float:
     """Exact block logical error rate at depolarizing weight p.
 
     Sums the probability of the 1024 error strings whose decoded residual is
@@ -172,8 +157,7 @@ def b_exact(p, table: DecoderTable | None = None) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    table = table or default_table()
-    counts = table.failing_weight_counts
+    counts = default_table().failing_weight_counts
     total = 0.0
     for w, c in enumerate(counts):
         if c:
@@ -190,9 +174,9 @@ class BlockErrorEstimate:
     trials: int
 
 
-def b_monte_carlo(p, trials, rng, table: DecoderTable | None = None,
-                  z=3.2905) -> BlockErrorEstimate:
-    """Monte Carlo estimate of the block error rate with a Wilson CI.
+def b_monte_carlo(p, trials, rng) -> BlockErrorEstimate:
+    """Monte Carlo estimate of the block error rate with a Wilson CI at
+    wilson_interval's default z (two-sided 99.9%).
 
     p = 0 admits no errors at all, so the estimate is exactly 0 with a
     zero-width interval and no sampling is done.
@@ -204,23 +188,23 @@ def b_monte_carlo(p, trials, rng, table: DecoderTable | None = None,
     if p == 0.0:
         return BlockErrorEstimate(p=0.0, estimate=0.0, ci_low=0.0, ci_high=0.0,
                                   trials=trials)
-    table = table or default_table()
     frames = depolarize(np.zeros((trials, BLOCK), dtype=np.uint8), p, rng)
-    failures = int(np.count_nonzero(decode_blocks(frames, table)))
-    lo, hi = wilson_interval(failures, trials, z=z)
+    failures = int(np.count_nonzero(decode_blocks(frames)))
+    lo, hi = wilson_interval(failures, trials)
     return BlockErrorEstimate(p=p, estimate=failures / trials, ci_low=lo,
                               ci_high=hi, trials=trials)
 
 
-def quadratic_bound_range(table: DecoderTable | None = None, step=1e-3):
-    """Largest prefix [0, p_max] of the grid on which b_exact(p) <= 10 p^2.
+def quadratic_bound_range():
+    """Largest prefix [0, p_max] of the grid of step 1e-3 on which
+    b_exact(p) <= 10 p^2.
 
     Determined empirically by scanning; with this decoder the bound holds on
     the whole interval, so p_max = 1.
     """
-    table = table or default_table()
+    step = 1e-3
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    ok = np.array([b_exact(p, table) <= 10 * p * p + 1e-15 for p in grid])
+    ok = np.array([b_exact(p) <= 10 * p * p + 1e-15 for p in grid])
     if not ok[0]:
         return 0.0
     bad = np.flatnonzero(~ok)

@@ -454,6 +454,8 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     elif strategy in ("circuit", "clock"):
         levels_list = tuple(range(1, params.levels + 1)) if levels_list is None \
             else levels_list
+        if not levels_list or min(levels_list) < 1:
+            raise ValueError("circuit and clock decode at least one level")
         span = params.t_prot if strategy == "circuit" \
             else params.t_prot + params.t_dec
         for lev in levels_list:

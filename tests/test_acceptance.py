@@ -14,8 +14,7 @@ from qmemsim.bounds import (build_ledger, decode_budget, feasibility_search,
 from qmemsim.clock import (ClockParams, good_prob_bound, is_good,
                            max_time_error, sample_trajectory,
                            sample_trajectory_checkpointed, time_error_bound)
-from qmemsim.fivequbit import (BLOCK, b_exact, b_monte_carlo,
-                               quadratic_bound_range)
+from qmemsim.fivequbit import b_exact, b_monte_carlo, quadratic_bound_range
 from qmemsim.oracle import information_flow, oracle_equivalence_check
 from qmemsim.protocols import (ProtocolParams, exact_majority_failure,
                                lifetime_scan, repetition_lifetime,
@@ -150,7 +149,7 @@ def test_criterion_6_clock_controlled_protocol():
                                           return_diagnostics=True)
     circ = simulate_circuit_model(SCALED, 10_000, np.random.default_rng(109))
     budget = decode_budget(SCALED.h_norm, SCALED.delta, SCALED.t_dec,
-                           BLOCK, SCALED.rate_r)
+                           SCALED.rate_r)
     sigma = math.sqrt(est.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
     err_ok = est.error_rate <= circ.error_rate + budget + 3.0 * sigma
     pstar_ok = est.error_rate <= SCALED.p_star

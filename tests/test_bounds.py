@@ -50,7 +50,7 @@ def test_budget_terms():
     assert quadratic_block_error(0.03) == pytest.approx(0.009, rel=1e-15)
     assert evolution_budget(0.025, 1e-6, 1.0) == pytest.approx(0.024999)
     # small-argument decode budget is close to h delta + d r (t_dec + delta)
-    val = decode_budget(5000.0, 1e-6, 1e-3, 5, 1.0)
+    val = decode_budget(5000.0, 1e-6, 1e-3, 1.0)
     assert val == pytest.approx(math.expm1(5e-3) + 5 * (1e-3 + 1e-6), rel=1e-15)
     assert val > 5000.0 * 1e-6 + 5 * 1e-3
 
@@ -68,7 +68,7 @@ def test_recursion_trace_basics():
     assert not bad.holds and bad.first_violation == 1
 
 
-REFERENCE = dict(rate_r=1.0, p_star=0.025, block_size=5, tau=1.0)
+REFERENCE = dict(rate_r=1.0, p_star=0.025, tau=1.0)
 
 
 def test_ledger_reference_constants_frozen():
@@ -132,7 +132,7 @@ def test_ledger_to_dict_structure():
 
 def test_assess_constants_worked_example():
     # p* = 0.01, t_prot = p*/2r, t_dec = p*/(20 d r), delta = (p*/8pi) t_dec
-    cand = assess_constants(rate_r=1.0, block_size=5, p_star=0.01,
+    cand = assess_constants(rate_r=1.0, p_star=0.01,
                             c_prot=0.5, c_dec=0.05,
                             c_delta=0.01 / (8.0 * math.pi))
     assert cand.t_prot == pytest.approx(0.005, rel=1e-15)

@@ -56,7 +56,7 @@ def test_minimal_config_defaults():
     ({"subcommand": "bp-curve", "format": "yaml"}, "must be 'csv' or 'json'"),
     ({"subcommand": "bp-curve", "out": 5}, "expected a string path"),
     ({"subcommand": "ledger", "p_star": 0.5, "block_size": 3},
-     "five-qubit decoder"),
+     "unknown key"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_block, decode_blocks,
-                               default_code, default_table, pack,
+                               default_table, pack,
                                quadratic_bound_range, syndrome_bits,
                                syndrome_of, unpack)
 from qmemsim.pauli import (frame_from_label, frame_to_label, identity_frame,
@@ -185,7 +185,7 @@ def test_b_monte_carlo_zero_p_short_circuit():
 
 
 def test_table_build_is_deterministic():
-    t1 = DecoderTable.build(default_code())
+    t1 = DecoderTable.build()
     t2 = default_table()
     assert np.array_equal(t1.residuals, t2.residuals)
     assert np.array_equal(t1.syndromes, t2.syndromes)

@@ -465,6 +465,15 @@ def test_lifetime_scan_validation():
         lifetime_scan("unprotected", p, 1.0, 100, np.random.default_rng(1))
     with pytest.raises(ValueError):
         lifetime_scan("telepathy", p, 0.9, 100, np.random.default_rng(1))
+    # circuit and clock decode at least one level
+    flat = ProtocolParams(rate_r=1.0, levels=0, t_prot=0.01, t_dec=0.005)
+    for strategy in ("circuit", "clock"):
+        with pytest.raises(ValueError, match="at least one level"):
+            lifetime_scan(strategy, flat, 2.0 / 3.0, 100,
+                          np.random.default_rng(1))
+        with pytest.raises(ValueError, match="at least one level"):
+            lifetime_scan(strategy, p, 2.0 / 3.0, 100,
+                          np.random.default_rng(1), levels_list=(0,))
 
 
 def test_lifetime_scan_unprotected_flat():
