@@ -15,8 +15,8 @@ from .bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
 from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     DegenerateWindowError, GoodProbBound, LevelWindow,
                     OverlappingWindowsError, ScheduleInfeasibleError,
-                    WindowSchedule, checkpoint_times, deterministic_passage,
-                    first_exit, good_prob_bound, is_good, max_time_error,
+                    checkpoint_times, deterministic_passage, first_exit,
+                    good_prob_bound, is_good, max_time_error,
                     mean_polarization, polarization_variance,
                     sample_count_matrix, sample_passages, sample_trajectory,
                     sample_trajectory_checkpointed, time_error_bound,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -110,6 +111,11 @@ def _positive_list(v):
     return None if all(x > 0 for x in v) else "entries must be positive"
 
 
+def _positive_odd_list(v):
+    return _positive_list(v) or next(
+        (f"entry {x} {msg}" for x in v if (msg := _odd(x))), None)
+
+
 def _nonnegative_list(v):
     return None if all(x >= 0 for x in v) else "entries must be nonnegative"
 
@@ -177,7 +183,7 @@ SCHEMAS = {
         "levels_list": _Field("list_int", None, allow_none=True,
                               check=_nonnegative_list),
         "n_bits_list": _Field("list_int", None, allow_none=True,
-                              check=_positive_list),
+                              check=_positive_odd_list),
         "grid_step": _Field("float", 0.05, check=_positive),
     },
     "ledger": {
@@ -213,6 +219,18 @@ SCHEMAS = {
 _JSON_ONLY = ("ledger", "oracle-check")
 
 
+def _to_float(path: str, value) -> float:
+    """float(value), rejecting a JSON number too large for a float (such as
+    1e999, which the JSON reader turns into inf)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: number overflows a float")
+    return value
+
+
 def _coerce(sub: str, key: str, value, spec: _Field):
     path = f"{sub}.{key}"
     if value is None:
@@ -231,7 +249,7 @@ def _coerce(sub: str, key: str, value, spec: _Field):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
-        return float(value)
+        return _to_float(path, value)
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
@@ -250,7 +268,7 @@ def _coerce(sub: str, key: str, value, spec: _Field):
             else:
                 if not isinstance(item, (int, float)):
                     raise ConfigError(f"{path}[{i}]: expected a number")
-                out.append(float(item))
+                out.append(_to_float(f"{path}[{i}]", item))
         return out
     raise AssertionError(f"unknown schema kind {kind}")
 
@@ -272,19 +290,29 @@ class ExperimentConfig:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _not_json(name):
+    raise ConfigError(f"config: invalid JSON ({name} is not a JSON number)")
+
+
+def _load_object(text: str) -> dict:
+    """The JSON object in text; NaN and +-Infinity, which JSON does not
+    have, are rejected."""
+    try:
+        data = json.loads(text, parse_constant=_not_json)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    return data
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate JSON config text into an ExperimentConfig.
 
     Defaults are filled, unknown keys rejected with their field path, and
     parse(config.serialize()) reproduces the config exactly.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    data = dict(data)
+    data = _load_object(text)
     sub = data.pop("subcommand", None)
     if sub is None:
         raise ConfigError("config.subcommand: required")
@@ -693,12 +721,7 @@ def _merge_cli(args) -> dict:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be a JSON object")
+        data = _load_object(text)
         stated = data.get("subcommand")
         if stated is not None and stated != args.subcommand:
             raise ConfigError(

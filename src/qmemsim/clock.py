@@ -48,24 +48,17 @@ share one rule: a piece is inside when its value is in [k_off, k_on]
 (_inside), and the passage follows from the time-ordered inside segments
 (_passage).
 
-A ClockTrajectory caches its piece edges (0, times..., horizon) and piece
-values (K, k after each flip...), both read-only; piece_edges, the band
-checks and the window passages read slices of these instead of rebuilding
-them per call.
-A sampled trajectory keeps its flip times once: its times are the read-only
-view edges[1:-1] of the one edge buffer, and its piece values are int32.
-That is about 13 bytes per flip, about 18 at the peak of sampling: 33 and
-45 MB for the 2.55 M flips of the acceptance-criterion-6 clock, whose pass 1
-uses sample_passages instead.  is_good walks the pieces up to t_max in
-chunks of _BAND_CHUNK and stops at the first chunk that leaves the band, so
-it needs no full-length temporaries.
+Band exits: is_good, first_exit and the leaves of sample_passages share one
+rule, _band_exit, over the constant pieces that start by t_max.
+
+A ClockTrajectory is two read-only arrays: its piece edges (0, flip
+times..., horizon) and its piece values (K, k after each flip...).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -164,84 +157,57 @@ def time_error_bound(params: ClockParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ClockTrajectory:
-    """Event-resolved polarization path: k jumps by steps[i] at times[i].
+    """Event-resolved polarization path as constant pieces.
 
-    k(t) is right-continuous and piecewise constant, starting at k(0) = K.
+    Piece i spans [edges[i], edges[i+1]] at polarization values[i]: edges
+    is (0, flip times..., horizon) and values is (K, k after each flip...),
+    so k(t) is right-continuous and piecewise constant from k(0) = K.  Both
+    arrays are read-only, edges float and values int64.
     """
 
-    times: np.ndarray    # (M,) sorted flip times
-    steps: np.ndarray    # (M,) each +2 or -2
-    n_bits: int
-    horizon: float
+    edges: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.times.shape != self.steps.shape:
-            raise ValueError("times and steps must align")
-
-    @classmethod
-    def _from_edges(cls, edges: np.ndarray, steps: np.ndarray, n_bits: int,
-                    horizon: float) -> "ClockTrajectory":
-        """Trajectory whose times are the view edges[1:-1] of a filled
-        (0, times..., horizon) buffer, which becomes the cached edges."""
+        edges = np.asarray(self.edges, dtype=float)
+        values = np.asarray(self.values, dtype=np.int64)
+        if not values.size or edges.shape != (values.size + 1,):
+            raise ValueError("need one more edge than piece values")
+        if values.min() < -values[0] or values.max() > values[0]:
+            raise ValueError("polarization left [-K, K]")
         edges.flags.writeable = False
-        traj = cls(times=edges[1:-1], steps=steps, n_bits=n_bits, horizon=horizon)
-        traj.__dict__["edges"] = edges
-        return traj
-
-    def __len__(self):
-        return self.times.size
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Piece edges (0, times..., horizon); read-only.  Sampled
-        trajectories come with it filled (see _from_edges)."""
-        edges = np.concatenate(([0.0], self.times, [self.horizon]))
-        edges.flags.writeable = False
-        return edges
-
-    @cached_property
-    def piece_values(self) -> np.ndarray:
-        """Polarization on each piece, (K, k after each flip...); read-only.
-
-        int32 for int8 steps (as sampled) while K < 2^31 - 128, else int64.
-        A partial sum of int8 steps then leaves [-K, K] by at most 128
-        before it could wrap, so the range check below still sees it; int32
-        halves the memory and the memory traffic of every pass over it.
-        """
-        narrow = self.steps.dtype == np.int8 and self.n_bits < 2**31 - 128
-        k = np.empty(self.steps.size + 1, dtype=np.int32 if narrow else np.int64)
-        k[0] = self.n_bits
-        k[1:] = self.steps
-        np.cumsum(k, out=k)
-        if k.min() < -self.n_bits or k.max() > self.n_bits:
-            raise ValueError("polarization left [-K, K]; inconsistent steps")
-        k.flags.writeable = False
-        return k
+        values.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "values", values)
 
     @property
-    def k_values(self) -> np.ndarray:
-        """Polarization after each flip, |k| <= K throughout; read-only."""
-        return self.piece_values[1:]
+    def n_bits(self) -> int:
+        return int(self.values[0])
 
-    def k_at(self, t):
-        """Piecewise-constant evaluation (value after the last flip <= t)."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
-        k = self.piece_values[idx]
-        return int(k) if k.ndim == 0 else k
+    @property
+    def horizon(self) -> float:
+        return float(self.edges[-1])
+
+    @property
+    def times(self) -> np.ndarray:
+        """Sorted flip times, the view edges[1:-1]."""
+        return self.edges[1:-1]
+
+    def __len__(self):
+        return self.values.size - 1
 
     def piece_edges(self, upto: float):
         """(edges, values) of the constant pieces covering [0, upto].
 
-        Piece i spans [edges[i], edges[i+1]] at value values[i].  Both are
-        read-only views of the cached arrays, except that the edges are
-        copied when upto is not the edge that ends its piece.
+        Both are read-only views of the trajectory's arrays, except that the
+        edges are copied when upto is not the edge that ends its piece.
         """
         m = int(np.searchsorted(self.times, upto, side="right"))
         edges = self.edges[:m + 2]
         if edges[-1] != upto:
             edges = edges.copy()
             edges[-1] = upto
-        return edges, self.piece_values[:m + 1]
+        return edges, self.values[:m + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +266,11 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     multi_steps = np.concatenate([np.empty(0, dtype=np.int8)] + steps_parts)
     edges = np.empty(single.size + multi.size + 2)
     edges[0], edges[-1] = 0.0, horizon
-    steps = _merge_by_time(single, multi, multi_steps, edges[1:-1])
-    return ClockTrajectory._from_edges(edges, steps, params.n_bits, horizon)
+    values = np.empty(edges.size - 1, dtype=np.int64)
+    values[0] = params.n_bits
+    values[1:] = _merge_by_time(single, multi, multi_steps, edges[1:-1])
+    np.cumsum(values, out=values)
+    return ClockTrajectory(edges, values)
 
 
 def _merge_by_time(single, multi, multi_steps, out):
@@ -375,77 +344,63 @@ def sample_trajectory_checkpointed(params: ClockParams, checkpoint_spacing: floa
     return ClockCheckpoints(times=times, k_values=k, n_bits=params.n_bits)
 
 
-# pieces per band-check chunk: small enough that the chunk's float
-# temporaries stay in cache, large enough that the per-chunk calls are cheap
-_BAND_CHUNK = 1 << 15
-
-
 def _require_coverage(traj: ClockTrajectory, params: ClockParams):
     if traj.horizon < params.t_max:
         raise ValueError("trajectory must cover [0, t_max]")
 
 
+def _band_exit(starts, ends, values, params: ClockParams):
+    """(time, kind) of the first band exit of the time-ordered constant
+    pieces [starts[i], ends[i]] at values[i], or None if they stay inside.
+
+    Only the pieces that start by t_max count, cut at t_max.  Within a piece
+    k is constant and k_mean decreases, so the downward slack is tightest at
+    the piece start and the upward slack at the piece end.  A "vertical"
+    exit happens at a flip that lands outside the band; a "horizontal" exit
+    happens between flips when the falling band overtakes the constant k
+    (only possible on the upper side), at the closed-form time
+    k_mean(t*) = k - band.
+    """
+    band = params.band_half_width
+    cut = int(np.searchsorted(starts, params.t_max, side="right"))
+    starts, values = starts[:cut], values[:cut]
+    kbar_start = mean_polarization(starts, params)
+    kbar_end = mean_polarization(np.minimum(ends[:cut], params.t_max), params)
+    exits = []
+    vertical = np.abs(values - kbar_start) >= band
+    if vertical.any():
+        i = int(np.argmax(vertical))
+        exits.append((float(starts[i]), "vertical"))
+    upper = values - kbar_end >= band
+    if upper.any():
+        i = int(np.argmax(upper))
+        t_cross = math.log(params.n_bits / (values[i] - band)) / params.rate_r
+        exits.append((max(float(starts[i]), t_cross), "horizontal"))
+    return min(exits, key=lambda e: e[0]) if exits else None
+
+
 def is_good(traj, params: ClockParams) -> bool:
     """Strict band condition |k(t) - k_mean(t)| < K^{1/2+eps} on [0, t_max].
 
-    Event trajectories are checked exactly: within a piece k is constant and
-    k_mean decreases, so the downward slack is tightest at the piece start
-    and the upward slack at the piece end.  The pieces are checked in chunks
-    of _BAND_CHUNK, stopping at the first chunk with a violation.
-    Checkpointed trajectories are checked at their checkpoints (the
+    Event trajectories are checked exactly: good means first_exit finds no
+    exit.  Checkpointed trajectories are checked at their checkpoints (the
     resolution they carry).
     """
-    band = params.band_half_width
     if isinstance(traj, ClockCheckpoints):
         sel = traj.times <= params.t_max
         kbar = mean_polarization(traj.times[sel], params)
-        return bool(np.all(np.abs(traj.k_values[sel] - kbar) < band))
-    _require_coverage(traj, params)
-    # pieces 0..m cover [0, t_max]; piece m is cut at t_max
-    m = int(np.searchsorted(traj.times, params.t_max, side="right"))
-    edges, values = traj.edges, traj.piece_values
-    for start in range(0, m + 1, _BAND_CHUNK):
-        stop = min(start + _BAND_CHUNK, m + 1)
-        chunk_edges = edges[start:stop + 1]
-        if stop == m + 1:
-            chunk_edges = np.append(chunk_edges[:-1], params.t_max)
-        kbar = mean_polarization(chunk_edges, params)
-        chunk = values[start:stop]
-        if not (np.all(chunk - kbar[1:] < band)
-                and np.all(kbar[:-1] - chunk < band)):
-            return False
-    return True
+        return bool(np.all(np.abs(traj.k_values[sel] - kbar)
+                           < params.band_half_width))
+    return first_exit(traj, params) is None
 
 
 def first_exit(traj: ClockTrajectory, params: ClockParams):
-    """(time, kind) of the first band exit on [0, t_max], or None if good.
-
-    A "vertical" exit happens at a flip that lands outside the band; a
-    "horizontal" exit happens between flips when the falling band overtakes
-    the constant k (only possible on the upper side).  Crossing times are
+    """(time, kind) of the first band exit on [0, t_max], or None if good;
+    kind is "vertical" or "horizontal" (see _band_exit).  Crossing times are
     solved in closed form, no time grid.
     """
-    band = params.band_half_width
     _require_coverage(traj, params)
-    edges, values = traj.piece_edges(params.t_max)
-    kbar = mean_polarization(edges, params)
-    candidates = []
-
-    vert = np.abs(values - kbar[:-1]) >= band
-    if vert.any():
-        i = int(np.argmax(vert))
-        candidates.append((float(edges[i]), "vertical"))
-
-    upper = values - kbar[1:] >= band
-    if upper.any():
-        i = int(np.argmax(upper))
-        # k_mean(t*) = values[i] - band, inside this piece
-        t_cross = math.log(params.n_bits / (values[i] - band)) / params.rate_r
-        candidates.append((max(float(edges[i]), t_cross), "horizontal"))
-
-    if not candidates:
-        return None
-    return min(candidates, key=lambda c: c[0])
+    return _band_exit(traj.edges[:-1], traj.edges[1:], traj.values, params)
 
 
 def max_time_error(traj, params: ClockParams) -> float:
@@ -475,20 +430,10 @@ class LevelWindow:
     k_off: int
 
 
-@dataclass(frozen=True)
-class WindowSchedule:
-    windows: tuple
-
-    def __iter__(self):
-        return iter(self.windows)
-
-    def __len__(self):
-        return len(self.windows)
-
-
 def window_schedule(levels: int, t_prot: float, t_dec: float,
-                    params: ClockParams) -> WindowSchedule:
-    """Integer polarization windows for levels 1..levels.
+                    params: ClockParams) -> tuple:
+    """Integer polarization windows for levels 1..levels, a tuple of
+    LevelWindow.
 
     k_on = floor(k_mean(t_l)), k_off = ceil(k_mean(t_l + t_dec)) with
     t_l = l*t_prot + (l-1)*t_dec.  Raises if any window is degenerate
@@ -512,7 +457,7 @@ def window_schedule(levels: int, t_prot: float, t_dec: float,
             raise OverlappingWindowsError(
                 f"levels {earlier.level} and {later.level} overlap: "
                 f"k_off={earlier.k_off} <= k_on={later.k_on}")
-    return WindowSchedule(windows=tuple(windows))
+    return tuple(windows)
 
 
 def window_passage(traj: ClockTrajectory, window: LevelWindow, t_dec: float):
@@ -523,9 +468,8 @@ def window_passage(traj: ClockTrajectory, window: LevelWindow, t_dec: float):
     reaches t_dec, or the last exit from the window if it never does; None
     if the window is never entered.
     """
-    edges, values = traj.piece_edges(traj.horizon)
-    inside = np.flatnonzero(_inside(values, window.k_off, window.k_on))
-    return _passage(edges[inside], edges[inside + 1], t_dec)
+    inside = np.flatnonzero(_inside(traj.values, window.k_off, window.k_on))
+    return _passage(traj.edges[inside], traj.edges[inside + 1], t_dec)
 
 
 def _inside(values, k_off, k_on):
@@ -723,8 +667,9 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
     [a, min(b, t_max)] and the inside/outside of every window is done, and
     an endpoint outside the band settles the verdict of the whole path.  An
     undecided interval with at most LEAF_BITS active bits is resolved to
-    flip events (_leaf_pieces); any other one is halved (_halve).  Each
-    level of halving is one batch of multinomials and one batch of leaves.
+    flip events (_leaf_pieces), whose pieces get is_good's check
+    (_band_exit); any other one is halved (_halve).  Each level of halving
+    is one batch of multinomials and one batch of leaves.
     """
     if horizon < params.t_max:
         raise ValueError("horizon must cover [0, t_max]")
@@ -769,13 +714,7 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
                 starts[leaf], ends[leaf], k_start[leaf], counts[leaf], gen,
                 rate_r)
             if in_band:
-                # is_good on the pieces that start by t_max, cut at t_max
-                cut = int(np.searchsorted(p_starts, t_max, side="right"))
-                kept = values[:cut]
-                kbar_start = n_bits * np.exp(-rate_r * p_starts[:cut])
-                kbar_end = n_bits * np.exp(-rate_r * np.minimum(p_ends[:cut], t_max))
-                in_band = not (np.any(kept - kbar_end >= band)
-                               or np.any(kbar_start - kept >= band))
+                in_band = _band_exit(p_starts, p_ends, values, params) is None
             for w in range(k_off.size):
                 ins = _inside(values, k_off[w], k_on[w])
                 found.append((np.full(np.count_nonzero(ins), w),

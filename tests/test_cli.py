@@ -1,7 +1,9 @@
 """CLI harness: schema validation, runners, emission, exit codes."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,20 @@ def test_minimal_config_defaults():
     ({"subcommand": "bp-curve", "out": 5}, "expected a string path"),
     ({"subcommand": "ledger", "p_star": 0.5, "block_size": 3},
      "unknown key"),
+    ({"subcommand": "lifetime-scan", "strategy": "repetition",
+      "n_bits_list": [11, 100]},
+     "lifetime-scan.n_bits_list: entry 100 must be odd"),
+    # json.dumps writes these as NaN and +-Infinity, which JSON does not have
+    ({"subcommand": "clock-verify", "K": 4096, "r": math.inf},
+     "(Infinity is not a JSON number)"),
+    ({"subcommand": "clock-verify", "K": 4096, "r": -math.inf},
+     "(-Infinity is not a JSON number)"),
+    ({"subcommand": "clock-verify", "K": 4096, "r": math.nan},
+     "(NaN is not a JSON number)"),
+    ({"subcommand": "clock-verify", "K": 4096, "r": 10**400},
+     "clock-verify.r: number overflows a float"),
+    ({"subcommand": "oracle-check", "t_values": [1, 10**400]},
+     "oracle-check.t_values[1]: number overflows a float"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -69,6 +85,8 @@ def test_invalid_json_and_shape():
         parse_config("{not json")
     with pytest.raises(ConfigError):
         parse_config("[1, 2]")
+    with pytest.raises(ConfigError, match="p_max: number overflows a float"):
+        parse_config('{"subcommand": "bp-curve", "p_max": 1e999}')
 
 
 def test_nullable_fields_accepted():
@@ -357,6 +375,20 @@ def test_main_bad_parameter_exit(tmp_path, capsys):
         assert f"{sub}.{next(iter(levels))}: " in stderr
 
 
+def test_main_rejects_non_finite_numbers(tmp_path, capsys):
+    # config files go through the same reader as parse_config: exit 1, and
+    # no run that would print a non-JSON "Infinity" summary
+    for sub, text in [
+            ("clock-verify", '{"K": 4096, "r": Infinity, "trials": 3}'),
+            ("memory-sim", '{"strategy": "circuit", "t_prot": Infinity, '
+                           '"trials": 10}')]:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, stdout, stderr = run_main(capsys, [sub, "--config", str(path)])
+        assert code == EXIT_CONFIG, (sub, stderr)
+        assert "Infinity is not a JSON number" in stderr and not stdout
+
+
 def test_main_ledger_exit_codes(capsys):
     code, stdout, _ = run_main(capsys, ["ledger"])
     assert code == EXIT_INFEASIBLE
@@ -412,3 +444,43 @@ def test_main_infeasible_schedule_exit(tmp_path, capsys):
     code, _, stderr = run_main(capsys, ["memory-sim", "--config", str(path)])
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in stderr
+
+
+# SHA-256 of each seeded, CSV-emitting bundled config's CSV at --trials 40.
+# Refactors that keep the RNG streams and the float arithmetic must leave
+# these unchanged; a deliberate stream change re-pins them (and says so).
+BUNDLED_CSV_TRIALS = 40
+BUNDLED_CSV_SHA256 = {
+    "bp_curve":
+        "ee8535d58113866d9b17c3496ba439dd2c5d31e8b9f92cc3a37631de504b070e",
+    "clock_verify_small":
+        "a9f068f273de30917d4a85d2ec594bf3fc8bbfaef184d46ccdd1e1d2467ace47",
+    "lifetime_repetition":
+        "737f4b9f535f9017b5df7760f817c7e8ae38543ed14d7b23092680117582ae4f",
+    "lifetime_unprotected":
+        "3d167ebc3117c51cb1749f901e5d75c68f7248010d90b2b5933c5343fcdd2133",
+    "memory_circuit":
+        "b2a6056b69a5fb2ca5e4401876492eb99b98e239dbfbf0865f1fb4c0ddc46f3f",
+    "memory_clock_scaled":
+        "1a9ae58b455398c5779119f8f5810487f64b307e1a4ee87c4c6b22ef20090615",
+    "memory_repetition":
+        "4c3b8775ed8ec334c72c65d1c7afe6d51f312046df2c9d8d83e5c61f2199ffe9",
+    "memory_unprotected":
+        "db541ba221a982a3cf1d0cb50587985f672025ea6132c87a2b5437e74236a392",
+}
+
+
+def test_bundled_config_csv_digests(tmp_path, capsys):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    digests = {}
+    for path in sorted(configs.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "seed" not in data or parse_config(path.read_text()).format != "csv":
+            continue
+        out = tmp_path / f"{path.stem}.csv"
+        code, _, stderr = run_main(capsys, [
+            data["subcommand"], "--config", str(path),
+            "--trials", str(BUNDLED_CSV_TRIALS), "--out", str(out)])
+        assert code == EXIT_OK, (path.stem, stderr)
+        digests[path.stem] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == BUNDLED_CSV_SHA256

@@ -24,9 +24,25 @@ from qmemsim.bounds import clock_size_for
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
 
 
+def path(times, steps, n_bits, horizon):
+    """Trajectory from K at time 0 that jumps by steps[i] at times[i]."""
+    values = n_bits + np.cumsum(np.concatenate(([0], steps)), dtype=np.int64)
+    return ClockTrajectory(edges=np.concatenate(([0.0], times, [horizon])),
+                           values=values)
+
+
+def steps_of(traj):
+    return np.diff(traj.values)
+
+
+def k_at(traj, t):
+    """k(t): the value after the last flip at or before t."""
+    k = traj.values[np.searchsorted(traj.times, t, side="right")]
+    return int(k) if k.ndim == 0 else k
+
+
 def no_flip_trajectory(params, horizon):
-    return ClockTrajectory(times=np.empty(0), steps=np.empty(0, dtype=np.int8),
-                           n_bits=params.n_bits, horizon=horizon)
+    return ClockTrajectory(edges=[0.0, horizon], values=[params.n_bits])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -131,11 +147,11 @@ def test_sample_trajectory_structure():
     traj = sample_trajectory(params, horizon=1.5, rng=np.random.default_rng(7))
     assert np.all(np.diff(traj.times) >= 0)
     assert traj.times.size == 0 or (traj.times[0] >= 0 and traj.times[-1] <= 1.5)
-    assert set(np.unique(traj.steps)).issubset({-2, 2})
+    assert set(np.unique(steps_of(traj))).issubset({-2, 2})
     # a fresh register's first flip is always downward
     if len(traj):
-        assert traj.steps[0] == -2
-    assert np.abs(traj.k_values).max() <= 64
+        assert steps_of(traj)[0] == -2
+    assert np.abs(traj.values).max() <= 64
     with pytest.raises(ValueError):
         sample_trajectory(params, horizon=0.0, rng=np.random.default_rng(1))
 
@@ -183,9 +199,9 @@ def test_sample_trajectory_matches_argsort_reference(n_bits, mu):
         times, steps = argsort_sample_trajectory(
             params, horizon, np.random.default_rng([seed, n_bits]))
         assert traj.times.dtype == times.dtype
-        assert traj.steps.dtype == steps.dtype
+        assert traj.values.dtype == np.int64
         assert traj.times.tobytes() == times.tobytes()
-        assert traj.steps.tobytes() == steps.tobytes()
+        assert steps_of(traj).tobytes() == steps.astype(np.int64).tobytes()
 
 
 def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
@@ -212,62 +228,63 @@ def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
 def test_piece_view_matches_concatenation():
     params = ClockParams(n_bits=4096, epsilon=0.25, t_max=1.0, rate_r=1.0)
     traj = sample_trajectory(params, 1.2, np.random.default_rng(33))
-    assert np.array_equal(traj.k_values,
-                          4096 + np.cumsum(traj.steps, dtype=np.int64))
+    assert traj.n_bits == traj.values[0] == 4096 and traj.horizon == 1.2
+    assert traj.edges[0] == 0.0 and traj.edges[-1] == 1.2
+    assert len(traj) == traj.times.size == traj.values.size - 1
     for upto in (0.0, 0.37, 1.0, 1.2, 1.5):
         m = int(np.searchsorted(traj.times, upto, side="right"))
         expected = np.concatenate(([0.0], traj.times[:m], [upto]))
-        values = np.concatenate(([4096], traj.k_values[:m]))
+        values = np.concatenate(([4096], traj.values[1:m + 1]))
         edges, vals = traj.piece_edges(upto)
         assert np.array_equal(edges, expected)
         assert np.array_equal(vals, values)
-    # over the whole horizon the pieces are views of the cached arrays, and
-    # a sampled trajectory's times are the interior of its edge buffer
+    # over the whole horizon the pieces are views of the trajectory's
+    # arrays, and its times are the interior of its edges
     edges, vals = traj.piece_edges(traj.horizon)
     assert np.shares_memory(edges, traj.edges)
-    assert np.shares_memory(vals, traj.piece_values)
+    assert np.shares_memory(vals, traj.values)
     assert np.shares_memory(traj.times, traj.edges)
-    # and read-only, so no caller can corrupt the cached trajectory
-    for view in (edges, vals, traj.edges, traj.k_values, traj.times):
+    # and read-only, so no caller can corrupt the trajectory
+    for view in (edges, vals, traj.edges, traj.values, traj.times):
         with pytest.raises(ValueError):
             view[0] = 0
 
 
 def test_inconsistent_steps_rejected():
-    traj = ClockTrajectory(times=np.array([0.1, 0.2]),
-                           steps=np.array([-2, -40], dtype=np.int64),
-                           n_bits=16, horizon=1.0)
+    # a path below -K is rejected when it is built
     with pytest.raises(ValueError):
-        traj.k_values
-    # int8 steps, summed in int32 below K = 2^31 - 128 and in int64 above:
-    # the first sum past K is exact either way, though the next would wrap
-    for n_bits in (16, 2**31 - 129, 2**31 - 10):
-        traj = ClockTrajectory(times=np.array([0.1, 0.2, 0.3]),
-                               steps=np.array([127, 127, -2], dtype=np.int8),
-                               n_bits=n_bits, horizon=1.0)
+        path([0.1, 0.2], [-2, -40], n_bits=16, horizon=1.0)
+    # and so is one above K, for registers on both sides of 2^31
+    for n_bits in (16, 2**31 - 129, 2**31 - 10, 2**40):
         with pytest.raises(ValueError):
-            traj.k_values
+            path([0.1, 0.2, 0.3], [127, 127, -2], n_bits=n_bits, horizon=1.0)
+    # the edges must bound the pieces: one more edge than values
+    with pytest.raises(ValueError):
+        ClockTrajectory(edges=[0.0, 0.5, 1.0], values=[16])
+    with pytest.raises(ValueError):
+        ClockTrajectory(edges=[0.0], values=[])
 
 
 def test_trajectory_parity_and_k_at():
     params = ClockParams(n_bits=64, epsilon=0.25, t_max=1.0, rate_r=1.0)
     traj = sample_trajectory(params, horizon=1.0, rng=np.random.default_rng(8))
-    ks = traj.k_at(np.linspace(0.0, 1.0, 17))
+    ks = k_at(traj, np.linspace(0.0, 1.0, 17))
     assert np.all((64 - ks) % 2 == 0)  # steps of +-2 preserve parity
-    assert traj.k_at(0.0) == 64
+    assert k_at(traj, 0.0) == 64
     edges, values = traj.piece_edges(1.0)
     starts, ends = edges[:-1], edges[1:]
     assert starts[0] == 0.0 and ends[-1] == 1.0
     assert np.all(starts[1:] == ends[:-1])
     mid = (starts + ends) / 2.0
-    assert np.array_equal(traj.k_at(mid), values)
+    assert np.array_equal(k_at(traj, mid), values)
 
 
 def test_trajectory_marginal_moments():
     params = ClockParams(n_bits=64, epsilon=0.25, t_max=2.0, rate_r=1.0)
     trials, t_obs = 3000, 0.7
-    ks = np.array([sample_trajectory(params, 1.5,
-                                     np.random.default_rng([21, i])).k_at(t_obs)
+    ks = np.array([k_at(sample_trajectory(params, 1.5,
+                                          np.random.default_rng([21, i])),
+                        t_obs)
                    for i in range(trials)], dtype=float)
     mean = mean_polarization(t_obs, params)
     var = polarization_variance(t_obs, params)
@@ -282,7 +299,7 @@ def test_trajectory_conditional_decay():
     resid = np.empty(trials)
     for i in range(trials):
         traj = sample_trajectory(params, 1.5, np.random.default_rng([22, i]))
-        resid[i] = traj.k_at(t2) - traj.k_at(t1) * math.exp(-(t2 - t1))
+        resid[i] = k_at(traj, t2) - k_at(traj, t1) * math.exp(-(t2 - t1))
     assert abs(resid.mean()) < 4.0 * resid.std(ddof=1) / math.sqrt(trials)
 
 
@@ -373,16 +390,16 @@ def crafted_band_path(violation=None, piece=None, n_flips=120):
         times, ks = times[keep], ks[keep]
     elif violation is not None:
         ks[piece - 1] += 200 if violation == "upper" else -200
-    steps = np.diff(np.concatenate(([4096], ks)))
-    return ClockTrajectory(times=times, steps=steps, n_bits=4096,
-                           horizon=float(times[-1]) + 0.01)
+    return ClockTrajectory(
+        edges=np.concatenate(([0.0], times, [float(times[-1]) + 0.01])),
+        values=np.concatenate(([4096], ks)))
 
 
 @pytest.mark.parametrize("violation", ["lower", "upper", "horizontal"])
 @pytest.mark.parametrize("piece", [103, 104, 107, 108, 109])
-def test_chunked_band_check_matches_full_check(monkeypatch, violation, piece):
-    # chunks of 4 pieces: pieces 103/107 end a chunk, 104/108 start one
-    monkeypatch.setattr("qmemsim.clock._BAND_CHUNK", 4)
+def test_chunked_band_check_matches_full_check(violation, piece):
+    # one violating piece among many, at the pieces that ended or started a
+    # chunk of 4 when the band check ran in chunks
     good_path = crafted_band_path(n_flips=200)
     traj = crafted_band_path(violation, piece)
     # t_max on a flip time or inside a piece around the violation, and at
@@ -395,6 +412,7 @@ def test_chunked_band_check_matches_full_check(monkeypatch, violation, piece):
                              rate_r=1.0)
         verdict = is_good(traj, params)
         assert verdict == full_band_check(traj, params)
+        assert verdict == (first_exit(traj, params) is None)
         assert is_good(good_path, params)
         assert full_band_check(good_path, params)
         verdicts.add(verdict)
@@ -402,8 +420,7 @@ def test_chunked_band_check_matches_full_check(monkeypatch, violation, piece):
     assert verdicts == {True, False}
 
 
-def test_chunked_band_check_without_flips(monkeypatch):
-    monkeypatch.setattr("qmemsim.clock._BAND_CHUNK", 4)
+def test_chunked_band_check_without_flips():
     params = ClockParams(n_bits=4096, epsilon=0.1, t_max=0.01, rate_r=1.0)
     short = ClockParams(n_bits=4096, epsilon=0.1, t_max=0.02, rate_r=1.0)
     traj = no_flip_trajectory(params, horizon=2.0)
@@ -411,6 +428,19 @@ def test_chunked_band_check_without_flips(monkeypatch):
     assert is_good(traj, params) and full_band_check(traj, params)
     assert is_good(traj, short) and full_band_check(traj, short)
     assert not is_good(traj, REF) and not full_band_check(traj, REF)
+    for p in (params, short, REF):
+        assert is_good(traj, p) == (first_exit(traj, p) is None)
+
+
+def test_is_good_agrees_with_first_exit():
+    # a band about 1.5 sigma wide at t_max: both verdicts occur
+    params = ClockParams(n_bits=4096, epsilon=0.05, t_max=2.0, rate_r=1.0)
+    verdicts = []
+    for i in range(200):
+        traj = sample_trajectory(params, 2.0, np.random.default_rng([36, i]))
+        verdicts.append(is_good(traj, params))
+        assert verdicts[-1] == (first_exit(traj, params) is None)
+    assert 0 < sum(verdicts) < 200
 
 
 def test_no_flip_trajectory_exits_horizontally():
@@ -427,9 +457,7 @@ def test_no_flip_trajectory_exits_horizontally():
 
 def test_crafted_vertical_exit():
     # one huge downward jump at t = 0.1 lands far below the band
-    traj = ClockTrajectory(times=np.array([0.1]),
-                           steps=np.array([-3000], dtype=np.int64),
-                           n_bits=4096, horizon=2.0)
+    traj = path([0.1], [-3000], n_bits=4096, horizon=2.0)
     exit_ = first_exit(traj, REF)
     assert exit_ == (pytest.approx(0.1), "vertical")
     assert not is_good(traj, REF)
@@ -439,8 +467,8 @@ def test_good_trajectory_within_band():
     # follow the mean closely: stay good, no exit, small time error
     params = ClockParams(n_bits=4096, epsilon=0.4, t_max=0.5, rate_r=1.0)
     times = np.linspace(0.001, 0.5, 400)
-    steps = np.full(400, -2, dtype=np.int64)  # k falls 4096 -> 3296
-    traj = ClockTrajectory(times=times, steps=steps, n_bits=4096, horizon=0.5)
+    steps = np.full(400, -2)  # k falls 4096 -> 3296
+    traj = path(times, steps, n_bits=4096, horizon=0.5)
     assert is_good(traj, params)
     assert first_exit(traj, params) is None
     assert max_time_error(traj, params) <= time_error_bound(params)
@@ -480,13 +508,13 @@ def test_window_schedule_frozen_example():
     params = ClockParams(n_bits=1_000_000, epsilon=1.0 / 6.0, t_max=1.0,
                          rate_r=1.0)
     sched = window_schedule(4, t_prot=0.025, t_dec=0.00125, params=params)
-    assert len(sched) == 4
-    first = sched.windows[0]
+    assert isinstance(sched, tuple) and len(sched) == 4
+    first = sched[0]
     assert first.level == 1 and first.t_start == pytest.approx(0.025)
     assert first.k_on == 975309  # floor(1e6 e^{-0.025})
     for w in sched:
         assert w.k_on > w.k_off
-    for earlier, later in zip(sched.windows, sched.windows[1:]):
+    for earlier, later in zip(sched, sched[1:]):
         assert later.k_on < earlier.k_off
 
 
@@ -496,7 +524,7 @@ def test_window_schedule_disjoint(n_bits, t_dec):
     params = ClockParams(n_bits=n_bits, epsilon=1.0 / 6.0, t_max=1.0,
                          rate_r=1.0)
     sched = window_schedule(8, t_prot=0.025, t_dec=t_dec, params=params)
-    for earlier, later in zip(sched.windows, sched.windows[1:]):
+    for earlier, later in zip(sched, sched[1:]):
         assert later.k_on < earlier.k_off
 
 
@@ -511,9 +539,7 @@ def test_window_schedule_degenerate():
 
 def test_window_passage_crafted():
     window = LevelWindow(level=1, t_start=0.2, k_on=30, k_off=28)
-    traj = ClockTrajectory(times=np.array([0.2, 0.4, 1.0, 1.2]),
-                           steps=np.array([-2, -2, 2, -2], dtype=np.int64),
-                           n_bits=32, horizon=2.0)
+    traj = path([0.2, 0.4, 1.0, 1.2], [-2, -2, 2, -2], n_bits=32, horizon=2.0)
     # in-window pieces: [0.2,0.4] k=30, [0.4,1.0] k=28, [1.0,1.2] k=30,
     # [1.2,2.0] k=28; active time accumulates 0.5 at t = 0.7
     decode, total = window_passage(traj, window, t_dec=0.5)
@@ -544,9 +570,7 @@ def full_scan_passage(traj, window, t_dec):
 
 
 def crafted(steps, times, n_bits=32, horizon=2.0):
-    return ClockTrajectory(times=np.asarray(times, dtype=float),
-                           steps=np.asarray(steps, dtype=np.int64),
-                           n_bits=n_bits, horizon=horizon)
+    return path(times, steps, n_bits=n_bits, horizon=horizon)
 
 
 @pytest.mark.parametrize("traj, window, t_dec", [
@@ -604,7 +628,7 @@ def test_deterministic_passage():
     params = ClockParams(n_bits=1_000_000, epsilon=1.0 / 6.0, t_max=1.0,
                          rate_r=1.0)
     sched = window_schedule(2, t_prot=0.025, t_dec=0.00125, params=params)
-    w = sched.windows[0]
+    w = sched[0]
     t_enter = math.log(1_000_000 / w.k_on)
     t_exit = math.log(1_000_000 / w.k_off)
     decode, total = deterministic_passage(w, params, t_dec=0.00125)
@@ -625,7 +649,7 @@ def test_event_and_mean_passages_agree_for_large_registers():
     params = ClockParams(n_bits=1_000_000, epsilon=1.0 / 6.0, t_max=1.0,
                          rate_r=1.0)
     sched = window_schedule(1, t_prot=0.2, t_dec=0.05, params=params)
-    w = sched.windows[0]
+    w = sched[0]
     det_decode, _ = deterministic_passage(w, params, t_dec=0.05)
     traj = sample_trajectory(
         ClockParams(n_bits=4096, epsilon=1.0 / 6.0, t_max=1.0, rate_r=1.0),
@@ -634,7 +658,7 @@ def test_event_and_mean_passages_agree_for_large_registers():
     small = window_schedule(1, t_prot=0.2, t_dec=0.05,
                             params=ClockParams(n_bits=4096, epsilon=1.0 / 6.0,
                                                t_max=1.0, rate_r=1.0))
-    decode, total = window_passage(traj, small.windows[0], t_dec=0.05)
+    decode, total = window_passage(traj, small[0], t_dec=0.05)
     assert decode is not None
     # fluctuation scale sqrt(K)/K ~ 1.6% of the rate: generous window
     assert decode == pytest.approx(det_decode, abs=0.05)
