@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/slow_lane.py
 
 pytest collects only tests/, so nothing here runs with the tier-1 suite.
-The script runs two checks and prints one line per result, then a JSON
+The script runs three checks and prints one line per result, then a JSON
 summary as the last line; it exits 1 if any check fails.
 
 1. The exactness gate of tests/test_passages.py at full size:
@@ -19,6 +19,13 @@ summary as the last line; it exits 1 if any check fails.
    and the lifetime_scan("clock") slope is within 10% of t_prot + t_dec, as
    acceptance criterion 5 checks for the circuit model, with SCALED_TRIALS
    trials per level and per scan point.
+3. The frame-sampler gate of tests/test_pauli.py at full size: the sparse
+   draw of pauli.depolarize against its dense draw over three seeds, at
+   the weights of FRAME_WEIGHTS and at per-trial weights that mix them
+   with 0, on each FRAME_SIZES entry: one level-1 round of the 625-qubit
+   register at 1e4 trials, and ten times the tier-1 draws, where a bias of
+   1/n in the hit rate (n = 25 columns) shows.  Every chi-square p-value
+   (hits per row, column of each hit, Pauli class) must reach GATE_ALPHA.
 
 Every run checks the same sample sizes on every host.
 """
@@ -36,9 +43,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from distribution_gate import (compare_passages, passage_outcomes,  # noqa: E402
+from distribution_gate import (compare_frames, compare_passages,  # noqa: E402
+                               frame_draws, passage_outcomes,
                                passage_samplers)
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
+from qmemsim.pauli import SPARSE_WEIGHT  # noqa: E402
 from qmemsim.protocols import (ProtocolParams, lifetime_scan,  # noqa: E402
                                simulate_clock_controlled, with_sized_clock)
 
@@ -48,6 +57,12 @@ CRITERION6_EVENTS = 1_300  # event trajectories at the criterion-6 clock
 SCALED_TRIALS = 2_000      # trials per SCALED level and per scan point
 SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
                         t_dec=0.0015, delta=1.4e-4, epsilon=0.01)
+
+# ((rows, n), calls per side)
+FRAME_SIZES = (((10_000, 625), 1), ((100_000, 25), 10))
+# the tier-1 weights: below, at and just below the criterion-5 round weight
+# 0.0037 and the cut, and 0.3 with the sparse draw forced
+FRAME_WEIGHTS = (1e-3, 0.0037, float(np.nextafter(SPARSE_WEIGHT, 0.0)), 0.3)
 
 # (K, epsilon, t_prot, t_dec): two windows each, and bands 1.5 to 2.2
 # sigma wide at t_max = 2 (t_prot + t_dec), so that 7% to 60% of the
@@ -137,14 +152,49 @@ def run_scaled():
             "seconds": time.perf_counter() - start}
 
 
+def run_frames():
+    results = []
+    for shape, calls in FRAME_SIZES:
+        mixed = np.resize((0.0,) + FRAME_WEIGHTS[:3], shape[0])
+        for seed in (1, 2, 3):
+            for p in FRAME_WEIGHTS + (mixed,):
+                start = time.perf_counter()
+                sparse, dense = frame_draws(shape, p, seed, calls)
+                if np.ndim(p):
+                    label = "per-trial"
+                    rows = np.tile(mixed, calls)
+                    p_values = {f"{name}_{w:.4g}": value
+                                for w in FRAME_WEIGHTS[:3]
+                                for name, value in compare_frames(
+                                    sparse[rows == w], dense[rows == w]).items()}
+                    p_values["untouched_0"] = float(
+                        not (sparse[rows == 0].any() or dense[rows == 0].any()))
+                else:
+                    label = f"p={p:.4g}"
+                    p_values = compare_frames(sparse, dense)
+                label = f"{calls}x{shape[0]}x{shape[1]} {label}"
+                ok = min(p_values.values()) >= GATE_ALPHA
+                seconds = time.perf_counter() - start
+                print(f"{'PASS' if ok else 'FAIL'} frames {label} seed={seed}: "
+                      f"min p {min(p_values.values()):.3g} "
+                      f"({min(p_values, key=p_values.get)}), {seconds:.1f} s",
+                      flush=True)
+                results.append({"label": label, "seed": seed, "ok": ok,
+                                "p": p_values, "seconds": seconds})
+    return results
+
+
 def main() -> int:
     start = time.perf_counter()
     gate = run_gate()
     scaled = run_scaled()
-    ok = all(g["ok"] for g in gate) and scaled["boundary_ok"] and scaled["slope_ok"]
+    frames = run_frames()
+    ok = (all(g["ok"] for g in gate + frames) and scaled["boundary_ok"]
+          and scaled["slope_ok"])
     print(f"{'PASS' if ok else 'FAIL'} slow lane in "
           f"{time.perf_counter() - start:.0f} s", flush=True)
-    print(json.dumps({"ok": ok, "gate": gate, "scaled": scaled},
+    print(json.dumps({"ok": ok, "gate": gate, "scaled": scaled,
+                      "frames": frames},
                      default=lambda value: value.item()))
     return 0 if ok else 1
 

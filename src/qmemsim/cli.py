@@ -312,7 +312,12 @@ def parse_config(text: str) -> ExperimentConfig:
     Defaults are filled, unknown keys rejected with their field path, and
     parse(config.serialize()) reproduces the config exactly.
     """
-    data = _load_object(text)
+    return _config_from(_load_object(text))
+
+
+def _config_from(data: dict) -> ExperimentConfig:
+    """Validate a config object, as the JSON reader returns it (its keys are
+    consumed), into an ExperimentConfig."""
     sub = data.pop("subcommand", None)
     if sub is None:
         raise ConfigError("config.subcommand: required")
@@ -740,7 +745,7 @@ def _merge_cli(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(json.dumps(_merge_cli(args)))
+        config = _config_from(_merge_cli(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -349,23 +349,20 @@ def _require_coverage(traj: ClockTrajectory, params: ClockParams):
         raise ValueError("trajectory must cover [0, t_max]")
 
 
-def _band_exit(starts, ends, values, params: ClockParams):
+def _band_exit(starts, values, kbar_start, kbar_end, params: ClockParams):
     """(time, kind) of the first band exit of the time-ordered constant
-    pieces [starts[i], ends[i]] at values[i], or None if they stay inside.
+    pieces that start at starts[i] <= t_max at values[i], or None if they
+    stay inside; kbar_start and kbar_end are k_mean at each piece's start and
+    at its end cut at t_max.
 
-    Only the pieces that start by t_max count, cut at t_max.  Within a piece
-    k is constant and k_mean decreases, so the downward slack is tightest at
-    the piece start and the upward slack at the piece end.  A "vertical"
-    exit happens at a flip that lands outside the band; a "horizontal" exit
-    happens between flips when the falling band overtakes the constant k
-    (only possible on the upper side), at the closed-form time
-    k_mean(t*) = k - band.
+    Within a piece k is constant and k_mean decreases, so the downward slack
+    is tightest at the piece start and the upward slack at the piece end.  A
+    "vertical" exit happens at a flip that lands outside the band; a
+    "horizontal" exit happens between flips when the falling band overtakes
+    the constant k (only possible on the upper side), at the closed-form
+    time k_mean(t*) = k - band.
     """
     band = params.band_half_width
-    cut = int(np.searchsorted(starts, params.t_max, side="right"))
-    starts, values = starts[:cut], values[:cut]
-    kbar_start = mean_polarization(starts, params)
-    kbar_end = mean_polarization(np.minimum(ends[:cut], params.t_max), params)
     exits = []
     vertical = np.abs(values - kbar_start) >= band
     if vertical.any():
@@ -400,7 +397,14 @@ def first_exit(traj: ClockTrajectory, params: ClockParams):
     solved in closed form, no time grid.
     """
     _require_coverage(traj, params)
-    return _band_exit(traj.edges[:-1], traj.edges[1:], traj.values, params)
+    edges = traj.edges
+    cut = int(np.searchsorted(edges[:-1], params.t_max, side="right"))
+    # one exp over the edges of the pieces that start by t_max; the last
+    # piece is cut at t_max, every earlier one ends before it
+    kbar = mean_polarization(edges[:cut + 1], params)
+    kbar[-1] = mean_polarization(params.t_max, params)
+    return _band_exit(edges[:cut], traj.values[:cut], kbar[:-1], kbar[1:],
+                      params)
 
 
 def max_time_error(traj, params: ClockParams) -> float:
@@ -714,7 +718,12 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
                 starts[leaf], ends[leaf], k_start[leaf], counts[leaf], gen,
                 rate_r)
             if in_band:
-                in_band = _band_exit(p_starts, p_ends, values, params) is None
+                cut = int(np.searchsorted(p_starts, t_max, side="right"))
+                in_band = _band_exit(
+                    p_starts[:cut], values[:cut],
+                    mean_polarization(p_starts[:cut], params),
+                    mean_polarization(np.minimum(p_ends[:cut], t_max), params),
+                    params) is None
             for w in range(k_off.size):
                 ins = _inside(values, k_off[w], k_on[w])
                 found.append((np.full(np.count_nonzero(ins), w),

@@ -20,12 +20,23 @@ lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
 `depolarize` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each with probability
 p/3); no event times or counts are sampled.
 
+`depolarize` has two exact draw orders, chosen by the largest weight of the
+call.  Below SPARSE_WEIGHT (the low-noise regime the protection lives in,
+where a round's weight is a few 1e-3) it draws only the hit cells: a
+Binomial(n, p_i) hit count per row, that many uniform columns with the
+collisions of a row redrawn until distinct, and one uniform X, Y or Z per
+hit.  At or above it, it draws one uniform per cell and one Pauli per hit
+cell in row-major order.  The two have the same law but not the same
+random stream.
+
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
 (1 - e^{-rt})/2.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,6 +46,12 @@ I, X, Z, Y = 0, 1, 2, 3
 CODE_LABELS = "IXZY"
 
 _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
+
+#: depolarize draws only the hit cells when every weight of a call is below
+#: this.  The sparse draw is faster than the dense one up to p of about
+#: 0.08-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125 cells; 1/32 leaves a
+#: margin for hosts where the crossover falls lower.
+SPARSE_WEIGHT = 1 / 32
 
 
 def pauli_mul(a, b):
@@ -82,14 +99,55 @@ def depolarize(frames, p, rng):
     """XOR X, Y or Z, each with probability p/3, onto every cell, in place.
 
     frames is a (trials, n) uint8 array; p is a scalar or a per-trial array
-    (trials,).  Draws one uniform per cell, then one Pauli per hit cell in
-    row-major order.  Returns frames.
+    (trials,), each weight in [0, 1].  Returns frames.
+
+    When every weight is below SPARSE_WEIGHT, row i gets a hit count
+    k_i ~ Binomial(n, p_i), then k_i uniform columns (columns that collide
+    within a row are redrawn until distinct, which leaves a uniform k_i-subset
+    since every step treats the columns alike), then one uniform X, Y or Z
+    per hit in ascending cell order.  Otherwise it draws one uniform per
+    cell, then one Pauli per hit cell in row-major order.
     """
     gen = np.random.default_rng(rng)
     p = np.asarray(p, dtype=float)
+    top = p.max(initial=0.0)
+    if not (p.min(initial=0.0) >= 0.0 and top <= 1.0):
+        raise ValueError("depolarizing weight p must lie in [0, 1]")
+    if top < SPARSE_WEIGHT:
+        cells = _hit_cells(frames.shape, p, gen)
+        if cells.size:
+            np.put(frames, cells, np.take(frames, cells)
+                   ^ gen.integers(1, 4, cells.size, dtype=np.uint8))
+        return frames
     hit = gen.random(frames.shape) < (p[:, None] if p.ndim == 1 else p)
     frames[hit] ^= gen.integers(1, 4, np.count_nonzero(hit), dtype=np.uint8)
     return frames
+
+
+def _hit_cells(shape, p, gen):
+    """Ascending flat indices of the hit cells of a (rows, n) array, each
+    cell hit independently at its row's weight p.  Rows with one hit or none
+    are in order as drawn, so the sort runs only when a row has two."""
+    n = shape[-1]
+    rows = math.prod(shape[:-1])
+    counts = gen.binomial(n, p, size=rows)
+    cells = np.repeat(np.arange(0, rows * n, n), counts)
+    if not cells.size:
+        return cells
+    cells += gen.integers(0, n, cells.size)
+    if counts.max() < 2:
+        return cells
+    cells.sort()
+    repeat = cells[1:] == cells[:-1]
+    while repeat.any():
+        # keep one copy of each cell; redraw the others within their row
+        redo = cells[1:][repeat]
+        redo -= redo % n
+        redo += gen.integers(0, n, redo.size)
+        cells = np.concatenate((cells[:1], cells[1:][~repeat], redo))
+        cells.sort()
+        repeat = cells[1:] == cells[:-1]
+    return cells
 
 
 def sample_cumulative_frames(n_qubits, duration, rate_r, trials, rng):

@@ -11,7 +11,9 @@ before it lands.  The generic tests:
 
 passage_samplers, passage_outcomes and compare_passages apply them to
 clock.sample_passages against the event trio sample_trajectory + is_good +
-window_passage.
+window_passage.  frame_tables and compare_frames apply chi2_table to two
+depolarized frame arrays, such as the sparse and the dense draws of
+pauli.depolarize.
 
 This module is a helper, not a test file; tests/test_distribution_gate.py
 checks it on hand-computed cases.
@@ -23,6 +25,7 @@ import math
 
 import numpy as np
 
+from qmemsim import pauli
 from qmemsim.clock import (is_good, sample_passages, sample_trajectory,
                            window_passage)
 
@@ -167,3 +170,46 @@ def _ks_p(x, y) -> float:
     if not len(x) or not len(y):
         return float(len(x) == len(y))
     return ks_2samp(x, y)[1]
+
+
+def frame_draws(shape, p, seed, calls=1):
+    """(sparse, dense): pauli.depolarize on zero frames at weight p by its
+    sparse draw and by its dense draw (SPARSE_WEIGHT set to inf, then to 0),
+    from default_rng([seed, 0]) and default_rng([seed, 1]).  Each side makes
+    `calls` calls on (rows, n) = shape and stacks their rows."""
+    saved = pauli.SPARSE_WEIGHT
+    sides = []
+    try:
+        for side, cut in enumerate((math.inf, 0.0)):
+            pauli.SPARSE_WEIGHT = cut
+            gen = np.random.default_rng([seed, side])
+            sides.append(np.concatenate([
+                pauli.depolarize(np.zeros(shape, np.uint8), p, gen)
+                for _ in range(calls)]))
+    finally:
+        pauli.SPARSE_WEIGHT = saved
+    return sides
+
+
+def frame_tables(frames):
+    """Counts of the hits per row (0..n), of the column of each hit (n) and
+    of the Pauli class of each hit (X, Z, Y) of a (rows, n) frame array."""
+    n = frames.shape[1]
+    rows, cols = np.nonzero(frames)
+    return (np.bincount(np.count_nonzero(frames, axis=1), minlength=n + 1),
+            np.bincount(cols, minlength=n),
+            np.bincount(frames[rows, cols], minlength=4)[1:])
+
+
+def compare_frames(a, b) -> dict:
+    """chi-square p-values of frame_tables between two (rows, n) frame
+    arrays.  Hit counts per row that fewer than 20 rows of both together
+    reach are pooled into one class, so that no class is nearly empty."""
+    hits_a, cols_a, paulis_a = frame_tables(a)
+    hits_b, cols_b, paulis_b = frame_tables(b)
+    hits = np.stack([hits_a, hits_b])
+    rare = hits.sum(axis=0) < 20
+    hits = np.column_stack([hits[:, ~rare], hits[:, rare].sum(axis=1)])
+    return {"hits": chi2_table(hits)[2],
+            "column": chi2_table([cols_a, cols_b])[2],
+            "pauli": chi2_table([paulis_a, paulis_b])[2]}

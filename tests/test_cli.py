@@ -389,6 +389,17 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys):
         assert "Infinity is not a JSON number" in stderr and not stdout
 
 
+def test_main_reports_overflowing_number_by_field(tmp_path, capsys):
+    # 1e999 is valid JSON that reads as inf: the field is named, not a
+    # constant the file never held
+    path = tmp_path / "cfg.json"
+    path.write_text('{"strategy": "circuit", "t_prot": 1e999, "trials": 10}')
+    code, stdout, stderr = run_main(capsys, ["memory-sim", "--config", str(path)])
+    assert code == EXIT_CONFIG and not stdout
+    assert "config error: memory-sim.t_prot: number overflows a float" in stderr
+    assert "Infinity" not in stderr
+
+
 def test_main_ledger_exit_codes(capsys):
     code, stdout, _ = run_main(capsys, ["ledger"])
     assert code == EXIT_INFEASIBLE
@@ -452,7 +463,7 @@ def test_main_infeasible_schedule_exit(tmp_path, capsys):
 BUNDLED_CSV_TRIALS = 40
 BUNDLED_CSV_SHA256 = {
     "bp_curve":
-        "ee8535d58113866d9b17c3496ba439dd2c5d31e8b9f92cc3a37631de504b070e",
+        "0c77f831f8c602949c71aebd1a3756ced9bad053a1be2376394472788e494cc5",
     "clock_verify_small":
         "a9f068f273de30917d4a85d2ec594bf3fc8bbfaef184d46ccdd1e1d2467ace47",
     "lifetime_repetition":

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from distribution_gate import (chi2_sf, chi2_table, kolmogorov_sf, ks_2samp,
+from distribution_gate import (chi2_sf, chi2_table, compare_frames,
+                               frame_tables, kolmogorov_sf, ks_2samp,
                                ks_statistic)
 
 
@@ -74,3 +75,27 @@ def test_chi2_table_by_hand():
     assert stat == 0.0 and dof == 1 and p == 1.0
     # a single populated class has nothing to compare
     assert chi2_table([[7, 0], [3, 0]]) == (0.0, 0, 1.0)
+
+
+def test_frame_tables_by_hand():
+    frames = np.array([[0, 1, 0], [3, 0, 2], [0, 0, 0], [2, 2, 2]],
+                      dtype=np.uint8)
+    hits, columns, paulis = frame_tables(frames)
+    assert hits.tolist() == [1, 1, 1, 1]          # rows with 0, 1, 2, 3 hits
+    assert columns.tolist() == [2, 2, 2]
+    assert paulis.tolist() == [1, 4, 1]           # X, Z, Y
+
+
+def test_compare_frames_pools_rare_hit_counts():
+    frames = np.zeros((125, 3), dtype=np.uint8)
+    frames[:60, 0] = 1
+    frames[60:65] = 2                              # 5 rows with 3 hits
+    assert compare_frames(frames, frames.copy()) == {
+        "hits": 1.0, "column": 1.0, "pauli": 1.0}
+    # 2 and 3 hits are rare (5 rows of 250 each), so they form one class:
+    # moving rows between them changes nothing
+    other = frames.copy()
+    other[60:65, 2] = 0
+    assert compare_frames(frames, other)["hits"] == 1.0
+    other[:60, 0] = 0
+    assert compare_frames(frames, other)["hits"] < 1e-10

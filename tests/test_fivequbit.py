@@ -136,6 +136,20 @@ def test_decode_blocks_matches_scalar_decode():
             assert out[i, j] == decode_block(frames[i, j])
 
 
+def test_decode_blocks_matches_table_on_every_string():
+    # the uint8 pack of decode_blocks against pack on all 1024 strings, on a
+    # contiguous array and on a non-contiguous view of the same strings
+    residuals = default_table().residuals
+    strings = unpack(np.arange(N_STRINGS))
+    assert np.array_equal(decode_blocks(strings), residuals[pack(strings)])
+    wide = np.zeros((N_STRINGS, 2 * BLOCK), dtype=np.uint8)
+    wide[:, ::2] = strings
+    view = wide[::-1, ::2]
+    assert not view.flags.c_contiguous
+    assert np.array_equal(decode_blocks(view), residuals[pack(view)])
+    assert np.array_equal(decode_blocks(view), decode_blocks(strings)[::-1])
+
+
 def test_b_exact_matches_frozen_polynomial():
     for p in (0.0, 0.001, 0.0137, 0.2, 0.5, 1.0):
         expected = sum(n * (p / 3.0) ** w * (1.0 - p) ** (5 - w)

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmemsim.pauli import (CODE_LABELS, anticommutes, depolarize,
-                           frame_from_label, frame_to_label, identity_frame,
-                           pauli_mul, sample_cumulative_frames,
+import qmemsim.pauli as pauli_module
+from distribution_gate import compare_frames, frame_draws
+from qmemsim.pauli import (CODE_LABELS, SPARSE_WEIGHT, anticommutes,
+                           depolarize, frame_from_label, frame_to_label,
+                           identity_frame, pauli_mul, sample_cumulative_frames,
                            single_qubit_probs, string_anticommutes, weight)
 
 I, X, Z, Y = 0, 1, 2, 3
+
+# every gate p-value must reach this; fixed before the first run
+GATE_ALPHA = 1e-4
+# the largest weight that still takes the sparse draw
+BELOW_CUT = float(np.nextafter(SPARSE_WEIGHT, 0.0))
 
 pauli = st.integers(min_value=0, max_value=3)
 
@@ -111,6 +118,76 @@ def test_depolarize_xors_in_place():
     assert np.array_equal(out, start ^ fresh)
     frames = start.copy()
     assert depolarize(frames, 0.4, np.random.default_rng(3)) is frames
+
+
+def test_depolarize_xors_in_place_sparse():
+    # the same at a weight that takes the sparse draw, also on a
+    # non-contiguous view, which must be written through
+    assert 0.01 < SPARSE_WEIGHT
+    start = np.tile(frame_from_label("XIZYI"), (400, 1))
+    out = depolarize(start.copy(), 0.01, np.random.default_rng(4))
+    fresh = depolarize(identity_frame(5, 400), 0.01, np.random.default_rng(4))
+    assert fresh.any() and np.array_equal(out, start ^ fresh)
+    wide = np.zeros((5, 800), dtype=np.uint8)
+    view = wide[:, ::2].T
+    assert depolarize(view, 0.01, np.random.default_rng(4)) is view
+    assert np.array_equal(view, fresh) and not wide[:, 1::2].any()
+
+
+@pytest.mark.parametrize("p", [BELOW_CUT, SPARSE_WEIGHT])
+def test_depolarize_draw_follows_largest_weight(p, monkeypatch):
+    # the largest weight of the call picks the draw for every row: below
+    # the cut the sparse one, from the cut on the dense one
+    weights = np.array([0.0, 1e-3, p])
+
+    def draw():
+        return depolarize(np.zeros((3, 400), dtype=np.uint8), weights,
+                          np.random.default_rng(9))
+    default = draw()
+    monkeypatch.setattr(pauli_module, "SPARSE_WEIGHT", math.inf)
+    sparse = draw()
+    monkeypatch.setattr(pauli_module, "SPARSE_WEIGHT", 0.0)
+    dense = draw()
+    assert not np.array_equal(sparse, dense)
+    assert np.array_equal(default, sparse if p < SPARSE_WEIGHT else dense)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.0037, BELOW_CUT, 0.3])
+def test_sparse_draw_matches_dense_draw(p):
+    # hits per row, column of each hit and Pauli class, sparse against
+    # dense; at 0.3 the sparse draw is forced, where most rows collide
+    sparse, dense = frame_draws((100_000, 25), p, 81)
+    p_values = compare_frames(sparse, dense)
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
+
+
+def test_sparse_draw_matches_dense_draw_per_trial_weights():
+    # weight-0 rows mixed with sub-cut rows, each row at its own weight
+    weights = np.array([0.0, 1e-3, 0.0037, BELOW_CUT])
+    p = np.tile(weights, 40_000)
+    sparse, dense = frame_draws((p.size, 25), p, 82)
+    assert not sparse[0::4].any() and not dense[0::4].any()
+    for i in range(1, 4):
+        p_values = compare_frames(sparse[i::4], dense[i::4])
+        assert min(p_values.values()) >= GATE_ALPHA, (weights[i], p_values)
+
+
+def test_sparse_draw_matches_dense_draw_in_small_calls():
+    # (4, 25) calls, as in clock pass 2: about half of them have no row
+    # with two hits and skip the collision sort
+    sparse, dense = frame_draws((4, 25), BELOW_CUT, 83, calls=5000)
+    p_values = compare_frames(sparse, dense)
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
+
+
+@pytest.mark.parametrize("p", [
+    -1e-3, math.nan, np.array([0.01, -1e-3]), np.array([0.0, math.nan]),
+    1.5, math.inf, np.array([0.5, 1.0 + 1e-9]), np.array([0.5, math.nan])])
+def test_depolarize_rejects_weights_outside_unit_interval(p):
+    # on the sparse side (largest weight below the cut, or NaN) and on the
+    # dense side alike
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        depolarize(identity_frame(5, 2), p, np.random.default_rng(1))
 
 
 def test_single_qubit_probs():

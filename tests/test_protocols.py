@@ -379,9 +379,12 @@ def test_clock_controlled_pinned_digest():
 
 
 def test_clock_controlled_pinned_counts():
-    # pass 2 (code-qubit noise), recorded from the one-shot frame sampler
+    # pass 2 (code-qubit noise), recorded from the one-shot frame sampler:
+    # dense draws for the storage noise (weight about 0.19) and the level-2
+    # kicks (largest weight 0.046), sparse ones for the level-1 kicks
+    # (largest weight 0.0295, below pauli.SPARSE_WEIGHT)
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
-    assert est.counts.tolist() == [18, 15, 12, 19]
+    assert est.counts.tolist() == [21, 15, 11, 17]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
