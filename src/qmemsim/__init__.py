@@ -7,34 +7,30 @@ and a dense Lindblad oracle that cross-checks the sampler on small systems.
 """
 
 from .bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
-                     assess_constants, avg_fidelity_depolarizing, build_ledger,
-                     clock_size_for, decode_budget, depolarizing_lambda,
-                     entanglement_breaking_time, evolution_budget,
-                     feasibility_search, information_decay_time,
-                     iterate_round_recursion, quadratic_block_error)
+                     assess_constants, build_ledger, clock_size_for,
+                     decode_budget, entanglement_breaking_time,
+                     evolution_budget, feasibility_search,
+                     information_decay_time, iterate_round_recursion,
+                     quadratic_block_error)
 from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     DegenerateWindowError, GoodProbBound, LevelWindow,
                     OverlappingWindowsError, ScheduleInfeasibleError,
                     checkpoint_times, deterministic_passage, first_exit,
                     good_prob_bound, is_good, max_time_error,
-                    mean_polarization, polarization_variance,
-                    sample_count_matrix, sample_passages, sample_trajectory,
-                    sample_trajectory_checkpointed, time_error_bound,
-                    time_estimate, vertical_exit_rate_bound, window_passage,
-                    window_schedule)
+                    mean_polarization, sample_count_matrix, sample_passages,
+                    sample_trajectory, sample_trajectory_checkpointed,
+                    time_error_bound, time_estimate, vertical_exit_rate_bound,
+                    window_passage, window_schedule)
 from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
-                        decode_block, decode_blocks, default_table, pack,
-                        quadratic_bound_range, syndrome_of, unpack)
-from .oracle import (average_fidelity, average_fidelity_numeric,
-                     channel_distance, choi_from_map, depolarizing_choi,
-                     ghz_state, information_content, information_flow,
-                     is_entanglement_breaking, lindblad_evolve,
-                     mc_channel_tomography, oracle_equivalence_check,
-                     pauli_mixture_choi, plus_state, trace_distance,
-                     von_neumann_entropy)
+                        decode_blocks, default_table, pack,
+                        quadratic_bound_range, residual_channel, syndrome_of,
+                        unpack)
+from .oracle import (average_fidelity, choi_from_map, ghz_state,
+                     information_content, information_flow, lindblad_evolve,
+                     oracle_equivalence_check, pauli_mixture_choi, plus_state,
+                     trace_distance, von_neumann_entropy)
 from .pauli import (CODE_LABELS, anticommutes, depolarize, frame_from_label,
-                    frame_to_label, identity_frame, pauli_mul,
-                    sample_cumulative_frames, single_qubit_probs,
+                    frame_to_label, sample_cumulative_frames,
                     string_anticommutes, weight)
 from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         LogicalChannelEstimate, ProtocolParams,

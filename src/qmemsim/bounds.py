@@ -44,25 +44,11 @@ def information_decay_time(n_qubits: int, rate_r: float) -> float:
     return math.log(2.0 * n_qubits) / rate_r
 
 
-def depolarizing_lambda(t: float, rate_r: float) -> float:
-    """Surviving-signal fraction e^{-rt} of the depolarizing channel."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(-rate_r * t)
-
-
 def entanglement_breaking_time(rate_r: float) -> float:
     """ln(3)/r: the instant the channel's signal fraction reaches 1/3."""
     if rate_r <= 0:
         raise ValueError("rate_r must be positive")
     return math.log(3.0) / rate_r
-
-
-def avg_fidelity_depolarizing(lam: float) -> float:
-    """Haar-average fidelity (1 + lam)/2 of the depolarizing channel."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must be in [0, 1]")
-    return (1.0 + lam) / 2.0
 
 
 def quadratic_block_error(p: float) -> float:

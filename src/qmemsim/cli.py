@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import build_ledger, feasibility_search, quadratic_block_error
+from .bounds import (build_ledger, entanglement_breaking_time,
+                     feasibility_search, quadratic_block_error)
 from .clock import (ClockParams, DegenerateWindowError, OverlappingWindowsError,
                     ScheduleInfeasibleError, first_exit, good_prob_bound,
                     is_good, max_time_error, mean_polarization,
@@ -562,6 +563,11 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
     header = ("strategy", "N", "K", "t", "trials", "p_I", "p_X", "p_Y", "p_Z",
               "fid", "ci", "decode_failures", "bad_trajectories")
     summary = {k: _py(val) for k, val in zip(header, row)}
+    if strategy != "repetition":
+        # the exact law that the sampled p_* columns estimate; for a clock
+        # run, the trial mean of each trial's law given its clock record
+        for label, p_exact in zip(CODE_LABELS, est.exact):
+            summary[f"exact_p_{label}"] = float(p_exact)
     summary["seed"] = v["seed"]
     return ExperimentResult(cfg, header, [row], summary)
 
@@ -584,6 +590,9 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
         "slope": scan.slope, "intercept": scan.intercept,
         "points": [[_py(n), _py(life)] for n, life in scan.points],
     }
+    if strategy == "unprotected":
+        # the ln 3 / r floor: each point's lifetime at fidelity floor 2/3
+        summary["entanglement_breaking_time"] = entanglement_breaking_time(v["r"])
     plot = np.column_stack([np.log([n for n, _ in scan.points]),
                             [life for _, life in scan.points]])
     return ExperimentResult(

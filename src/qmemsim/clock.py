@@ -102,11 +102,6 @@ def mean_polarization(t, params: ClockParams):
     return params.n_bits * np.exp(-params.rate_r * np.asarray(t, dtype=float))
 
 
-def polarization_variance(t, params: ClockParams):
-    """K (1 - e^{-2rt}): independent-bit variance 4Kq(1-q), q=(1-e^{-rt})/2."""
-    return params.n_bits * (-np.expm1(-2.0 * params.rate_r * np.asarray(t, dtype=float)))
-
-
 def time_estimate(k, params: ClockParams):
     """Clock readout min(ln(K/k)/r, t_max); k <= 0 clamps to t_max.
 

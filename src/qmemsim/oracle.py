@@ -12,9 +12,7 @@ state, which is the per-qubit depolarizing generator.
 
 Channel-level tools work with Choi matrices of single-qubit channels:
 J = (E (x) id)(|Phi><Phi|) for the maximally entangled |Phi>.  Average
-fidelity is (2 F_e + 1)/3 with entanglement fidelity F_e = <Phi| J |Phi>,
-and entanglement breaking for qubit channels is equivalent to J having a
-positive partial transpose.
+fidelity is (2 F_e + 1)/3 with entanglement fidelity F_e = <Phi| J |Phi>.
 
 Everything here is deliberately small and dense: it is the independent
 oracle the stochastic Pauli-frame engine is validated against, so it shares
@@ -191,12 +189,6 @@ def choi_from_map(apply_channel) -> np.ndarray:
     return j
 
 
-def depolarizing_choi(lam: float) -> np.ndarray:
-    """Choi matrix of rho -> lam rho + (1 - lam) I/2."""
-    return choi_from_map(lambda rho: lam * rho
-                         + (1.0 - lam) * np.trace(rho) * np.eye(2) / 2.0)
-
-
 def pauli_mixture_choi(probs) -> np.ndarray:
     """Choi matrix of rho -> sum_P probs[P] P rho P over I, X, Z, Y codes."""
     probs = np.asarray(probs, dtype=float)
@@ -218,64 +210,9 @@ def average_fidelity(choi: np.ndarray) -> float:
     return (2.0 * f_e + 1.0) / 3.0
 
 
-def average_fidelity_numeric(choi: np.ndarray, n_states: int, rng) -> float:
-    """Haar-sampled estimate of the average fidelity; agrees with
-    average_fidelity up to Monte Carlo error."""
-    if n_states < 1000:
-        raise ValueError("n_states must be >= 1000 for a stable estimate")
-    gen = np.random.default_rng(rng)
-    vecs = gen.normal(size=(n_states, 2)) + 1j * gen.normal(size=(n_states, 2))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    total = 0.0
-    for v in vecs:
-        rho = np.outer(v, v.conj())
-        total += float(np.real(np.vdot(v, apply_choi(choi, rho) @ v)))
-    return total / n_states
-
-
-def is_entanglement_breaking(choi: np.ndarray, tol: float = 1e-10) -> bool:
-    """PPT test on the Choi matrix (equivalent to EB for qubit channels)."""
-    j = choi.reshape(2, 2, 2, 2)
-    pt = j.transpose(0, 3, 2, 1).reshape(4, 4)
-    return bool(np.linalg.eigvalsh(pt).min() >= -tol)
-
-
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(np.asarray(rho_a) - np.asarray(rho_b))
     return 0.5 * float(np.abs(eigs).sum())
-
-
-PAULI_EIGENSTATES = (
-    np.array([1.0, 0.0], dtype=complex),                       # +Z
-    np.array([0.0, 1.0], dtype=complex),                       # -Z
-    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),      # +X
-    np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),     # -X
-    np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),       # +Y
-    np.array([1.0, -1j], dtype=complex) / math.sqrt(2.0),      # -Y
-)
-
-
-def channel_distance(choi_a: np.ndarray, choi_b: np.ndarray) -> float:
-    """Max output trace distance over the six Pauli eigenstate inputs."""
-    worst = 0.0
-    for v in PAULI_EIGENSTATES:
-        rho = np.outer(v, v.conj())
-        worst = max(worst, trace_distance(apply_choi(choi_a, rho),
-                                          apply_choi(choi_b, rho)))
-    return worst
-
-
-def mc_channel_tomography(rate_r: float, t: float, trials: int, rng) -> np.ndarray:
-    """Single-qubit channel reconstructed from Pauli-frame Monte Carlo.
-
-    Samples cumulative frames at time t, converts the empirical I/X/Z/Y
-    frequencies into a Pauli-mixture channel, and returns its Choi matrix.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    frames = sample_cumulative_frames(1, t, rate_r, trials, rng)[:, 0]
-    counts = np.bincount(frames, minlength=4)
-    return pauli_mixture_choi(counts / trials)
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,6 @@ _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
 SPARSE_WEIGHT = 1 / 32
 
 
-def pauli_mul(a, b):
-    """Product modulo phase; works on scalars or arrays elementwise."""
-    return a ^ b
-
-
 def anticommutes(a, b):
     """1 where the Paulis anticommute, 0 where they commute (elementwise)."""
     return ((a & 1) & ((b >> 1) & 1)) ^ (((a >> 1) & 1) & (b & 1))
@@ -76,11 +71,6 @@ def string_anticommutes(e, f):
 def weight(frame):
     """Number of non-identity sites."""
     return int(np.count_nonzero(np.asarray(frame)))
-
-
-def identity_frame(n_qubits, trials=None):
-    shape = n_qubits if trials is None else (trials, n_qubits)
-    return np.zeros(shape, dtype=np.uint8)
 
 
 def frame_from_label(label):
@@ -163,9 +153,3 @@ def sample_cumulative_frames(n_qubits, duration, rate_r, trials, rng):
         raise ValueError("duration must be >= 0")
     frames = np.zeros((trials, n_qubits), dtype=np.uint8)
     return depolarize(frames, -0.75 * np.expm1(-rate_r * duration), rng)
-
-
-def single_qubit_probs(t, rate_r):
-    """Channel probabilities (indexed by code) of the cumulative Pauli at time t."""
-    lam = np.exp(-rate_r * t)
-    return np.array([(1 + 3 * lam) / 4, (1 - lam) / 4, (1 - lam) / 4, (1 - lam) / 4])

@@ -27,6 +27,12 @@ decode instants; decoded-away qubits stop being tracked.  A level whose
 window is never entered at all, or whose decode instants come out of order
 (possible only on non-good trajectories), aborts the trial: it is tallied as
 decode_failure and counted as a full logical fault.
+
+Exact channel.  Blocks are disjoint and their noise is i.i.d., so given
+each round's duration and kick weight the logical channel is exact, round
+by round: XOR-compose it with the round's noise, then decode with
+fivequbit.residual_channel.  A clock-controlled run has one such channel
+per trial, given that trial's pass-1 record.
 """
 
 from __future__ import annotations
@@ -40,11 +46,14 @@ from .bounds import TWO_PI, clock_size_for
 from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
                     is_good, refinement_pays, sample_passages,
                     sample_trajectory, window_passage, window_schedule)
-from .fivequbit import BLOCK, decode_blocks
+from .fivequbit import BLOCK, decode_blocks, residual_channel
 from .pauli import depolarize, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
 
 _LN2 = math.log(2.0)
+
+# the identity channel, in the residual code order I=0, X=1, Z=2, Y=3
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,9 @@ class LogicalChannelEstimate:
     trials: int
     decode_failures: int = 0    # tallied inside counts as Y (full fault)
     bad_trajectories: int = 0
+    # (4,) exact law of one trial's residual, averaged over the trials
+    # (a decode failure counts as Y); None where the run has no exact model
+    exact: np.ndarray | None = None
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.trials:
@@ -156,7 +168,8 @@ class LogicalChannelEstimate:
 
 
 def estimate_logical_channel(residuals, decode_failures: int = 0,
-                             bad_trajectories: int = 0) -> LogicalChannelEstimate:
+                             bad_trajectories: int = 0,
+                             exact=None) -> LogicalChannelEstimate:
     """Tally residual Pauli codes into a channel estimate.
 
     decode_failures have no defined residual; each is counted as a Y fault
@@ -171,7 +184,55 @@ def estimate_logical_channel(residuals, decode_failures: int = 0,
     counts[3] += decode_failures
     return LogicalChannelEstimate(counts=counts, trials=trials,
                                   decode_failures=decode_failures,
-                                  bad_trajectories=bad_trajectories)
+                                  bad_trajectories=bad_trajectories,
+                                  exact=exact)
+
+
+def _depolarized(channel, weight):
+    """(..., 4) law of P Q for independent P ~ channel (..., 4) and Q
+    depolarizing at weight (...) (X, Z, Y each with probability weight/3):
+    the XOR composition (1 - 4w/3) channel + w/3, written so that small
+    entries keep their relative precision."""
+    third = np.asarray(weight, dtype=float)[..., None] / 3.0
+    return channel + third * (1.0 - 4.0 * channel)
+
+
+@dataclass(frozen=True)
+class _Rounds:
+    """The noise of a concatenated run, round by round.
+
+    Round j depolarizes every qubit of the register for durations[..., j]
+    at rate_r, decodes one level, then depolarizes each decoded qubit at
+    weight kicks[:, j] (no kicks when None).  A leading trial axis gives
+    each trial its own rounds.
+    """
+
+    durations: np.ndarray    # (levels,) or (trials, levels)
+    rate_r: float
+    kicks: np.ndarray | None = None  # (trials, levels)
+
+    def sample(self, trials: int, gen) -> np.ndarray:
+        """Residual code (trials,) of the last qubit, from Pauli frames."""
+        levels = self.durations.shape[-1]
+        frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
+        for j in range(levels):
+            frames ^= sample_cumulative_frames(frames.shape[1],
+                                               self.durations[..., j],
+                                               self.rate_r, trials, gen)
+            frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
+            if self.kicks is not None:
+                depolarize(frames, self.kicks[:, j], gen)
+        return frames[:, 0]
+
+    def exact(self) -> np.ndarray:
+        """(..., 4) exact law of that residual, one row per trial axis."""
+        channel = _IDENTITY
+        for j in range(self.durations.shape[-1]):
+            weight = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
+            channel = residual_channel(_depolarized(channel, weight))
+            if self.kicks is not None:
+                channel = _depolarized(channel, self.kicks[:, j])
+        return channel
 
 
 def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
@@ -183,7 +244,9 @@ def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
         raise ValueError("t must be nonnegative")
     frames = sample_cumulative_frames(params.n_qubits, t, params.rate_r,
                                       trials, rng)
-    return estimate_logical_channel(frames[:, 0])
+    weight = -0.75 * math.expm1(-params.rate_r * t)
+    return estimate_logical_channel(frames[:, 0],
+                                    exact=_depolarized(_IDENTITY, weight))
 
 
 @dataclass(frozen=True)
@@ -258,29 +321,24 @@ def repetition_lifetime(n_bits: int, rate_r: float = 1.0,
 
 
 def simulate_circuit_model(params: ProtocolParams, trials: int, rng,
-                           storage_levels: int | None = None,
                            round_spacing: float | None = None) -> LogicalChannelEstimate:
     """Concatenated storage with externally timed, instantaneous decodes.
 
     Per round: accumulate noise on the current register for round_spacing
     (default t_prot: the decode itself takes no time in this model), then
     decode one level, block by block.  Discarded qubits leave the
-    simulation.  After `storage_levels` rounds a single qubit remains; its
+    simulation.  After params.levels rounds a single qubit remains; its
     frame is the residual logical Pauli.
     """
-    levels = params.levels if storage_levels is None else storage_levels
-    if levels < 1:
+    if params.levels < 1:
         raise ValueError("circuit model needs at least one level")
     if params.t_prot is None:
         raise ValueError("t_prot is required")
     spacing = params.t_prot if round_spacing is None else round_spacing
-    gen = np.random.default_rng(rng)
-    frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
-    for _ in range(levels):
-        frames ^= sample_cumulative_frames(frames.shape[1], spacing,
-                                           params.rate_r, trials, gen)
-        frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
-    return estimate_logical_channel(frames[:, 0])
+    rounds = _Rounds(np.full(params.levels, float(spacing)), params.rate_r)
+    return estimate_logical_channel(
+        rounds.sample(trials, np.random.default_rng(rng)),
+        exact=rounds.exact())
 
 
 def _kick_probability(exponent: float) -> float:
@@ -297,6 +355,9 @@ class ClockRunDiagnostics:
     aborted: np.ndarray      # (trials,) bool, decode failed (missed/reordered)
     decode_times: np.ndarray  # (trials, levels)
     kick_probs: np.ndarray   # (trials, levels)
+    # (trials, 4) exact law of each trial's residual given this record;
+    # an aborted trial is a Y fault
+    channels: np.ndarray
 
 
 def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
@@ -376,23 +437,22 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
                 previous = decode_time
 
     # pass 2: noise on the code register between decode instants
-    frames = np.zeros((trials, params.n_qubits), dtype=np.uint8)
-    t_prev = np.zeros(trials)
-    for j in range(levels):
-        dur = np.clip(taus[:, j] - t_prev, 0.0, None)
-        frames ^= sample_cumulative_frames(frames.shape[1], dur, r_code,
-                                           trials, gen)
-        frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
-        depolarize(frames, kick_probs[:, j], gen)
-        t_prev = taus[:, j]
-    residuals = frames[~aborted, 0]
+    rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
+                     r_code, kick_probs)
+    residuals = rounds.sample(trials, gen)[~aborted]
+    if deterministic_clock:  # every trial has the same rounds and channel
+        rounds = _Rounds(rounds.durations[:1], r_code, kick_probs[:1])
+    channels = np.broadcast_to(rounds.exact(), (trials, 4)).copy()
+    channels[aborted] = (0.0, 0.0, 0.0, 1.0)  # a Y fault
     estimate = estimate_logical_channel(residuals,
                                         decode_failures=int(aborted.sum()),
-                                        bad_trajectories=int((~good).sum()))
+                                        bad_trajectories=int((~good).sum()),
+                                        exact=channels.mean(axis=0))
     if return_diagnostics:
         return estimate, ClockRunDiagnostics(good=good, aborted=aborted,
                                              decode_times=taus,
-                                             kick_probs=kick_probs)
+                                             kick_probs=kick_probs,
+                                             channels=channels)
     return estimate
 
 
@@ -456,17 +516,14 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
             else levels_list
         if not levels_list or min(levels_list) < 1:
             raise ValueError("circuit and clock decode at least one level")
-        span = params.t_prot if strategy == "circuit" \
-            else params.t_prot + params.t_dec
+        if strategy == "circuit":
+            simulate, span = simulate_circuit_model, params.t_prot
+        else:
+            simulate, span = simulate_clock_controlled, params.t_prot + params.t_dec
         for lev in levels_list:
             best = 0.0
             for rounds in range(lev, 0, -1):
-                if strategy == "circuit":
-                    est = simulate_circuit_model(params, trials, gen,
-                                                 storage_levels=rounds)
-                else:
-                    est = simulate_clock_controlled(replace(params, levels=rounds),
-                                                    trials, gen)
+                est = simulate(replace(params, levels=rounds), trials, gen)
                 if est.avg_fidelity >= fidelity_floor:
                     best = rounds * span
                     break

@@ -1,4 +1,5 @@
-"""Two-sample distribution tests in numpy, and the clock-passage gate.
+"""Two-sample distribution tests in numpy, the clock-passage gate, and an
+exact one-sample tail for counts.
 
 A sampler rewrite must match the sampler it replaces in distribution
 before it lands.  The generic tests:
@@ -8,6 +9,10 @@ before it lands.  The generic tests:
   (lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) D, n_e = n m / (n + m)).
 * chi2_table: chi-square test of homogeneity on a table of counts (one row
   per sample, one column per class); all-zero rows and columns are dropped.
+* count_p_value: exact two-sided tail of a count drawn as a sum of
+  independent binomial counts with known rates, such as a run's logical
+  faults against its exact channel.  Expected counts of about 1 are too
+  small for a z-score or a chi-square.
 
 passage_samplers, passage_outcomes and compare_passages apply them to
 clock.sample_passages against the event trio sample_trajectory + is_good +
@@ -105,6 +110,34 @@ def chi2_table(table):
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
     return stat, dof, chi2_sf(stat, dof)
+
+
+def binomial_pmf(n: int, p: float, upto: int) -> np.ndarray:
+    """P[Binomial(n, p) = k] for k = 0..upto (0 beyond n)."""
+    out = np.zeros(upto + 1)
+    for k in range(min(n, upto) + 1):
+        if p in (0.0, 1.0):
+            out[k] = float(k == n * p)
+        else:
+            out[k] = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                              - math.lgamma(n - k + 1) + k * math.log(p)
+                              + (n - k) * math.log1p(-p))
+    return out
+
+
+def count_p_value(observed: int, binomials) -> float:
+    """min(1, 2 min(P[S <= observed], P[S >= observed])) for S the sum of
+    independent Binomial(n, p) counts, one per (n, p) in binomials.
+
+    The law of S up to `observed` is the convolution of the binomial laws
+    cut at `observed`, which is exact below the cut.
+    """
+    pmf = np.array([1.0])
+    for n, p in binomials:
+        pmf = np.convolve(pmf, binomial_pmf(n, p, observed))[:observed + 1]
+    below = float(pmf.sum())
+    above = 1.0 - float(pmf[:-1].sum())
+    return min(1.0, 2.0 * min(below, above))
 
 
 def passage_samplers(params, horizon, schedule, t_dec):

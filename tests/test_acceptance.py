@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from distribution_gate import count_p_value
 from qmemsim.bounds import (build_ledger, decode_budget, feasibility_search,
                             information_decay_time)
 from qmemsim.clock import (ClockParams, good_prob_bound, is_good,
@@ -22,6 +23,10 @@ from qmemsim.protocols import (ProtocolParams, exact_majority_failure,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock)
+
+
+# every exact-tail p-value must reach this; fixed before the first run
+GATE_ALPHA = 1e-4
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -120,21 +125,29 @@ def test_criterion_5_circuit_log_scaling():
     gen = np.random.default_rng(106)
     errs = []
     boundary_ok = True
+    # logical faults pooled over the levels, against each level's exact
+    # fault probability (the X, Z and Y entries of its exact channel)
+    faults, binomials = 0, []
     for lev in (1, 2, 3, 4):
         params = ProtocolParams(rate_r=1.0, levels=lev, t_prot=found.t_prot,
                                 p_star=found.p_star)
         est = simulate_circuit_model(params, 10_000, gen)
         errs.append(est.error_rate)
         boundary_ok = boundary_ok and est.error_rate <= found.p_star
+        faults += est.trials - int(est.counts[0])
+        binomials.append((est.trials, float(est.exact[1:].sum())))
+    expected = sum(n * p for n, p in binomials)
+    exact_p = count_p_value(faults, binomials)
     scan_params = ProtocolParams(rate_r=1.0, levels=4, t_prot=found.t_prot,
                                  p_star=found.p_star)
     scan = lifetime_scan("circuit", scan_params, 2.0 / 3.0, 2_000,
                          np.random.default_rng(107), levels_list=(1, 2, 3, 4))
     slope_ok = abs(scan.slope - found.t_prot) / found.t_prot <= 0.10
-    report(5, boundary_ok and slope_ok,
+    report(5, boundary_ok and slope_ok and exact_p >= GATE_ALPHA,
            f"round-boundary errors {[f'{e:.1e}' for e in errs]} all <= "
-           f"p*={found.p_star}, lifetime slope {scan.slope:.5f} vs "
-           f"t_prot={found.t_prot} (10% allowed)")
+           f"p*={found.p_star}, {faults} faults against {expected:.2f} "
+           f"exact (two-sided tail {exact_p:.2g}), lifetime slope "
+           f"{scan.slope:.5f} vs t_prot={found.t_prot} (10% allowed)")
 
 
 SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
@@ -156,9 +169,22 @@ def test_criterion_6_clock_controlled_protocol():
     good = diag.good & ~diag.aborted
     order_ok = (not np.any(diag.aborted & diag.good)
                 and bool(np.all(np.diff(diag.decode_times[good], axis=1) > 0)))
-    report(6, err_ok and pstar_ok and order_ok,
+    # pass-2 counts against each trial's exact channel given its clock
+    # record (one Bernoulli trial each): the pooled faults, then each class
+    counts = {"faults": (trials - int(est.counts[0]),
+                         diag.channels[:, 1:].sum(axis=1))}
+    for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+        counts[label] = (int(est.counts[code]), diag.channels[:, code])
+    tails = {label: count_p_value(n, [(1, p) for p in probs])
+             for label, (n, probs) in counts.items()}
+    exact_ok = min(tails.values()) >= GATE_ALPHA
+    versus = ", ".join(f"{label} {n}/{probs.sum():.2f}"
+                       for label, (n, probs) in counts.items())
+    report(6, err_ok and pstar_ok and order_ok and exact_ok,
            f"clock error {est.error_rate:.2e} <= circuit {circ.error_rate:.2e} "
            f"+ decode budget {budget:.2e} + 3sigma, <= p*={SCALED.p_star}; "
+           f"counts/exact {versus}, smallest two-sided tail "
+           f"{min(tails.values()):.2g}; "
            f"K={sized.clock_bits}, good ordering in {int(good.sum())}/{trials} "
            f"good trials, {est.decode_failures} aborts")
 

@@ -10,12 +10,10 @@ import math
 import pytest
 
 from qmemsim.bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
-                            assess_constants, avg_fidelity_depolarizing,
-                            build_ledger, decode_budget,
-                            depolarizing_lambda, entanglement_breaking_time,
-                            evolution_budget, feasibility_search,
-                            information_decay_time, iterate_round_recursion,
-                            quadratic_block_error)
+                            assess_constants, build_ledger, decode_budget,
+                            entanglement_breaking_time, evolution_budget,
+                            feasibility_search, information_decay_time,
+                            iterate_round_recursion, quadratic_block_error)
 from qmemsim.fivequbit import b_exact
 
 
@@ -30,20 +28,15 @@ def test_information_decay_time():
 
 
 def test_simple_channel_quantities():
-    assert depolarizing_lambda(0.0, 1.0) == 1.0
-    assert depolarizing_lambda(0.5, 2.0) == pytest.approx(math.exp(-1.0))
-    with pytest.raises(ValueError):
-        depolarizing_lambda(-0.1, 1.0)
     assert entanglement_breaking_time(2.0) == pytest.approx(math.log(3.0) / 2.0)
     with pytest.raises(ValueError):
         entanglement_breaking_time(0.0)
-    assert avg_fidelity_depolarizing(1.0) == 1.0
-    assert avg_fidelity_depolarizing(1.0 / 3.0) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        avg_fidelity_depolarizing(1.5)
-    # the two reference times are linked: lambda at the breaking time is 1/3
+    # the signal fraction e^{-rt} at the breaking time is 1/3, where the
+    # average fidelity (1 + e^{-rt})/2 meets the floor 2/3
     t_eb = entanglement_breaking_time(1.7)
-    assert depolarizing_lambda(t_eb, 1.7) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert math.exp(-1.7 * t_eb) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert (1.0 + math.exp(-1.7 * t_eb)) / 2.0 == pytest.approx(2.0 / 3.0,
+                                                                rel=1e-12)
 
 
 def test_budget_terms():

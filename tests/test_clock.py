@@ -14,14 +14,20 @@ from qmemsim.clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                            DegenerateWindowError, LevelWindow, checkpoint_times,
                            deterministic_passage, first_exit,
                            good_prob_bound, is_good, max_time_error,
-                           mean_polarization, polarization_variance,
-                           sample_count_matrix, sample_trajectory,
-                           sample_trajectory_checkpointed, time_error_bound,
-                           time_estimate, vertical_exit_rate_bound,
-                           window_passage, window_schedule, _merge_by_time)
+                           mean_polarization, sample_count_matrix,
+                           sample_trajectory, sample_trajectory_checkpointed,
+                           time_error_bound, time_estimate,
+                           vertical_exit_rate_bound, window_passage,
+                           window_schedule, _merge_by_time)
 from qmemsim.bounds import clock_size_for
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
+
+
+def polarization_variance(t, params):
+    """K (1 - e^{-2rt}): the independent-bit variance 4Kq(1-q) of k(t),
+    q = (1 - e^{-rt})/2."""
+    return -params.n_bits * math.expm1(-2.0 * params.rate_r * t)
 
 
 def path(times, steps, n_bits, horizon):

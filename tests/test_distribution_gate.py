@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from distribution_gate import (chi2_sf, chi2_table, compare_frames,
-                               frame_tables, kolmogorov_sf, ks_2samp,
-                               ks_statistic)
+from distribution_gate import (binomial_pmf, chi2_sf, chi2_table,
+                               compare_frames, count_p_value, frame_tables,
+                               kolmogorov_sf, ks_2samp, ks_statistic)
 
 
 def test_ks_statistic_by_hand():
@@ -99,3 +99,32 @@ def test_compare_frames_pools_rare_hit_counts():
     assert compare_frames(frames, other)["hits"] == 1.0
     other[:60, 0] = 0
     assert compare_frames(frames, other)["hits"] < 1e-10
+
+
+def test_binomial_pmf_by_hand():
+    assert binomial_pmf(3, 0.5, 5).tolist() == pytest.approx(
+        [0.125, 0.375, 0.375, 0.125, 0.0, 0.0], rel=1e-14)
+    assert binomial_pmf(4, 0.1, 1) == pytest.approx(
+        [0.9 ** 4, 4 * 0.1 * 0.9 ** 3], rel=1e-14)
+    assert binomial_pmf(2, 0.0, 2).tolist() == [1.0, 0.0, 0.0]
+    assert binomial_pmf(2, 1.0, 3).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_count_p_value_by_hand():
+    # one Bernoulli(0.1) and one Binomial(2, 0.5): P[S = 0] = 0.9 / 4,
+    # P[S <= 1] = 0.9 * 3/4 + 0.1 / 4 = 0.7
+    # and P[S = 3] = 0.1 / 4
+    pair = [(1, 0.1), (2, 0.5)]
+    assert count_p_value(0, pair) == pytest.approx(2 * 0.225, rel=1e-14)
+    assert count_p_value(1, pair) == 1.0
+    assert count_p_value(2, pair) == pytest.approx(2 * (1.0 - 0.7), rel=1e-12)
+    assert count_p_value(3, pair) == pytest.approx(2 * 0.025, rel=1e-12)
+    # 2 faults where 0.1 are expected (Poisson-like): P[S >= 2] is small
+    many = [(1, 0.1 / 600)] * 600
+    p = count_p_value(2, many)
+    assert p == pytest.approx(2 * (1 - binomial_pmf(600, 0.1 / 600, 1).sum()),
+                              rel=1e-9)
+    assert 0.005 < p < 0.01
+    # a certain fault (an aborted trial) shifts the count by one
+    assert count_p_value(0, [(1, 1.0)]) == 0.0
+    assert count_p_value(1, [(1, 1.0)]) == 1.0

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmemsim import fivequbit
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
-                               b_monte_carlo, decode_block, decode_blocks,
-                               default_table, pack,
-                               quadratic_bound_range, syndrome_bits,
-                               syndrome_of, unpack)
-from qmemsim.pauli import (frame_from_label, frame_to_label, identity_frame,
+                               b_monte_carlo, decode_blocks, default_table,
+                               pack, quadratic_bound_range, residual_channel,
+                               syndrome_bits, syndrome_of, unpack)
+from qmemsim.pauli import (frame_from_label, frame_to_label,
                            string_anticommutes, weight)
 
 GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -28,12 +28,28 @@ frames_strategy = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
     lambda codes: np.array(codes, dtype=np.uint8))
 
 
+def decode_one(frame) -> int:
+    """Residual code of one five-qubit frame, read off the table."""
+    return int(default_table().residuals[pack(frame)])
+
+
+def block_residual_probs(site_probs):
+    """Exact residual class distribution of one block of iid sites, by
+    brute force: each of the 1024 strings' probability, added up by class."""
+    table = default_table()
+    codes = unpack(np.arange(4 ** BLOCK))
+    string_probs = np.prod(np.asarray(site_probs)[codes], axis=1)
+    out = np.zeros(4)
+    np.add.at(out, table.residuals, string_probs)
+    return out
+
+
 def stabilizer_elements():
     """All 16 stabilizer group elements as code arrays."""
     gens = [frame_from_label(g) for g in GENERATORS]
     elements = []
     for picks in itertools.product((0, 1), repeat=4):
-        el = identity_frame(BLOCK)
+        el = np.zeros(BLOCK, dtype=np.uint8)
         for bit, g in zip(picks, gens):
             if bit:
                 el = el ^ g
@@ -69,7 +85,7 @@ def test_pack_unpack_round_trip():
 
 
 def test_syndrome_of_identity_and_single_x():
-    assert syndrome_of(identity_frame(BLOCK)) == 0
+    assert syndrome_of(np.zeros(BLOCK, dtype=np.uint8)) == 0
     # X on qubit 0 commutes with the first three generators and
     # anticommutes with ZXIXZ only: bits (0, 0, 0, 1)
     s = syndrome_of(frame_from_label("XIIII"))
@@ -78,10 +94,10 @@ def test_syndrome_of_identity_and_single_x():
 
 
 def test_weight_le_one_errors_have_distinct_syndromes():
-    frames = [identity_frame(BLOCK)]
+    frames = [np.zeros(BLOCK, dtype=np.uint8)]
     for q in range(BLOCK):
         for code in (1, 2, 3):
-            f = identity_frame(BLOCK)
+            f = np.zeros(BLOCK, dtype=np.uint8)
             f[q] = code
             frames.append(f)
     syndromes = [syndrome_of(f) for f in frames]
@@ -95,9 +111,9 @@ def test_table_residual_classes():
     # weight <= 1 errors decode to identity
     for q in range(BLOCK):
         for code in (0, 1, 2, 3):
-            f = identity_frame(BLOCK)
+            f = np.zeros(BLOCK, dtype=np.uint8)
             f[q] = code
-            assert decode_block(f) == 0
+            assert decode_one(f) == 0
     # counts by weight of failing strings, frozen from enumeration
     assert tuple(int(c) for c in table.failing_weight_counts) == N_W
     assert int(np.count_nonzero(table.residuals == 0)) == 256
@@ -114,7 +130,7 @@ def test_residuals_partition_evenly():
 @given(frames_strategy, st.integers(0, 15))
 def test_decode_invariant_under_stabilizer(frame, pick):
     element = stabilizer_elements()[pick]
-    assert decode_block(frame) == decode_block(frame ^ element)
+    assert decode_one(frame) == decode_one(frame ^ element)
 
 
 @settings(max_examples=60)
@@ -122,8 +138,8 @@ def test_decode_invariant_under_stabilizer(frame, pick):
 def test_decode_covariant_under_logicals(frame, logical):
     x_l = frame_from_label("XXXXX")
     z_l = frame_from_label("ZZZZZ")
-    op = {0: identity_frame(BLOCK), 1: x_l, 2: z_l, 3: x_l ^ z_l}[logical]
-    assert decode_block(frame ^ op) == decode_block(frame) ^ logical
+    op = {0: np.zeros(BLOCK, dtype=np.uint8), 1: x_l, 2: z_l, 3: x_l ^ z_l}[logical]
+    assert decode_one(frame ^ op) == decode_one(frame) ^ logical
 
 
 def test_decode_blocks_matches_scalar_decode():
@@ -133,7 +149,7 @@ def test_decode_blocks_matches_scalar_decode():
     assert out.shape == (40, 3)
     for i in range(40):
         for j in range(3):
-            assert out[i, j] == decode_block(frames[i, j])
+            assert out[i, j] == decode_one(frames[i, j])
 
 
 def test_decode_blocks_matches_table_on_every_string():
@@ -155,6 +171,37 @@ def test_b_exact_matches_frozen_polynomial():
         expected = sum(n * (p / 3.0) ** w * (1.0 - p) ** (5 - w)
                        for w, n in enumerate(N_W))
         assert b_exact(p) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_residual_channel_matches_b_exact():
+    # the depolarizing site row gives b_exact as the X + Z + Y entries, on
+    # the whole unit interval
+    for p in np.linspace(0.0, 1.0, 1001):
+        out = residual_channel([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
+        assert out[1:].sum() == pytest.approx(b_exact(float(p)), rel=1e-12,
+                                              abs=1e-300)
+        assert out.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_residual_channel_matches_enumeration(monkeypatch):
+    # random site laws that are not depolarizing (as after a decoded round
+    # plus fresh noise), one by one and stacked in a (2, 3, 4) batch that
+    # is split into chunks of two rows
+    rng = np.random.default_rng(13)
+    sites = rng.dirichlet(np.full(4, 0.5), size=(2, 3))
+    sites[0, 0] = [1.0, 0.0, 0.0, 0.0]
+    expected = np.array([[block_residual_probs(row) for row in block]
+                         for block in sites])
+    for block, want in zip(sites, expected):
+        for row, w in zip(block, want):
+            assert np.allclose(residual_channel(row), w, rtol=1e-12, atol=1e-15)
+    monkeypatch.setattr(fivequbit, "_CHUNK_ROWS", 2)
+    batch = residual_channel(sites)
+    assert batch.shape == (2, 3, 4)
+    assert np.allclose(batch, expected, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(batch[0, 0], [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        residual_channel(np.ones((2, 3)) / 3.0)
 
 
 def test_b_exact_frozen_values():

@@ -2,7 +2,10 @@
 
 The single-qubit depolarizing channel has the closed form
 rho(t) = e^{-rt} rho0 + (1 - e^{-rt}) I/2, which serves as the exact
-reference for the integrator tests.
+reference for the integrator tests.  The channel references below
+(depolarizing_choi, is_entanglement_breaking, channel_distance,
+average_fidelity_numeric, mc_channel_tomography) are checks of the
+oracle's Choi tools and of the frame sampler, and live here with them.
 """
 
 import math
@@ -11,22 +14,81 @@ import numpy as np
 import pytest
 
 from qmemsim import oracle
-from qmemsim.bounds import avg_fidelity_depolarizing, information_decay_time
+from qmemsim.bounds import information_decay_time
 from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES, apply_choi,
-                            average_fidelity, average_fidelity_numeric,
-                            channel_distance, check_density_matrix,
-                            choi_from_map, depolarizing_choi, ghz_state,
-                            information_content, information_flow,
-                            is_entanglement_breaking, lindblad_evolve,
-                            mc_channel_tomography, n_qubits_of,
+                            average_fidelity, check_density_matrix,
+                            choi_from_map, ghz_state, information_content,
+                            information_flow, lindblad_evolve, n_qubits_of,
                             oracle_equivalence_check, pauli_mixture_choi,
                             pauli_string_matrix, plus_state, trace_distance,
                             von_neumann_entropy)
+from qmemsim.pauli import sample_cumulative_frames
 
 I2 = np.eye(2, dtype=complex)
 X = PAULI_MATRICES[1]
 Z = PAULI_MATRICES[2]
 Y = PAULI_MATRICES[3]
+
+
+PAULI_EIGENSTATES = (
+    np.array([1.0, 0.0], dtype=complex),                       # +Z
+    np.array([0.0, 1.0], dtype=complex),                       # -Z
+    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),      # +X
+    np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),     # -X
+    np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),       # +Y
+    np.array([1.0, -1j], dtype=complex) / math.sqrt(2.0),      # -Y
+)
+
+
+def depolarizing_choi(lam: float) -> np.ndarray:
+    """Choi matrix of rho -> lam rho + (1 - lam) I/2."""
+    return choi_from_map(lambda rho: lam * rho
+                         + (1.0 - lam) * np.trace(rho) * np.eye(2) / 2.0)
+
+
+def average_fidelity_numeric(choi: np.ndarray, n_states: int, rng) -> float:
+    """Haar-sampled estimate of the average fidelity; agrees with
+    average_fidelity up to Monte Carlo error."""
+    if n_states < 1000:
+        raise ValueError("n_states must be >= 1000 for a stable estimate")
+    gen = np.random.default_rng(rng)
+    vecs = gen.normal(size=(n_states, 2)) + 1j * gen.normal(size=(n_states, 2))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    total = 0.0
+    for v in vecs:
+        rho = np.outer(v, v.conj())
+        total += float(np.real(np.vdot(v, apply_choi(choi, rho) @ v)))
+    return total / n_states
+
+
+def is_entanglement_breaking(choi: np.ndarray, tol: float = 1e-10) -> bool:
+    """PPT test on the Choi matrix (equivalent to EB for qubit channels)."""
+    j = choi.reshape(2, 2, 2, 2)
+    pt = j.transpose(0, 3, 2, 1).reshape(4, 4)
+    return bool(np.linalg.eigvalsh(pt).min() >= -tol)
+
+
+def channel_distance(choi_a: np.ndarray, choi_b: np.ndarray) -> float:
+    """Max output trace distance over the six Pauli eigenstate inputs."""
+    worst = 0.0
+    for v in PAULI_EIGENSTATES:
+        rho = np.outer(v, v.conj())
+        worst = max(worst, trace_distance(apply_choi(choi_a, rho),
+                                          apply_choi(choi_b, rho)))
+    return worst
+
+
+def mc_channel_tomography(rate_r: float, t: float, trials: int, rng) -> np.ndarray:
+    """Single-qubit channel reconstructed from Pauli-frame Monte Carlo.
+
+    Samples cumulative frames at time t, converts the empirical I/X/Z/Y
+    frequencies into a Pauli-mixture channel, and returns its Choi matrix.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    frames = sample_cumulative_frames(1, t, rate_r, trials, rng)[:, 0]
+    counts = np.bincount(frames, minlength=4)
+    return pauli_mixture_choi(counts / trials)
 
 
 def exact_depolarized(rho0, rate_r, t):
@@ -189,7 +251,7 @@ def test_pauli_mixture_matches_depolarizing():
 def test_average_fidelity_closed_form():
     for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
         got = average_fidelity(depolarizing_choi(lam))
-        assert got == pytest.approx(avg_fidelity_depolarizing(lam), rel=1e-12)
+        assert got == pytest.approx((1.0 + lam) / 2.0, rel=1e-12)
     # asymmetric mixture: F = (2 p_I + 1)/3
     j = pauli_mixture_choi((0.7, 0.2, 0.1, 0.0))
     assert average_fidelity(j) == pytest.approx(0.8, rel=1e-12)

@@ -10,8 +10,8 @@ import qmemsim.pauli as pauli_module
 from distribution_gate import compare_frames, frame_draws
 from qmemsim.pauli import (CODE_LABELS, SPARSE_WEIGHT, anticommutes,
                            depolarize, frame_from_label, frame_to_label,
-                           identity_frame, pauli_mul, sample_cumulative_frames,
-                           single_qubit_probs, string_anticommutes, weight)
+                           sample_cumulative_frames, string_anticommutes,
+                           weight)
 
 I, X, Z, Y = 0, 1, 2, 3
 
@@ -23,24 +23,31 @@ BELOW_CUT = float(np.nextafter(SPARSE_WEIGHT, 0.0))
 pauli = st.integers(min_value=0, max_value=3)
 
 
+def channel_probs(t, rate_r):
+    """Law (I, X, Z, Y) of the cumulative Pauli at time t: (1 + 3 lam)/4 and
+    (1 - lam)/4 each, lam = e^{-rt}."""
+    lam = math.exp(-rate_r * t)
+    return np.array([1 + 3 * lam, 1 - lam, 1 - lam, 1 - lam]) / 4
+
+
 def test_code_labels_order():
     assert CODE_LABELS == "IXZY"
 
 
 def test_product_table():
-    # products modulo phase: XZ = Y, XY = Z, ZY = X, and involutivity
-    assert pauli_mul(X, Z) == Y
-    assert pauli_mul(X, Y) == Z
-    assert pauli_mul(Z, Y) == X
+    # products modulo phase are XOR: XZ = Y, XY = Z, ZY = X, and involutivity
+    assert X ^ Z == Y
+    assert X ^ Y == Z
+    assert Z ^ Y == X
     for a in (I, X, Z, Y):
-        assert pauli_mul(a, a) == I
-        assert pauli_mul(a, I) == a
+        assert a ^ a == I
+        assert a ^ I == a
 
 
 @given(pauli, pauli, pauli)
 def test_product_group_laws(a, b, c):
-    assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
-    assert pauli_mul(a, b) == pauli_mul(b, a)  # true modulo phase
+    assert (a ^ b) ^ c == a ^ (b ^ c)
+    assert a ^ b == b ^ a  # true modulo phase
 
 
 def test_anticommutation_table():
@@ -60,7 +67,7 @@ def test_anticommutation_symmetric(a, b):
 @given(pauli, pauli, pauli)
 def test_anticommutation_bilinear(a, b, c):
     # symplectic form: <a, bc> = <a, b> xor <a, c>
-    assert anticommutes(a, pauli_mul(b, c)) == \
+    assert anticommutes(a, b ^ c) == \
         anticommutes(a, b) ^ anticommutes(a, c)
 
 
@@ -83,13 +90,13 @@ def test_labels_round_trip():
 
 def test_weight_and_identity():
     assert weight(frame_from_label("IXIYI")) == 2
-    assert weight(identity_frame(7)) == 0
-    assert identity_frame(3, trials=4).shape == (4, 3)
+    assert weight(np.zeros(7, dtype=np.uint8)) == 0
 
 
 def test_depolarize_marginals():
     p, trials = 0.3, 100_000
-    frames = depolarize(identity_frame(5, trials), p, np.random.default_rng(6))
+    frames = depolarize(np.zeros((trials, 5), dtype=np.uint8), p,
+                        np.random.default_rng(6))
     rate = np.count_nonzero(frames) / frames.size
     assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / frames.size)
     nonzero = frames[frames > 0]
@@ -102,7 +109,8 @@ def test_depolarize_per_trial_weights():
     weights = np.array([0.0, 0.1, 0.6, 1.0])
     trials = 4 * 20_000
     p = np.tile(weights, trials // 4)
-    frames = depolarize(identity_frame(3, trials), p, np.random.default_rng(7))
+    frames = depolarize(np.zeros((trials, 3), dtype=np.uint8), p,
+                        np.random.default_rng(7))
     for i, w in enumerate(weights):
         rows = frames[i::4]
         rate = np.count_nonzero(rows) / rows.size
@@ -114,7 +122,8 @@ def test_depolarize_xors_in_place():
     # depolarize composes onto an existing frame: same draws, XORed on
     start = np.tile(frame_from_label("XIZYI"), (50, 1))
     out = depolarize(start.copy(), 0.4, np.random.default_rng(3))
-    fresh = depolarize(identity_frame(5, 50), 0.4, np.random.default_rng(3))
+    fresh = depolarize(np.zeros((50, 5), dtype=np.uint8), 0.4,
+                       np.random.default_rng(3))
     assert np.array_equal(out, start ^ fresh)
     frames = start.copy()
     assert depolarize(frames, 0.4, np.random.default_rng(3)) is frames
@@ -126,7 +135,8 @@ def test_depolarize_xors_in_place_sparse():
     assert 0.01 < SPARSE_WEIGHT
     start = np.tile(frame_from_label("XIZYI"), (400, 1))
     out = depolarize(start.copy(), 0.01, np.random.default_rng(4))
-    fresh = depolarize(identity_frame(5, 400), 0.01, np.random.default_rng(4))
+    fresh = depolarize(np.zeros((400, 5), dtype=np.uint8), 0.01,
+                       np.random.default_rng(4))
     assert fresh.any() and np.array_equal(out, start ^ fresh)
     wide = np.zeros((5, 800), dtype=np.uint8)
     view = wide[:, ::2].T
@@ -187,17 +197,8 @@ def test_depolarize_rejects_weights_outside_unit_interval(p):
     # on the sparse side (largest weight below the cut, or NaN) and on the
     # dense side alike
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        depolarize(identity_frame(5, 2), p, np.random.default_rng(1))
-
-
-def test_single_qubit_probs():
-    p0 = single_qubit_probs(0.0, 1.0)
-    assert np.allclose(p0, [1, 0, 0, 0])
-    p = single_qubit_probs(1.0, 1.0)
-    lam = math.exp(-1.0)
-    assert p[0] == pytest.approx((1 + 3 * lam) / 4)
-    assert p[1] == p[2] == p[3] == pytest.approx((1 - lam) / 4)
-    assert p.sum() == pytest.approx(1.0)
+        depolarize(np.zeros((2, 5), dtype=np.uint8), p,
+                   np.random.default_rng(1))
 
 
 def test_cumulative_frames_match_channel_probabilities():
@@ -205,7 +206,7 @@ def test_cumulative_frames_match_channel_probabilities():
     t, r, trials = 1.0, 1.0, 200_000
     frames = sample_cumulative_frames(1, t, r, trials, np.random.default_rng(5))
     counts = np.bincount(frames[:, 0], minlength=4)
-    expected = single_qubit_probs(t, r) * trials
+    expected = channel_probs(t, r) * trials
     sigma = np.sqrt(expected * (1 - expected / trials))
     assert np.all(np.abs(counts - expected) < 4 * sigma + 1)
 
@@ -217,7 +218,7 @@ def test_cumulative_frames_compose_in_time():
     frames = sample_cumulative_frames(1, 0.3, r, trials, gen)
     frames ^= sample_cumulative_frames(1, 0.9, r, trials, gen)
     counts = np.bincount(frames[:, 0], minlength=4)
-    expected = single_qubit_probs(1.2, r) * trials
+    expected = channel_probs(1.2, r) * trials
     sigma = np.sqrt(expected * (1 - expected / trials))
     assert np.all(np.abs(counts - expected) < 4 * sigma + 1)
 
@@ -241,7 +242,7 @@ def test_cumulative_frames_per_trial_durations_match_channel():
     for i, t in enumerate(durations):
         group = frames[i::3].ravel()
         counts = np.bincount(group, minlength=4)
-        expected = single_qubit_probs(t, r) * group.size
+        expected = channel_probs(t, r) * group.size
         sigma = np.sqrt(expected * (1 - expected / group.size))
         assert np.all(np.abs(counts - expected) < 4 * sigma + 1)
 

@@ -1,9 +1,8 @@
 """Storage strategies: parameters, estimates, and the four simulators.
 
-The two-round concatenated check uses an exact enumeration oracle built in
-the test itself: single-block residual class probabilities are computed by
-summing over all 1024 error strings, composed with fresh depolarizing noise
-by XOR convolution, and pushed through the outer block the same way.
+The concatenated checks compare sampled counts with the exact logical
+channel each estimate carries (fivequbit.residual_channel, checked against
+brute-force enumeration in test_fivequbit, composed round by round).
 """
 
 import hashlib
@@ -12,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,7 @@ import pytest
 from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
-from qmemsim.fivequbit import BLOCK, b_exact, default_table, unpack
+from qmemsim.fivequbit import b_exact, residual_channel
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -28,7 +28,8 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_circuit_model,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
-                               with_sized_clock, _kick_probability)
+                               with_sized_clock, _depolarized,
+                               _kick_probability)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,28 +38,10 @@ UNIT = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5, t_dec=0.3,
                       delta=0.02, epsilon=0.3, clock_bits=4096)
 
 
-def depolarized_probs(q):
-    """Per-site class probabilities (I, X, Z, Y) at error weight q."""
-    return np.array([1.0 - q, q / 3.0, q / 3.0, q / 3.0])
-
-
-def block_residual_probs(site_probs):
-    """Exact residual class distribution of one block of iid sites."""
-    table = default_table()
-    codes = unpack(np.arange(4 ** BLOCK))
-    string_probs = np.prod(np.asarray(site_probs)[codes], axis=1)
-    out = np.zeros(4)
-    np.add.at(out, table.residuals, string_probs)
-    return out
-
-
-def xor_convolve(a, b):
-    """Composition of two Pauli channels: codes compose by XOR."""
-    out = np.zeros(4)
-    for i in range(4):
-        for j in range(4):
-            out[i ^ j] += a[i] * b[j]
-    return out
+def within_sigmas(est, z=4.0):
+    """Every class count of est within z binomial sigmas of its exact law."""
+    sigma = np.sqrt(est.exact * (1.0 - est.exact) / est.trials)
+    return bool(np.all(np.abs(est.p_hat - est.exact) < z * sigma + 1e-9))
 
 
 # --- parameters --------------------------------------------------------------
@@ -164,8 +147,21 @@ def test_unprotected_at_zero_time():
     p = ProtocolParams(rate_r=1.0, levels=0)
     est = simulate_unprotected(0.0, p, 500, np.random.default_rng(41))
     assert est.avg_fidelity == 1.0
+    assert est.exact.tolist() == [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         simulate_unprotected(-1.0, p, 10, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("t, rate_r", [(1.0, 1.0), (0.3, 2.5), (1e-7, 1.0)])
+def test_unprotected_exact_channel(t, rate_r):
+    # (1 + 3 e^{-rt})/4 for I and (1 - e^{-rt})/4 for each of X, Z and Y
+    p = ProtocolParams(rate_r=rate_r, levels=1)
+    exact = simulate_unprotected(t, p, 10, np.random.default_rng(1)).exact
+    lam = math.exp(-rate_r * t)
+    assert exact[0] == pytest.approx((1.0 + 3.0 * lam) / 4.0, rel=1e-12)
+    assert exact[1:] == pytest.approx([-math.expm1(-rate_r * t) / 4.0] * 3,
+                                      rel=1e-12)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -271,21 +267,34 @@ def test_circuit_single_round_matches_block_rate():
     expect = b_exact(q)
     sigma = math.sqrt(expect * (1.0 - expect) / est.trials)
     assert abs(est.error_rate - expect) < 4.0 * sigma
+    assert est.exact[1:].sum() == pytest.approx(expect, rel=1e-12)
+
+
+def test_depolarized_is_xor_composition():
+    # P Q for independent P ~ channel and depolarizing Q, summed over every
+    # pair of codes, on a batch of channels with one weight each
+    rng = np.random.default_rng(14)
+    channels = rng.dirichlet(np.ones(4), size=5)
+    weights = np.array([0.0, 1e-9, 0.2, 0.75, 1.0])
+    got = _depolarized(channels, weights)
+    for a, w, out in zip(channels, weights, got):
+        noise = [1.0 - w, w / 3.0, w / 3.0, w / 3.0]
+        expect = np.zeros(4)
+        for i, j in itertools.product(range(4), repeat=2):
+            expect[i ^ j] += a[i] * noise[j]
+        assert out == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
 def test_circuit_two_rounds_match_enumeration_oracle():
     p = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.4)
-    trials = 100_000
-    est = simulate_circuit_model(p, trials, np.random.default_rng(45))
+    est = simulate_circuit_model(p, 100_000, np.random.default_rng(45))
     q = 0.75 * (1.0 - math.exp(-0.4))
-    site = depolarized_probs(q)
-    inner = block_residual_probs(site)          # round 1 residual channel
-    outer_site = xor_convolve(inner, site)      # plus fresh noise in round 2
-    expect = block_residual_probs(outer_site)   # outer decode
-    assert expect.sum() == pytest.approx(1.0, rel=1e-12)
-    for cls in range(4):
-        sigma = math.sqrt(expect[cls] * (1 - expect[cls]) / trials)
-        assert abs(est.p_hat[cls] - expect[cls]) < 4.0 * sigma + 1e-9
+    site = np.array([1.0 - q, q / 3.0, q / 3.0, q / 3.0])
+    inner = residual_channel(site)               # round 1 residual channel
+    outer = residual_channel(_depolarized(inner, q))  # fresh noise, decode
+    assert est.exact == pytest.approx(outer, rel=1e-12)
+    assert est.exact.sum() == pytest.approx(1.0, abs=1e-12)
+    assert within_sigmas(est)
 
 
 def test_circuit_round_spacing_override():
@@ -299,10 +308,13 @@ def test_circuit_round_spacing_override():
 
 
 def test_circuit_storage_levels_override():
+    # fewer rounds than a parameter set's levels: replace(params, levels=...)
     p = ProtocolParams(rate_r=1.0, levels=3, t_prot=0.4)
-    est = simulate_circuit_model(p, 2_000, np.random.default_rng(47),
-                                 storage_levels=1)
+    est = simulate_circuit_model(replace(p, levels=1), 2_000,
+                                 np.random.default_rng(47))
     assert est.trials == 2_000  # ran with 5 qubits, not 125
+    q = 0.75 * (1.0 - math.exp(-0.4))
+    assert est.exact[1:].sum() == pytest.approx(b_exact(q), rel=1e-12)
 
 
 # --- clock controlled ----------------------------------------------------------
@@ -332,10 +344,32 @@ def test_clock_controlled_unit_run():
     assert diag.kick_probs.shape == (300, 1)
     assert est.decode_failures == int(diag.aborted.sum())
     assert est.bad_trajectories == int((~diag.good).sum())
+    # the exact law of each trial given its pass-1 record; aborts are Y
+    assert diag.channels.shape == (300, 4)
+    assert np.allclose(diag.channels.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(diag.channels[diag.aborted] == [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(est.exact, diag.channels.mean(axis=0))
     # decode instants track the nominal schedule end t_prot + t_dec
     times = diag.decode_times[~diag.aborted, 0]
     assert abs(times.mean() - 0.8) < 0.1
     assert np.all(times > 0.0)
+
+
+def test_clock_exact_channel_composes_kicks():
+    # noiseless code qubits: a trial's channel comes from its two kicks
+    # alone.  The level-1 kick k1 leaves each level-1 qubit depolarized at
+    # k1, the level-2 decode turns that into weight b = b_exact(k1), and the
+    # level-2 kick k2 composes on top: weight b + k2 - 4 b k2 / 3
+    params = replace(UNIT, levels=2)
+    _, diag = simulate_clock_controlled(params, 40, np.random.default_rng(64),
+                                        code_rate_r=0.0,
+                                        return_diagnostics=True)
+    ok = ~diag.aborted
+    assert ok.sum() > 30 and diag.kick_probs[ok].min() > 0.0
+    for (k1, k2), channel in zip(diag.kick_probs[ok], diag.channels[ok]):
+        b = b_exact(float(k1))
+        w = b + k2 - 4.0 * b * k2 / 3.0
+        assert channel == pytest.approx([1.0 - w] + [w / 3.0] * 3, rel=1e-12)
 
 
 def test_clock_controlled_two_levels_ordered():
@@ -450,12 +484,14 @@ def test_deterministic_clock_matches_circuit_spacing():
                                   round_spacing=UNIT.t_prot + UNIT.t_dec)
     sigma = math.sqrt(det.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
     assert abs(det.error_rate - circ.error_rate) < 4.0 * sigma
-    # the mean path is identical across trials
+    assert within_sigmas(det) and within_sigmas(circ)
+    # the mean path, and so the exact channel, is identical across trials
     _, diag = simulate_clock_controlled(UNIT, 50, np.random.default_rng(55),
                                         deterministic_clock=True,
                                         return_diagnostics=True)
     assert np.ptp(diag.decode_times[:, 0]) == 0.0
     assert not diag.aborted.any()
+    assert np.ptp(diag.channels, axis=0).max() == 0.0
 
 
 # --- lifetime scans ------------------------------------------------------------
