@@ -25,9 +25,8 @@ from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
                         decode_blocks, default_table, pack,
                         quadratic_bound_range, residual_channel, syndrome_of,
                         unpack)
-from .oracle import (average_fidelity, choi_from_map, ghz_state,
-                     information_content, information_flow, lindblad_evolve,
-                     oracle_equivalence_check, pauli_mixture_choi, plus_state,
+from .oracle import (ghz_state, information_content, information_flow,
+                     lindblad_evolve, oracle_equivalence_check, plus_state,
                      trace_distance, von_neumann_entropy)
 from .pauli import (CODE_LABELS, anticommutes, depolarize, frame_from_label,
                     frame_to_label, sample_cumulative_frames,

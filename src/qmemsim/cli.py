@@ -185,7 +185,6 @@ SCHEMAS = {
                               check=_nonnegative_list),
         "n_bits_list": _Field("list_int", None, allow_none=True,
                               check=_positive_odd_list),
-        "grid_step": _Field("float", 0.05, check=_positive),
     },
     "ledger": {
         "r": _RATE,
@@ -582,8 +581,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
     scan = lifetime_scan(strategy, params, v["fidelity_floor"], v["trials"],
                          np.random.default_rng(v["seed"]),
-                         levels_list=levels_list,
-                         n_bits_list=n_bits_list, grid_step=v["grid_step"])
+                         levels_list=levels_list, n_bits_list=n_bits_list)
     rows = [(n, life, scan.slope) for n, life in scan.points]
     summary = {
         "strategy": strategy, "fidelity_floor": v["fidelity_floor"],

@@ -72,10 +72,6 @@ def syndrome_of(frame) -> int:
     return s
 
 
-def syndrome_bits(s):
-    return tuple((s >> i) & 1 for i in range(4))
-
-
 @dataclass(frozen=True)
 class DecoderTable:
     """Precomputed decode maps over all 1024 five-site Pauli strings."""

@@ -10,10 +10,6 @@ written through the single-qubit twirl identity: averaging over {I, X, Y, Z}
 conjugations on qubit n equals replacing that qubit by the maximally mixed
 state, which is the per-qubit depolarizing generator.
 
-Channel-level tools work with Choi matrices of single-qubit channels:
-J = (E (x) id)(|Phi><Phi|) for the maximally entangled |Phi>.  Average
-fidelity is (2 F_e + 1)/3 with entanglement fidelity F_e = <Phi| J |Phi>.
-
 Everything here is deliberately small and dense: it is the independent
 oracle the stochastic Pauli-frame engine is validated against, so it shares
 no sampling code with it.
@@ -168,46 +164,6 @@ def information_flow(rho0: np.ndarray, rate_r: float, t: float,
     didt[0] = (info[1] - info[0]) / dt
     didt[-1] = (info[-1] - info[-2]) / dt
     return times, info, didt
-
-
-# ---------------------------------------------------------------------------
-# single-qubit channels as Choi matrices
-
-_BELL = np.zeros(4, dtype=complex)
-_BELL[0] = _BELL[3] = 1.0 / math.sqrt(2.0)
-_BELL_PROJ = np.outer(_BELL, _BELL.conj())
-
-
-def choi_from_map(apply_channel) -> np.ndarray:
-    """Choi matrix of a single-qubit map given as rho -> E(rho)."""
-    j = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[a, b] = 1.0
-            j += np.kron(apply_channel(unit), unit) / 2.0
-    return j
-
-
-def pauli_mixture_choi(probs) -> np.ndarray:
-    """Choi matrix of rho -> sum_P probs[P] P rho P over I, X, Z, Y codes."""
-    probs = np.asarray(probs, dtype=float)
-    return choi_from_map(lambda rho: sum(
-        p * (m @ rho @ m.conj().T)
-        for p, m in zip(probs, PAULI_MATRICES)))
-
-
-def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """E(rho) = 2 tr_2 [ J (I (x) rho^T) ]."""
-    j = choi.reshape(2, 2, 2, 2)
-    # tr_2[J (I (x) rho^T)][a,b] = sum_{ik} J[(a,i),(b,k)] rho[i,k]
-    return 2.0 * np.einsum("aibk,ik->ab", j, np.asarray(rho, dtype=complex))
-
-
-def average_fidelity(choi: np.ndarray) -> float:
-    """(2 F_e + 1)/3 from the entanglement fidelity F_e = <Phi|J|Phi>."""
-    f_e = float(np.real(np.trace(choi @ _BELL_PROJ)))
-    return (2.0 * f_e + 1.0) / 3.0
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

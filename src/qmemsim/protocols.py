@@ -238,12 +238,12 @@ class _Rounds:
 def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
                          rng) -> LogicalChannelEstimate:
     """Hold the logical qubit in physical qubit 0 of a d^levels product
-    register with no decoding; spectator qubits are simulated but cannot
-    influence the marginal, which is the point of the comparison."""
+    register with no decoding.  Noise acts on each qubit independently, so
+    the spectators carry no evidence about qubit 0 and only its frame is
+    drawn: the result, and its random stream, do not depend on levels."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    frames = sample_cumulative_frames(params.n_qubits, t, params.rate_r,
-                                      trials, rng)
+    frames = sample_cumulative_frames(1, t, params.rate_r, trials, rng)
     weight = -0.75 * math.expm1(-params.rate_r * t)
     return estimate_logical_channel(frames[:, 0],
                                     exact=_depolarized(_IDENTITY, weight))
@@ -312,12 +312,29 @@ def repetition_lifetime(n_bits: int, rate_r: float = 1.0,
 
     The failure probability increases monotonically in t from 0 toward 1/2,
     so the floor must lie in (0, 1/2).  Found by bisection on the exact tail
-    in units of 1/r (the tail depends on r t only); no sampling involved.
+    in units of 1/r (the tail depends on r t only), to 1e-12: the largest
+    probe whose fidelity 1 - failure still meets 1 - failure_floor.  No
+    sampling involved.
     """
-    if not 0.0 < failure_floor < 0.5:
+    floor = 1.0 - failure_floor
+    if not 0.5 < floor < 1.0:
         raise ValueError("failure_floor must lie in (0, 1/2)")
-    return _bisect_lifetime(lambda t: 1.0 - exact_majority_failure(n_bits, t),
-                            1.0 - failure_floor, 1e-12, 1.0) / rate_r
+
+    def meets(t):
+        return 1.0 - exact_majority_failure(n_bits, t) >= floor
+
+    lo, hi = 0.0, 1.0
+    while meets(hi):
+        hi *= 2.0
+        if hi > 1e6:
+            raise RuntimeError("fidelity never crosses the floor; raise it")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if meets(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo / rate_r
 
 
 def simulate_circuit_model(params: ProtocolParams, trials: int, rng,
@@ -465,35 +482,18 @@ class LifetimeScan:
     intercept: float
 
 
-def _bisect_lifetime(fid_at, floor: float, grid_step: float, t_hi0: float):
-    """Largest t with fid_at(t) >= floor, to grid_step resolution."""
-    if floor >= 1.0:
-        raise ValueError("fidelity floor unreachable even at t = 0")
-    lo, hi = 0.0, t_hi0
-    while fid_at(hi) >= floor:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("fidelity never crosses the floor; raise it")
-    while hi - lo > grid_step:
-        mid = 0.5 * (lo + hi)
-        if fid_at(mid) >= floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
-                  trials: int, rng, levels_list=None, n_bits_list=None,
-                  grid_step: float = 0.05) -> LifetimeScan:
+                  trials: int, rng, levels_list=None,
+                  n_bits_list=None) -> LifetimeScan:
     """Longest storage meeting the fidelity floor, versus register size.
 
-    unprotected: Monte Carlo bisection over t per register size (sizes are
-    d^level for level in levels_list); the returned lifetime is the largest
-    grid point still meeting the floor.  circuit / clock: the protocol with
-    the most rounds whose final fidelity meets the floor; lifetime is its
-    wall-clock storage span.  repetition: exact-tail bisection per odd n
-    in n_bits_list at failure floor 1 - fidelity_floor.
+    unprotected: one draw of qubit 0's failure times per register size
+    (sizes are d^level for level in levels_list); the lifetime is the exact
+    instant at which that draw's empirical fidelity drops below the floor.
+    circuit / clock: the protocol with the most rounds whose final fidelity
+    meets the floor; lifetime is its wall-clock storage span.  repetition:
+    exact-tail bisection per odd n in n_bits_list at failure floor
+    1 - fidelity_floor.
 
     The fitted slope is against the level count for circuit/clock and
     against ln n for unprotected/repetition.
@@ -503,13 +503,20 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     gen = np.random.default_rng(rng)
     points = []
     if strategy == "unprotected":
+        # with one uniform U per trial, qubit 0's frame is not I at time t
+        # exactly when U < 3(1 - e^{-rt})/4: from T = -ln(1 - 4U/3)/r on,
+        # or never when U >= 3/4.  The fidelity of LogicalChannelEstimate
+        # meets the floor with up to m failures, so the lifetime is the
+        # (m+1)-th smallest T.
+        k = np.arange(trials + 1)
+        m = np.count_nonzero(
+            (2.0 * ((trials - k) / trials) + 1.0) / 3.0 >= fidelity_floor) - 1
         levels_list = (0, 1, 3) if levels_list is None else levels_list
         for lev in levels_list:
-            sub = replace(params, levels=lev)
-            life = _bisect_lifetime(
-                lambda t: simulate_unprotected(t, sub, trials, gen).avg_fidelity,
-                fidelity_floor, grid_step, max(1.0 / params.rate_r, grid_step))
-            points.append((sub.n_qubits, life))
+            u = np.partition(gen.random(trials), m)[m]
+            if u >= 0.75:
+                raise RuntimeError("fidelity never crosses the floor; raise it")
+            points.append((BLOCK ** lev, -math.log1p(-u / 0.75) / params.rate_r))
         xs = np.log([n for n, _ in points])
     elif strategy in ("circuit", "clock"):
         levels_list = tuple(range(1, params.levels + 1)) if levels_list is None \

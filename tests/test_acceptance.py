@@ -42,14 +42,13 @@ def test_criterion_1_unprotected_lifetime():
     est = simulate_unprotected(t_star, params, 100_000,
                                np.random.default_rng(101))
     fid_ok = abs(est.avg_fidelity - 2.0 / 3.0) <= 3.0 * est.fidelity_sigma
-    # lifetime is ln 3 / r up to the scan grid step, independent of N
-    grid = 0.05
+    # lifetime is ln 3 / r up to sampling error, independent of N
     scan = lifetime_scan("unprotected", params, 2.0 / 3.0, 30_000,
-                         np.random.default_rng(102), grid_step=grid)
+                         np.random.default_rng(102))
     sizes = [n for n, _ in scan.points]
     lives = [life for _, life in scan.points]
-    lives_ok = all(abs(life - t_star) <= grid + 0.02 for life in lives)
-    flat_ok = sizes == [1, 5, 125] and max(lives) - min(lives) <= 2 * grid
+    lives_ok = all(abs(life - t_star) <= 0.07 for life in lives)
+    flat_ok = sizes == [1, 5, 125] and max(lives) - min(lives) <= 0.1
     report(1, fid_ok and lives_ok and flat_ok,
            f"fid(ln3)={est.avg_fidelity:.4f} (3sigma={3 * est.fidelity_sigma:.4f}), "
            f"lifetimes={[round(x, 3) for x in lives]} vs ln3={t_star:.3f} "

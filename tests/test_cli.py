@@ -73,6 +73,8 @@ def test_minimal_config_defaults():
      "clock-verify.r: number overflows a float"),
     ({"subcommand": "oracle-check", "t_values": [1, 10**400]},
      "oracle-check.t_values[1]: number overflows a float"),
+    ({"subcommand": "lifetime-scan", "strategy": "unprotected",
+      "grid_step": 0.05}, "lifetime-scan.grid_step: unknown key"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -457,6 +459,21 @@ def test_main_runtime_failure_exit(tmp_path, capsys):
     assert "runtime failure" in stderr
 
 
+def test_main_lifetime_scan_floor_never_crossed(tmp_path, capsys):
+    # the unprotected fidelity tends to 1/2, so a floor of 0.45 is never
+    # crossed: a runtime failure on one stderr line, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "lifetime-scan",
+                                "strategy": "unprotected",
+                                "fidelity_floor": 0.45, "trials": 2000}))
+    code, stdout, stderr = run_main(capsys, ["lifetime-scan", "--config",
+                                             str(path)])
+    assert code == EXIT_RUNTIME and not stdout
+    assert stderr.splitlines() == [
+        "runtime failure: RuntimeError: fidelity never crosses the floor; "
+        "raise it"]
+
+
 def test_main_plot_data(tmp_path, capsys):
     plot = tmp_path / "curve.dat"
     code, _, _ = run_main(capsys, ["bp-curve", "--trials", "2000",
@@ -514,7 +531,7 @@ BUNDLED_CSV_SHA256 = {
     "lifetime_repetition":
         "737f4b9f535f9017b5df7760f817c7e8ae38543ed14d7b23092680117582ae4f",
     "lifetime_unprotected":
-        "3d167ebc3117c51cb1749f901e5d75c68f7248010d90b2b5933c5343fcdd2133",
+        "85fc2d654bec4e5b2411a4cf0534313e3af862dd860b77200a829b37947e78bc",
     "memory_circuit":
         "0c664854ace111d0f629d33618140ca98972e95d32ef91f9dcf4eef1eb47fd63",
     "memory_clock_scaled":
@@ -522,7 +539,7 @@ BUNDLED_CSV_SHA256 = {
     "memory_repetition":
         "4c3b8775ed8ec334c72c65d1c7afe6d51f312046df2c9d8d83e5c61f2199ffe9",
     "memory_unprotected":
-        "db541ba221a982a3cf1d0cb50587985f672025ea6132c87a2b5437e74236a392",
+        "3c376b4d8cd2127a93b45d86788c6ea499b42038d74c794899ac03368bfac382",
 }
 
 

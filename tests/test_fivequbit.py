@@ -15,7 +15,7 @@ from qmemsim import fivequbit
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_blocks, default_table,
                                pack, quadratic_bound_range, residual_channel,
-                               syndrome_bits, syndrome_of, unpack)
+                               syndrome_of, unpack)
 from qmemsim.pauli import (frame_from_label, frame_to_label,
                            string_anticommutes, weight)
 
@@ -23,6 +23,10 @@ GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 # failing-count polynomial coefficients, frozen from exhaustive enumeration
 N_W = (0, 0, 90, 210, 270, 198)
+
+
+def syndrome_bits(s):
+    return tuple((s >> i) & 1 for i in range(4))
 
 frames_strategy = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
     lambda codes: np.array(codes, dtype=np.uint8))

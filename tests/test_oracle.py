@@ -2,10 +2,14 @@
 
 The single-qubit depolarizing channel has the closed form
 rho(t) = e^{-rt} rho0 + (1 - e^{-rt}) I/2, which serves as the exact
-reference for the integrator tests.  The channel references below
-(depolarizing_choi, is_entanglement_breaking, channel_distance,
-average_fidelity_numeric, mc_channel_tomography) are checks of the
-oracle's Choi tools and of the frame sampler, and live here with them.
+reference for the integrator tests.  The channel references below work with
+Choi matrices of single-qubit channels, J = (E (x) id)(|Phi><Phi|) for the
+maximally entangled |Phi>; average fidelity is (2 F_e + 1)/3 with
+entanglement fidelity F_e = <Phi| J |Phi>.  They (choi_from_map,
+pauli_mixture_choi, apply_choi, average_fidelity, depolarizing_choi,
+is_entanglement_breaking, channel_distance, average_fidelity_numeric,
+mc_channel_tomography) are checks of the frame sampler, and live here with
+the tests that use them.
 """
 
 import math
@@ -15,13 +19,12 @@ import pytest
 
 from qmemsim import oracle
 from qmemsim.bounds import information_decay_time
-from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES, apply_choi,
-                            average_fidelity, check_density_matrix,
-                            choi_from_map, ghz_state, information_content,
-                            information_flow, lindblad_evolve, n_qubits_of,
-                            oracle_equivalence_check, pauli_mixture_choi,
-                            pauli_string_matrix, plus_state, trace_distance,
-                            von_neumann_entropy)
+from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES,
+                            check_density_matrix, ghz_state,
+                            information_content, information_flow,
+                            lindblad_evolve, n_qubits_of,
+                            oracle_equivalence_check, pauli_string_matrix,
+                            plus_state, trace_distance, von_neumann_entropy)
 from qmemsim.pauli import sample_cumulative_frames
 
 I2 = np.eye(2, dtype=complex)
@@ -38,6 +41,43 @@ PAULI_EIGENSTATES = (
     np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),       # +Y
     np.array([1.0, -1j], dtype=complex) / math.sqrt(2.0),      # -Y
 )
+
+
+BELL = np.zeros(4, dtype=complex)
+BELL[0] = BELL[3] = 1.0 / math.sqrt(2.0)
+BELL_PROJ = np.outer(BELL, BELL.conj())
+
+
+def choi_from_map(apply_channel) -> np.ndarray:
+    """Choi matrix of a single-qubit map given as rho -> E(rho)."""
+    j = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[a, b] = 1.0
+            j += np.kron(apply_channel(unit), unit) / 2.0
+    return j
+
+
+def pauli_mixture_choi(probs) -> np.ndarray:
+    """Choi matrix of rho -> sum_P probs[P] P rho P over I, X, Z, Y codes."""
+    probs = np.asarray(probs, dtype=float)
+    return choi_from_map(lambda rho: sum(
+        p * (m @ rho @ m.conj().T)
+        for p, m in zip(probs, PAULI_MATRICES)))
+
+
+def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """E(rho) = 2 tr_2 [ J (I (x) rho^T) ]."""
+    j = choi.reshape(2, 2, 2, 2)
+    # tr_2[J (I (x) rho^T)][a,b] = sum_{ik} J[(a,i),(b,k)] rho[i,k]
+    return 2.0 * np.einsum("aibk,ik->ab", j, np.asarray(rho, dtype=complex))
+
+
+def average_fidelity(choi: np.ndarray) -> float:
+    """(2 F_e + 1)/3 from the entanglement fidelity F_e = <Phi|J|Phi>."""
+    f_e = float(np.real(np.trace(choi @ BELL_PROJ)))
+    return (2.0 * f_e + 1.0) / 3.0
 
 
 def depolarizing_choi(lam: float) -> np.ndarray:

@@ -164,6 +164,24 @@ def test_unprotected_exact_channel(t, rate_r):
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_unprotected_draws_only_the_stored_qubit():
+    # depolarize draws cells i.i.d., so the spectators carry no evidence
+    # about qubit 0: one seed gives the same residuals at any register size,
+    # and the spectators' frames are never drawn
+    t = math.log(3.0)
+    runs = []
+    for levels in (0, 3):
+        gen = np.random.default_rng(62)
+        p = ProtocolParams(rate_r=1.0, levels=levels)
+        est = simulate_unprotected(t, p, 5_000, gen)
+        runs.append((p.n_qubits, est, gen.bit_generator.state))
+    (n0, est0, state0), (n3, est3, state3) = runs
+    assert (n0, n3) == (1, 125)
+    assert est0.counts.tobytes() == est3.counts.tobytes()
+    assert est0.exact.tobytes() == est3.exact.tobytes()
+    assert state0 == state3
+
+
 @pytest.mark.parametrize("levels", [0, 2])
 def test_unprotected_matches_channel_formula(levels):
     # marginal fidelity (1 + e^{-rt})/2 regardless of spectator count
@@ -518,13 +536,63 @@ def test_lifetime_scan_validation():
 def test_lifetime_scan_unprotected_flat():
     p = ProtocolParams(rate_r=1.0, levels=0)
     scan = lifetime_scan("unprotected", p, 2.0 / 3.0, 20_000,
-                         np.random.default_rng(56), grid_step=0.05)
+                         np.random.default_rng(56))
     sizes = [n for n, _ in scan.points]
     assert sizes == [1, 5, 125]
     # fidelity floor 2/3 is crossed at t = ln 3 for every register size
     for _, life in scan.points:
         assert life == pytest.approx(math.log(3.0), abs=0.12)
     assert abs(scan.slope) < 0.04  # flat in ln N
+
+
+def _fidelity(failures, trials):
+    """LogicalChannelEstimate.avg_fidelity of a run with that many faults."""
+    counts = np.array([trials - failures, failures, 0, 0])
+    return LogicalChannelEstimate(counts=counts, trials=trials).avg_fidelity
+
+
+@pytest.mark.parametrize("floor, rate_r", [(2.0 / 3.0, 1.0), (0.9, 2.0)])
+def test_lifetime_scan_unprotected_closed_form(floor, rate_r):
+    # the fidelity (1 + e^{-rt})/2 crosses f at t* = -ln(2f - 1)/r; the
+    # sampled crossing is a quantile of the failure time, so its standard
+    # error is sqrt(q(1 - q)/n) over the density (3/4) r e^{-r t*} there
+    trials = 30_000
+    t_star = -math.log(2.0 * floor - 1.0) / rate_r
+    q = (3.0 * floor - 1.0) / 2.0
+    sigma = (math.sqrt(q * (1.0 - q) / trials)
+             / (0.75 * rate_r * math.exp(-rate_r * t_star)))
+    p = ProtocolParams(rate_r=rate_r, levels=0)
+    for seed in range(20):
+        scan = lifetime_scan("unprotected", p, floor, trials,
+                             np.random.default_rng([63, seed]))
+        # the same draws: one uniform per trial and register size, and qubit
+        # 0 fails from T = -ln(1 - 4U/3)/r on (never when U >= 3/4)
+        gen = np.random.default_rng([63, seed])
+        for _, life in scan.points:
+            assert abs(life - t_star) <= 4.5 * sigma, (seed, life, t_star)
+            u = gen.random(trials)
+            times = np.full(trials, np.inf)
+            fails = u < 0.75
+            times[fails] = -np.log1p(-u[fails] / 0.75) / rate_r
+            # the exact crossing of this draw: the floor is met just before
+            # the lifetime and not at it (bracketed at 1e-12 relative, so
+            # the check does not hang on the last bit of log1p)
+            before = np.count_nonzero(times < life * (1.0 - 1e-12))
+            at = np.count_nonzero(times <= life * (1.0 + 1e-12))
+            assert _fidelity(before, trials) >= floor
+            assert _fidelity(at, trials) < floor
+
+
+def test_lifetime_scan_unprotected_floor_below_asymptote():
+    # the fidelity tends to 1/2, so a floor of 0.45 is never crossed: the
+    # scan says so from its first draw instead of searching ever longer t
+    p = ProtocolParams(rate_r=1.0, levels=0)
+    gen = np.random.default_rng(64)
+    with pytest.raises(RuntimeError, match="never crosses the floor"):
+        lifetime_scan("unprotected", p, 0.45, 10_000, gen)
+    ref = np.random.default_rng(64)
+    ref.random(10_000)
+    assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_lifetime_scan_repetition_frozen():
