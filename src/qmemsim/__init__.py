@@ -6,7 +6,7 @@ rounds, exact analytic budgets certifying (or refuting) parameter choices,
 and a dense Lindblad oracle that cross-checks the sampler on small systems.
 """
 
-from .bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
+from .bounds import (LedgerReport, RecursionTrace, RoundConstants,
                      assess_constants, build_ledger, clock_size_for,
                      decode_budget, entanglement_breaking_time,
                      evolution_budget, feasibility_search,
@@ -22,15 +22,13 @@ from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     time_error_bound, time_estimate, vertical_exit_rate_bound,
                     window_passage, window_schedule)
 from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
-                        decode_blocks, default_table, pack,
-                        quadratic_bound_range, residual_channel, syndrome_of,
-                        unpack)
+                        decode_blocks, default_table, quadratic_bound_range,
+                        residual_channel, syndrome_of, unpack)
 from .oracle import (ghz_state, information_content, information_flow,
                      lindblad_evolve, oracle_equivalence_check, plus_state,
                      trace_distance, von_neumann_entropy)
 from .pauli import (CODE_LABELS, anticommutes, depolarize, frame_from_label,
-                    frame_to_label, sample_cumulative_frames,
-                    string_anticommutes, weight)
+                    frame_to_label, sample_cumulative_frames)
 from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         LogicalChannelEstimate, ProtocolParams,
                         RepetitionEstimate, estimate_logical_channel,

@@ -12,17 +12,17 @@ certified when every iterate from p_0 = 0 stays at or below the per-qubit
 threshold p_star.  The code is the five-qubit code throughout, so the
 block size d in the formulas below is fivequbit.BLOCK = 5.
 
-build_ledger evaluates the reference constant choices
+assess_constants evaluates one multiplier set
 
-    t_prot = p_star / r          t_dec = p_star / (4 d r)
-    delta  = p_star * t_dec / (8 pi)        h_norm = 2 pi / t_dec
-    epsilon = 1/6                K = (2 e^{r tau} / (r delta))^3
-    l = ceil(tau / (t_prot + t_dec))
+    t_prot = c_prot p_star / r          t_dec = c_dec p_star / (d r)
+    delta  = c_delta t_dec              h_norm = 2 pi / t_dec
 
-and records the verdict of the recursion under both the exact B and the
-quadratic bound 10 p^2.  feasibility_search scans multiplier grids
-(t_prot = c_prot p*/r, t_dec = c_dec p*/(d r), delta = c_delta t_dec) for
-sets whose recursion contracts to a fixed point with a required margin.
+and its recursion under the exact B.  build_ledger is assess_constants at
+the reference multipliers (c_prot, c_dec, c_delta) = (1, 1/4, p_star/(8 pi))
+over l = ceil(tau / (t_prot + t_dec)) rounds; it adds the verdict under the
+quadratic bound 10 p^2 and the clock size K = (2 e^{r tau} / (r delta))^3
+at epsilon = 1/6.  feasibility_search scans multiplier grids for sets whose
+recursion contracts to a fixed point with a required margin.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from .fivequbit import BLOCK, b_exact
 
 TWO_PI = 2.0 * math.pi
+
+#: clock exponent epsilon of the ledger's clock size
+EPSILON = 1.0 / 6.0
 
 
 def information_decay_time(n_qubits: int, rate_r: float) -> float:
@@ -105,101 +108,23 @@ def iterate_round_recursion(error_fn, p_evol: float, p_dec: float, levels: int,
     iterates settle to within 1e-14."""
     p = 0.0
     iterates = []
-    for _ in range(levels):
-        p = error_fn(min(p + p_evol, 1.0)) + p_dec
-        iterates.append(p)
-    holds = all(q <= p_star for q in iterates)
     fixed_point = None
-    q = p
-    for _ in range(400):
-        nxt = error_fn(min(q + p_evol, 1.0)) + p_dec
-        if abs(nxt - q) < 1e-14:
+    for j in range(levels + 400):
+        nxt = error_fn(min(p + p_evol, 1.0)) + p_dec
+        if j < levels:
+            iterates.append(nxt)
+        elif abs(nxt - p) < 1e-14:
             fixed_point = nxt
             break
-        q = nxt
+        p = nxt
     return RecursionTrace(iterates=tuple(iterates), fixed_point=fixed_point,
-                          p_star=p_star, holds=holds)
+                          p_star=p_star,
+                          holds=all(q <= p_star for q in iterates))
 
 
 @dataclass(frozen=True)
-class LedgerReport:
-    # inputs
-    rate_r: float
-    p_star: float
-    tau: float
-    # derived constants
-    t_prot: float
-    t_dec: float
-    delta: float
-    h_norm: float
-    epsilon: float
-    clock_bits: float        # formula value; astronomically large is expected
-    levels: int
-    n_qubits: int
-    # budget terms
-    p_evol_bound: float
-    p_dec_bound: float
-    # recursion results
-    exact: RecursionTrace        # B = exact enumeration
-    quadratic: RecursionTrace    # B = 10 p^2
-
-    @property
-    def verdict_holds(self) -> bool:
-        """Primary verdict, under the exact block error function."""
-        return self.exact.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": {"rate_r": self.rate_r, "p_star": self.p_star,
-                       "tau": self.tau},
-            "derived": {"t_prot": self.t_prot, "t_dec": self.t_dec,
-                        "delta": self.delta, "h_norm": self.h_norm,
-                        "epsilon": self.epsilon, "clock_bits": self.clock_bits,
-                        "levels": self.levels, "n_qubits": float(self.n_qubits)},
-            "budget": {"p_evol_bound": self.p_evol_bound,
-                       "p_dec_bound": self.p_dec_bound},
-            "recursion_exact": {"iterates": list(self.exact.iterates),
-                                "fixed_point": self.exact.fixed_point,
-                                "holds": self.exact.holds},
-            "recursion_quadratic": {"iterates": list(self.quadratic.iterates),
-                                    "fixed_point": self.quadratic.fixed_point,
-                                    "holds": self.quadratic.holds},
-            "verdict_holds": self.verdict_holds,
-        }
-
-
-def build_ledger(rate_r: float, p_star: float, tau: float = 1.0) -> LedgerReport:
-    """Evaluate the reference constants and the round recursion verdict.
-
-    The verdict carries the result; failing the inequality is a recorded
-    finding, not an exception.
-    """
-    if not 0.0 < p_star <= 1.0 / 40.0:
-        raise ValueError("p_star must lie in (0, 1/40]")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    t_prot = p_star / rate_r
-    t_dec = p_star / (4.0 * BLOCK * rate_r)
-    delta = p_star * t_dec / (8.0 * math.pi)
-    h_norm = TWO_PI / t_dec
-    epsilon = 1.0 / 6.0
-    clock_bits = (2.0 * math.exp(rate_r * tau) / (rate_r * delta)) ** 3
-    levels = math.ceil(tau / (t_prot + t_dec))
-    p_evol = evolution_budget(t_prot, delta, rate_r)
-    p_dec = decode_budget(h_norm, delta, t_dec, rate_r)
-    exact = iterate_round_recursion(b_exact, p_evol, p_dec, levels, p_star)
-    quad = iterate_round_recursion(quadratic_block_error, p_evol, p_dec,
-                                   levels, p_star)
-    return LedgerReport(rate_r=rate_r, p_star=p_star, tau=tau,
-                        t_prot=t_prot, t_dec=t_dec, delta=delta, h_norm=h_norm,
-                        epsilon=epsilon, clock_bits=clock_bits, levels=levels,
-                        n_qubits=BLOCK ** levels, p_evol_bound=p_evol,
-                        p_dec_bound=p_dec, exact=exact, quadratic=quad)
-
-
-@dataclass(frozen=True)
-class FeasibleConstants:
-    """A constant set whose round recursion contracts below threshold."""
+class RoundConstants:
+    """One multiplier set, its constants, and its recursion under the exact B."""
 
     p_star: float
     c_prot: float
@@ -216,9 +141,11 @@ class FeasibleConstants:
     trace: RecursionTrace
 
     @property
-    def margin(self) -> float:
-        """Relative distance of the fixed point below p_star."""
-        return 1.0 - self.trace.fixed_point / self.p_star
+    def margin(self) -> float | None:
+        """Relative distance of the fixed point below p_star; None when the
+        recursion does not settle."""
+        fp = self.trace.fixed_point
+        return None if fp is None else 1.0 - fp / self.p_star
 
     def to_dict(self) -> dict:
         return {"p_star": self.p_star, "c_prot": self.c_prot,
@@ -232,22 +159,90 @@ class FeasibleConstants:
                 "margin": self.margin}
 
 
+def _round_times(rate_r, p_star, c_prot, c_dec):
+    """(t_prot, t_dec) = (c_prot p_star / r, c_dec p_star / (d r))."""
+    return c_prot * p_star / rate_r, c_dec * p_star / (BLOCK * rate_r)
+
+
+def _reference_c_delta(p_star):
+    """delta = (p_star / (8 pi)) t_dec, which makes h_norm delta = p_star / 4."""
+    return p_star / (8.0 * math.pi)
+
+
 def assess_constants(rate_r: float, p_star: float, c_prot: float,
                      c_dec: float, c_delta: float,
-                     levels: int = 4) -> FeasibleConstants:
+                     levels: int = 4) -> RoundConstants:
     """Evaluate one multiplier set; feasibility is judged by the caller."""
-    t_prot = c_prot * p_star / rate_r
-    t_dec = c_dec * p_star / (BLOCK * rate_r)
+    t_prot, t_dec = _round_times(rate_r, p_star, c_prot, c_dec)
     delta = c_delta * t_dec
     h_norm = TWO_PI / t_dec
     p_evol = evolution_budget(t_prot, delta, rate_r)
     p_dec = decode_budget(h_norm, delta, t_dec, rate_r)
     trace = iterate_round_recursion(b_exact, p_evol, p_dec, levels, p_star)
-    return FeasibleConstants(p_star=p_star, c_prot=c_prot, c_dec=c_dec,
-                             c_delta=c_delta, rate_r=rate_r,
-                             t_prot=t_prot, t_dec=t_dec, delta=delta,
-                             h_norm=h_norm, p_evol_bound=p_evol,
-                             p_dec_bound=p_dec, levels=levels, trace=trace)
+    return RoundConstants(p_star=p_star, c_prot=c_prot, c_dec=c_dec,
+                          c_delta=c_delta, rate_r=rate_r,
+                          t_prot=t_prot, t_dec=t_dec, delta=delta,
+                          h_norm=h_norm, p_evol_bound=p_evol,
+                          p_dec_bound=p_dec, levels=levels, trace=trace)
+
+
+def _recursion(trace: RecursionTrace) -> dict:
+    return {"iterates": list(trace.iterates), "fixed_point": trace.fixed_point,
+            "holds": trace.holds}
+
+
+@dataclass(frozen=True)
+class LedgerReport:
+    """build_ledger's record: the reference point over the horizon tau."""
+
+    tau: float
+    point: RoundConstants        # B = exact enumeration
+    clock_bits: float            # formula value; astronomically large is expected
+    quadratic: RecursionTrace    # B = 10 p^2
+
+    @property
+    def verdict_holds(self) -> bool:
+        """Primary verdict, under the exact block error function."""
+        return self.point.trace.holds
+
+    def to_dict(self) -> dict:
+        pt = self.point
+        return {
+            "inputs": {"rate_r": pt.rate_r, "p_star": pt.p_star,
+                       "tau": self.tau},
+            "derived": {"t_prot": pt.t_prot, "t_dec": pt.t_dec,
+                        "delta": pt.delta, "h_norm": pt.h_norm,
+                        "epsilon": EPSILON, "clock_bits": self.clock_bits,
+                        "levels": pt.levels,
+                        "n_qubits": float(BLOCK ** pt.levels)},
+            "budget": {"p_evol_bound": pt.p_evol_bound,
+                       "p_dec_bound": pt.p_dec_bound},
+            "recursion_exact": _recursion(pt.trace),
+            "recursion_quadratic": _recursion(self.quadratic),
+            "verdict_holds": self.verdict_holds,
+        }
+
+
+def build_ledger(rate_r: float, p_star: float, tau: float = 1.0) -> LedgerReport:
+    """Evaluate the reference constants and the round recursion verdict.
+
+    The verdict carries the result; failing the inequality is a recorded
+    finding, not an exception.
+    """
+    if not 0.0 < p_star <= 1.0 / 40.0:
+        raise ValueError("p_star must lie in (0, 1/40]")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    c_prot, c_dec = 1.0, 0.25
+    round_time = sum(_round_times(rate_r, p_star, c_prot, c_dec))
+    point = assess_constants(rate_r, p_star, c_prot, c_dec,
+                             _reference_c_delta(p_star),
+                             levels=math.ceil(tau / round_time))
+    quad = iterate_round_recursion(quadratic_block_error, point.p_evol_bound,
+                                   point.p_dec_bound, point.levels, p_star)
+    clock_bits = (2.0 * math.exp(rate_r * tau) / (rate_r * point.delta)) ** 3
+    return LedgerReport(tau=tau, point=point, clock_bits=clock_bits,
+                        quadratic=quad)
 
 
 def feasibility_search(rate_r: float, p_star_values=(0.01,),
@@ -257,17 +252,14 @@ def feasibility_search(rate_r: float, p_star_values=(0.01,),
     """First multiplier set on the grid contracting with the required margin.
 
     Returns None when the whole range is infeasible.  c_delta defaults to
-    the reference relation delta = (p_star/(8 pi)) * t_dec, which makes
-    h_norm * delta = p_star / 4.
+    the reference relation of build_ledger.
     """
     if not p_star_values or not c_prot_values or not c_dec_values:
         raise ValueError("search ranges must be nonempty")
     if c_delta_values is not None and not c_delta_values:
         raise ValueError("search ranges must be nonempty")
     for p_star in p_star_values:
-        c_deltas = c_delta_values
-        if c_deltas is None:
-            c_deltas = (p_star / (8.0 * math.pi),)
+        c_deltas = c_delta_values or (_reference_c_delta(p_star),)
         for c_prot in c_prot_values:
             for c_dec in c_dec_values:
                 for c_delta in c_deltas:

@@ -371,17 +371,13 @@ def _py(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
+def _json_default(obj):
+    """json.dumps hook for the numpy values a summary may hold."""
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _run_clock_verify(cfg: ExperimentConfig) -> ExperimentResult:
@@ -468,7 +464,7 @@ def _run_bp_curve(cfg: ExperimentConfig) -> ExperimentResult:
         exact = b_exact(p)
         est = b_monte_carlo(p, v["trials"], gen)
         rows.append((p, exact, est.estimate, est.ci_low, est.ci_high))
-        covered += est.ci_low <= exact <= est.ci_high
+        covered += int(est.ci_low <= exact <= est.ci_high)
         max_dev = max(max_dev, abs(est.estimate - exact))
     summary = {
         "points": len(rows), "trials": v["trials"],
@@ -669,7 +665,7 @@ def result_payload(result: ExperimentResult) -> dict:
     return {
         "subcommand": result.config.subcommand,
         "config": json.loads(result.config.serialize()),
-        "summary": _jsonable(result.summary),
+        "summary": result.summary,
         "rows": [dict(zip(result.header, map(_py, row)))
                  for row in result.rows],
         "timestamp": time.time(),
@@ -682,7 +678,8 @@ def write_result(result: ExperimentResult, path) -> Path:
         path.write_text(render_rows_csv(result.header, result.rows))
     else:
         path.write_text(json.dumps(result_payload(result), indent=2,
-                                   sort_keys=True) + "\n")
+                                   sort_keys=True, default=_json_default)
+                        + "\n")
     return path
 
 
@@ -771,7 +768,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(json.dumps(_jsonable(result.summary), sort_keys=True))
+    print(json.dumps(result.summary, sort_keys=True, default=_json_default))
     return result.exit_code
 
 

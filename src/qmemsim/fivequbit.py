@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import (I, X, Z, Y, anticommutes, depolarize, frame_from_label,
-                    string_anticommutes)
+from .pauli import I, anticommutes, depolarize, frame_from_label
 from .stats import wilson_interval
 
 GENERATORS = np.array([frame_from_label(s)
@@ -47,18 +46,21 @@ LOGICAL_Z = frame_from_label("ZZZZZ")
 
 BLOCK = 5
 N_STRINGS = 4 ** BLOCK
-POW4 = 4 ** np.arange(BLOCK)
-
-
-def pack(frames):
-    """Pack (..., 5) code arrays into base-4 indices."""
-    return np.asarray(frames, dtype=np.int64) @ POW4
 
 
 def unpack(indices):
-    """Inverse of pack: indices -> (..., 5) code arrays."""
+    """Packed base-4 indices -> (..., 5) code arrays."""
     idx = np.asarray(indices, dtype=np.int64)
     return ((idx[..., None] >> (2 * np.arange(BLOCK))) & 3).astype(np.uint8)
+
+
+def _syndromes(codes, checks=GENERATORS):
+    """(...) uint8 of (..., 5) code arrays; bit i is 1 iff the string
+    anticommutes with checks[i]."""
+    bits = np.bitwise_xor.reduce(anticommutes(codes[..., None, :], checks),
+                                 axis=-1)
+    return np.bitwise_or.reduce(bits << np.arange(len(checks), dtype=np.uint8),
+                                axis=-1)
 
 
 def syndrome_of(frame) -> int:
@@ -66,10 +68,7 @@ def syndrome_of(frame) -> int:
     frame = np.asarray(frame, dtype=np.uint8)
     if frame.shape != (BLOCK,):
         raise ValueError("five-qubit block expected")
-    s = 0
-    for i, g in enumerate(GENERATORS):
-        s |= int(string_anticommutes(frame, g)) << i
-    return s
+    return int(_syndromes(frame))
 
 
 @dataclass(frozen=True)
@@ -83,42 +82,25 @@ class DecoderTable:
 
     @classmethod
     def build(cls) -> "DecoderTable":
-        idx = np.arange(N_STRINGS)
+        idx = np.arange(N_STRINGS, dtype=np.int64)
         codes = unpack(idx)
-
-        syn = np.zeros(N_STRINGS, dtype=np.uint8)
-        for i, g in enumerate(GENERATORS):
-            bits = np.bitwise_xor.reduce(anticommutes(codes, g[None, :]), axis=1) & 1
-            syn |= (bits << i).astype(np.uint8)
-
-        # the 16 weight<=1 errors and their syndromes must be a bijection
-        corrections = np.full(16, -1, dtype=np.int64)
-        low_weight = [np.zeros(BLOCK, dtype=np.uint8)]
-        for q in range(BLOCK):
-            for p in (X, Z, Y):
-                e = np.zeros(BLOCK, dtype=np.uint8)
-                e[q] = p
-                low_weight.append(e)
-        for e in low_weight:
-            s = syndrome_of(e)
-            if corrections[s] != -1:
-                raise RuntimeError("syndrome collision among weight<=1 errors")
-            corrections[s] = int(pack(e))
-
-        corrected = idx ^ corrections[syn]
-        ccodes = unpack(corrected)
-        for g in GENERATORS:
-            bits = np.bitwise_xor.reduce(anticommutes(ccodes, g[None, :]), axis=1) & 1
-            if bits.any():
-                raise RuntimeError("corrected error fails to commute with generators")
-
-        x_comp = np.bitwise_xor.reduce(
-            anticommutes(ccodes, LOGICAL_Z[None, :]), axis=1) & 1
-        z_comp = np.bitwise_xor.reduce(
-            anticommutes(ccodes, LOGICAL_X[None, :]), axis=1) & 1
-        residuals = (x_comp | (z_comp << 1)).astype(np.uint8)
-
+        syn = _syndromes(codes)
         weights = (codes != I).sum(axis=1)
+
+        # the 16 weight<=1 errors and their syndromes must be a bijection;
+        # sorted, not np.unique, whose first call imports numpy.ma (20 ms)
+        low = weights <= 1
+        if not np.array_equal(np.sort(syn[low]), np.arange(16)):
+            raise RuntimeError("syndrome collision among weight<=1 errors")
+        corrections = np.empty(16, dtype=np.int64)
+        corrections[syn[low]] = idx[low]
+
+        ccodes = unpack(idx ^ corrections[syn])
+        if _syndromes(ccodes).any():
+            raise RuntimeError("corrected error fails to commute with generators")
+        # x component: anticommutes with logical Z; z component: with X
+        residuals = _syndromes(ccodes, np.array([LOGICAL_Z, LOGICAL_X]))
+
         counts = np.bincount(weights[residuals != I], minlength=6)
         return cls(syndromes=syn, corrections=corrections, residuals=residuals,
                    failing_weight_counts=counts)
@@ -132,8 +114,8 @@ def default_table() -> DecoderTable:
 def decode_blocks(frames):
     """Vectorized decode of (..., 5) frames to residual codes (...).
 
-    Packs like pack, but in uint8 shifts for sites 0-3 and one uint16 shift
-    for site 4, which is about twice as fast as pack's int64 product.
+    Packs in uint8 shifts for sites 0-3 and one uint16 shift for site 4,
+    about twice as fast as an int64 product with the powers of 4.
     """
     f = np.asarray(frames, dtype=np.uint8)
     if f.shape[-1] != BLOCK:

@@ -59,20 +59,6 @@ def anticommutes(a, b):
     return ((a & 1) & ((b >> 1) & 1)) ^ (((a >> 1) & 1) & (b & 1))
 
 
-def string_anticommutes(e, f):
-    """Symplectic form of two equal-length Pauli strings (0 or 1)."""
-    e = np.asarray(e)
-    f = np.asarray(f)
-    if e.shape[-1] != f.shape[-1]:
-        raise ValueError("length mismatch")
-    return np.bitwise_xor.reduce(anticommutes(e, f), axis=-1) & 1
-
-
-def weight(frame):
-    """Number of non-identity sites."""
-    return int(np.count_nonzero(np.asarray(frame)))
-
-
 def frame_from_label(label):
     """Parse a string like 'XZZXI' into a code array."""
     try:

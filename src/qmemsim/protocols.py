@@ -157,15 +157,6 @@ class LogicalChannelEstimate:
         """(2 p_I + 1)/3, the Pauli-channel average fidelity; in [1/3, 1]."""
         return (2.0 * self.p_hat[0] + 1.0) / 3.0
 
-    def sigma(self) -> np.ndarray:
-        """Per-class binomial standard errors."""
-        p = self.p_hat
-        return np.sqrt(p * (1.0 - p) / self.trials)
-
-    @property
-    def fidelity_sigma(self) -> float:
-        return 2.0 * float(self.sigma()[0]) / 3.0
-
 
 def estimate_logical_channel(residuals, decode_failures: int = 0,
                              bad_trajectories: int = 0,

@@ -20,6 +20,10 @@ window_passage.  frame_tables and compare_frames apply chi2_table to two
 depolarized frame arrays, such as the sparse and the dense draws of
 pauli.depolarize.
 
+wald_sigma and fidelity_sigma are the binomial (Wald) standard errors of a
+protocols.LogicalChannelEstimate, per class and of its average fidelity;
+they have zero width where a class frequency is 0 or 1.
+
 This module is a helper, not a test file; tests/test_distribution_gate.py
 checks it on hand-computed cases.
 """
@@ -138,6 +142,18 @@ def count_p_value(observed: int, binomials) -> float:
     below = float(pmf.sum())
     above = 1.0 - float(pmf[:-1].sum())
     return min(1.0, 2.0 * min(below, above))
+
+
+def wald_sigma(est) -> np.ndarray:
+    """Per-class standard errors sqrt(p (1 - p) / trials) of a channel
+    estimate."""
+    p = est.p_hat
+    return np.sqrt(p * (1.0 - p) / est.trials)
+
+
+def fidelity_sigma(est) -> float:
+    """Standard error of the average fidelity (2 p_I + 1)/3."""
+    return 2.0 * float(wald_sigma(est)[0]) / 3.0
 
 
 def passage_samplers(params, horizon, schedule, t_dec):

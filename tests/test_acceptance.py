@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from distribution_gate import count_p_value
+from distribution_gate import count_p_value, fidelity_sigma, wald_sigma
 from qmemsim.bounds import (build_ledger, decode_budget, feasibility_search,
                             information_decay_time)
 from qmemsim.clock import (ClockParams, good_prob_bound, is_good,
@@ -41,7 +41,7 @@ def test_criterion_1_unprotected_lifetime():
     params = ProtocolParams(rate_r=1.0, levels=0)
     est = simulate_unprotected(t_star, params, 100_000,
                                np.random.default_rng(101))
-    fid_ok = abs(est.avg_fidelity - 2.0 / 3.0) <= 3.0 * est.fidelity_sigma
+    fid_ok = abs(est.avg_fidelity - 2.0 / 3.0) <= 3.0 * fidelity_sigma(est)
     # lifetime is ln 3 / r up to sampling error, independent of N
     scan = lifetime_scan("unprotected", params, 2.0 / 3.0, 30_000,
                          np.random.default_rng(102))
@@ -50,7 +50,7 @@ def test_criterion_1_unprotected_lifetime():
     lives_ok = all(abs(life - t_star) <= 0.07 for life in lives)
     flat_ok = sizes == [1, 5, 125] and max(lives) - min(lives) <= 0.1
     report(1, fid_ok and lives_ok and flat_ok,
-           f"fid(ln3)={est.avg_fidelity:.4f} (3sigma={3 * est.fidelity_sigma:.4f}), "
+           f"fid(ln3)={est.avg_fidelity:.4f} (3sigma={3 * fidelity_sigma(est):.4f}), "
            f"lifetimes={[round(x, 3) for x in lives]} vs ln3={t_star:.3f} "
            f"at N={sizes}")
 
@@ -162,7 +162,7 @@ def test_criterion_6_clock_controlled_protocol():
     circ = simulate_circuit_model(SCALED, 10_000, np.random.default_rng(109))
     budget = decode_budget(SCALED.h_norm, SCALED.delta, SCALED.t_dec,
                            SCALED.rate_r)
-    sigma = math.sqrt(est.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
+    sigma = math.sqrt(wald_sigma(est)[0] ** 2 + wald_sigma(circ)[0] ** 2)
     err_ok = est.error_rate <= circ.error_rate + budget + 3.0 * sigma
     pstar_ok = est.error_rate <= SCALED.p_star
     good = diag.good & ~diag.aborted
@@ -192,12 +192,12 @@ def test_criterion_7_ledger_verdict():
     led = build_ledger(rate_r=1.0, p_star=0.025)
     # documented finding: the strict inequality fails at round 2
     verdict_ok = (led.verdict_holds is False
-                  and led.exact.first_violation == 2)
+                  and led.point.trace.first_violation == 2)
     found = feasibility_search(rate_r=1.0)
     search_ok = found is not None and found.margin >= 0.10
     report(7, verdict_ok and search_ok,
            f"reference constants verdict holds={led.verdict_holds} "
-           f"(first violation at round {led.exact.first_violation}); "
+           f"(first violation at round {led.point.trace.first_violation}); "
            f"search found margin {found.margin:.1%} >= 10%")
 
 

@@ -5,12 +5,14 @@ independent script (plain math plus the enumeration-frozen failing-weight
 polynomial) and pinned at full precision.
 """
 
+import json
 import math
 
 import pytest
 
-from qmemsim.bounds import (FeasibleConstants, LedgerReport, RecursionTrace,
-                            assess_constants, build_ledger, decode_budget,
+from qmemsim.bounds import (EPSILON, LedgerReport, RecursionTrace,
+                            RoundConstants, assess_constants, build_ledger,
+                            decode_budget,
                             entanglement_breaking_time, evolution_budget,
                             feasibility_search, information_decay_time,
                             iterate_round_recursion, quadratic_block_error)
@@ -61,35 +63,93 @@ def test_recursion_trace_basics():
     assert not bad.holds and bad.first_violation == 1
 
 
+def _two_loop_recursion(error_fn, p_evol, p_dec, levels, p_star):
+    """The recursion as two loops, one for the recorded iterates and one for
+    the 400 settling iterates: the reference for iterate_round_recursion."""
+    p = 0.0
+    iterates = []
+    for _ in range(levels):
+        p = error_fn(min(p + p_evol, 1.0)) + p_dec
+        iterates.append(p)
+    holds = all(q <= p_star for q in iterates)
+    fixed_point = None
+    q = p
+    for _ in range(400):
+        nxt = error_fn(min(q + p_evol, 1.0)) + p_dec
+        if abs(nxt - q) < 1e-14:
+            fixed_point = nxt
+            break
+        q = nxt
+    return RecursionTrace(iterates=tuple(iterates), fixed_point=fixed_point,
+                          p_star=p_star, holds=holds)
+
+
+# multipliers whose recursion creeps towards its fixed point too slowly for
+# 400 settling iterates to reach 1e-14
+SLOW = dict(rate_r=1.0, p_star=0.01, c_prot=2.348087021755439, c_dec=0.25,
+            c_delta=0.01 / (8 * math.pi))
+
+
+@pytest.mark.parametrize("levels", [0, 1, 4, 39])
+@pytest.mark.parametrize("case", ["settles", "two_cycle", "slow", "ramp"])
+def test_recursion_matches_two_loop_reference(case, levels):
+    slow = assess_constants(**SLOW)
+    error_fn, p_evol, p_dec, p_star = {
+        "settles": (b_exact, 0.024998756602007097, 0.012525788993726538,
+                    0.025),
+        "two_cycle": (lambda p: 0.5 - p, 0.0, 0.0, 0.3),
+        "slow": (b_exact, slow.p_evol_bound, slow.p_dec_bound, 0.01),
+        # steps of 1e-3 up to a cap reached on iterate 399: from levels 0,
+        # the last of the 400 settling iterates is the first to settle
+        "ramp": (lambda p: min(p + 1e-3, 0.3985), 0.0, 0.0, 0.5),
+    }[case]
+    got = iterate_round_recursion(error_fn, p_evol, p_dec, levels, p_star)
+    assert got == _two_loop_recursion(error_fn, p_evol, p_dec, levels, p_star)
+    assert len(got.iterates) == levels
+    # the slow map settles only when 39 recorded iterates precede the 400
+    unsettled = case == "two_cycle" or (case == "slow" and levels < 39)
+    assert (got.fixed_point is None) == unsettled
+
+
+def test_unsettled_recursion_has_no_margin():
+    cand = assess_constants(**SLOW)
+    assert cand.trace.fixed_point is None
+    assert cand.margin is None
+    d = cand.to_dict()
+    assert d["margin"] is None and d["fixed_point"] is None
+    assert '"margin": null' in json.dumps(d)
+
+
 REFERENCE = dict(rate_r=1.0, p_star=0.025, tau=1.0)
 
 
 def test_ledger_reference_constants_frozen():
     led = build_ledger(**REFERENCE)
-    assert led.t_prot == pytest.approx(0.025, rel=1e-15)
-    assert led.t_dec == pytest.approx(0.00125, rel=1e-15)
-    assert led.delta == pytest.approx(1.2433979929054324e-06, rel=1e-12)
-    assert led.h_norm == pytest.approx(5026.548245743669, rel=1e-12)
-    assert led.epsilon == pytest.approx(1.0 / 6.0)
+    pt = led.point
+    assert pt.t_prot == pytest.approx(0.025, rel=1e-15)
+    assert pt.t_dec == pytest.approx(0.00125, rel=1e-15)
+    assert pt.delta == pytest.approx(1.2433979929054324e-06, rel=1e-12)
+    assert pt.h_norm == pytest.approx(5026.548245743669, rel=1e-12)
+    assert EPSILON == pytest.approx(1.0 / 6.0)
     assert led.clock_bits == pytest.approx(8.358780997146247e+19, rel=1e-12)
-    assert led.levels == 39
-    assert led.n_qubits == 5 ** 39
-    assert led.p_evol_bound == pytest.approx(0.024998756602007097, rel=1e-12)
-    assert led.p_dec_bound == pytest.approx(0.012525788993726538, rel=1e-12)
+    assert pt.levels == 39
+    assert led.to_dict()["derived"]["n_qubits"] == float(5 ** 39)
+    assert pt.p_evol_bound == pytest.approx(0.024998756602007097, rel=1e-12)
+    assert pt.p_dec_bound == pytest.approx(0.012525788993726538, rel=1e-12)
     # reference relation makes the rotation exponent exactly p_star / 4
-    assert led.h_norm * led.delta == pytest.approx(led.p_star / 4.0, rel=1e-12)
+    assert pt.h_norm * pt.delta == pytest.approx(pt.p_star / 4.0, rel=1e-12)
 
 
 def test_ledger_reference_recursion_fails_honestly():
     led = build_ledger(**REFERENCE)
-    its = led.exact.iterates
+    its = led.point.trace.iterates
     assert its[0] == pytest.approx(0.018434893671850954, rel=1e-12)
     assert its[1] == pytest.approx(0.029632326034311204, rel=1e-12)
     assert its[2] == pytest.approx(0.0389040688958879, rel=1e-12)
     assert its[3] == pytest.approx(0.04785397515680764, rel=1e-12)
     assert len(its) == 39
-    assert not led.exact.holds
-    assert led.exact.first_violation == 2
+    assert not led.point.trace.holds
+    assert led.point.trace.first_violation == 2
     assert not led.verdict_holds
     # the coarse quadratic bound fails at the same round
     assert led.quadratic.iterates[0] == pytest.approx(0.018775167310190473,
@@ -99,7 +159,7 @@ def test_ledger_reference_recursion_fails_honestly():
     assert not led.quadratic.holds
     assert led.quadratic.first_violation == 2
     # quadratic bound dominates the exact rate, iterate by iterate
-    for qe, qq in zip(led.exact.iterates, led.quadratic.iterates):
+    for qe, qq in zip(led.point.trace.iterates, led.quadratic.iterates):
         assert qe <= qq + 1e-15
 
 
@@ -143,7 +203,7 @@ def test_assess_constants_worked_example():
 def test_feasibility_search_default_grid():
     found = feasibility_search(rate_r=1.0)
     assert found is not None
-    assert isinstance(found, FeasibleConstants)
+    assert isinstance(found, RoundConstants)
     # first grid point already contracts: c_dec = 1/4
     assert found.c_dec == 0.25
     assert found.t_dec == pytest.approx(0.0005, rel=1e-15)

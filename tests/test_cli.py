@@ -559,3 +559,38 @@ def test_bundled_config_csv_digests(tmp_path, capsys):
         assert code == EXIT_OK, (path.stem, stderr)
         digests[path.stem] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == BUNDLED_CSV_SHA256
+
+
+# SHA-256 of the stdout summary of each bundled ledger config (with the
+# exit code it ends on), and of the decode-table CSV.  Neither takes a seed,
+# so these pin the float arithmetic of the analytic layer and the decoder
+# table byte for byte; refactors must leave them unchanged.
+LEDGER_STDOUT_SHA256 = {
+    "ledger_reference": (
+        EXIT_INFEASIBLE,
+        "bdd2364fc618ba82d22ca04abafcb70be134a89f3184f1de06102ed2f6917e16"),
+    "ledger_search": (
+        EXIT_OK,
+        "7b240709f1bdc85805db740202f87d3f05d0fb5cea1f89ee6ab27d09f88dba9b"),
+}
+DECODE_TABLE_CSV_SHA256 = (
+    "e99e5df43a6102f3949baf58bc9c5a7240bad207b113a5b60920eb7a471e8aa9")
+
+
+def test_bundled_ledger_stdout_digests(capsys):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    digests = {}
+    for name in LEDGER_STDOUT_SHA256:
+        argv = ["ledger", "--config", str(configs / f"{name}.json")]
+        if name == "ledger_search":
+            argv.append("--search")
+        code, stdout, _ = run_main(capsys, argv)
+        digests[name] = (code, hashlib.sha256(stdout.encode()).hexdigest())
+    assert digests == LEDGER_STDOUT_SHA256
+
+
+def test_decode_table_csv_digest(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code, _, _ = run_main(capsys, ["decode-table", "--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DECODE_TABLE_CSV_SHA256

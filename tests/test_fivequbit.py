@@ -14,15 +14,22 @@ from hypothesis import given, settings, strategies as st
 from qmemsim import fivequbit
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_blocks, default_table,
-                               pack, quadratic_bound_range, residual_channel,
+                               quadratic_bound_range, residual_channel,
                                syndrome_of, unpack)
-from qmemsim.pauli import (frame_from_label, frame_to_label,
-                           string_anticommutes, weight)
+from qmemsim.pauli import frame_from_label, frame_to_label
+from test_pauli import string_anticommutes, weight
 
 GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 # failing-count polynomial coefficients, frozen from exhaustive enumeration
 N_W = (0, 0, 90, 210, 270, 198)
+
+POW4 = 4 ** np.arange(BLOCK)
+
+
+def pack(frames):
+    """Pack (..., 5) code arrays into base-4 indices, site s as code * 4**s."""
+    return np.asarray(frames, dtype=np.int64) @ POW4
 
 
 def syndrome_bits(s):

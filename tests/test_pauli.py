@@ -10,10 +10,24 @@ import qmemsim.pauli as pauli_module
 from distribution_gate import compare_frames, frame_draws
 from qmemsim.pauli import (CODE_LABELS, SPARSE_WEIGHT, anticommutes,
                            depolarize, frame_from_label, frame_to_label,
-                           sample_cumulative_frames, string_anticommutes,
-                           weight)
+                           sample_cumulative_frames)
 
 I, X, Z, Y = 0, 1, 2, 3
+
+
+def string_anticommutes(e, f):
+    """Symplectic form of two equal-length Pauli strings (0 or 1)."""
+    e = np.asarray(e)
+    f = np.asarray(f)
+    if e.shape[-1] != f.shape[-1]:
+        raise ValueError("length mismatch")
+    return np.bitwise_xor.reduce(anticommutes(e, f), axis=-1) & 1
+
+
+def weight(frame):
+    """Number of non-identity sites."""
+    return int(np.count_nonzero(np.asarray(frame)))
+
 
 # every gate p-value must reach this; fixed before the first run
 GATE_ALPHA = 1e-4

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from distribution_gate import fidelity_sigma, wald_sigma
 from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
@@ -119,8 +120,8 @@ def test_channel_estimate_identities():
     assert uniform.avg_fidelity == pytest.approx(0.5)
     assert uniform.error_rate == pytest.approx(0.75)
     assert np.allclose(uniform.p_hat, 0.25)
-    assert uniform.fidelity_sigma == pytest.approx(
-        2.0 * uniform.sigma()[0] / 3.0)
+    assert fidelity_sigma(uniform) == pytest.approx(
+        2.0 * wald_sigma(uniform)[0] / 3.0)
     perfect = LogicalChannelEstimate(counts=np.array([50, 0, 0, 0]), trials=50)
     assert perfect.avg_fidelity == 1.0 and perfect.error_rate == 0.0
     with pytest.raises(ValueError):
@@ -189,7 +190,7 @@ def test_unprotected_matches_channel_formula(levels):
     t = math.log(3.0)
     est = simulate_unprotected(t, p, 20_000, np.random.default_rng([42, levels]))
     expect = (1.0 + math.exp(-t)) / 2.0
-    assert abs(est.avg_fidelity - expect) < 4.0 * est.fidelity_sigma
+    assert abs(est.avg_fidelity - expect) < 4.0 * fidelity_sigma(est)
     # X, Z, Y classes are exchangeable for depolarizing noise
     assert est.counts[1:].std() < 3.0 * math.sqrt(est.counts[1:].mean())
 
@@ -500,7 +501,7 @@ def test_deterministic_clock_matches_circuit_spacing():
                                     deterministic_clock=True)
     circ = simulate_circuit_model(UNIT, 3000, np.random.default_rng(54),
                                   round_spacing=UNIT.t_prot + UNIT.t_dec)
-    sigma = math.sqrt(det.sigma()[0] ** 2 + circ.sigma()[0] ** 2)
+    sigma = math.sqrt(wald_sigma(det)[0] ** 2 + wald_sigma(circ)[0] ** 2)
     assert abs(det.error_rate - circ.error_rate) < 4.0 * sigma
     assert within_sigmas(det) and within_sigmas(circ)
     # the mean path, and so the exact channel, is identical across trials
