@@ -28,6 +28,7 @@ recursion contracts to a fixed point with a required margin.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .fivequbit import BLOCK, b_exact
@@ -36,6 +37,9 @@ TWO_PI = 2.0 * math.pi
 
 #: clock exponent epsilon of the ledger's clock size
 EPSILON = 1.0 / 6.0
+
+#: a ledger size whose log10 reaches this is beyond the float range
+_LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
 def information_decay_time(n_qubits: int, rate_r: float) -> float:
@@ -197,7 +201,8 @@ class LedgerReport:
 
     tau: float
     point: RoundConstants        # B = exact enumeration
-    clock_bits: float            # formula value; astronomically large is expected
+    clock_bits: float | None     # formula value; None beyond the float range
+    log10_clock_bits: float
     quadratic: RecursionTrace    # B = 10 p^2
 
     @property
@@ -207,14 +212,18 @@ class LedgerReport:
 
     def to_dict(self) -> dict:
         pt = self.point
+        log10_n_qubits = pt.levels * math.log10(BLOCK)
+        n_qubits = (float(BLOCK ** pt.levels)
+                    if log10_n_qubits < _LOG10_FLOAT_MAX else None)
         return {
             "inputs": {"rate_r": pt.rate_r, "p_star": pt.p_star,
                        "tau": self.tau},
             "derived": {"t_prot": pt.t_prot, "t_dec": pt.t_dec,
                         "delta": pt.delta, "h_norm": pt.h_norm,
                         "epsilon": EPSILON, "clock_bits": self.clock_bits,
-                        "levels": pt.levels,
-                        "n_qubits": float(BLOCK ** pt.levels)},
+                        "log10_clock_bits": self.log10_clock_bits,
+                        "levels": pt.levels, "n_qubits": n_qubits,
+                        "log10_n_qubits": log10_n_qubits},
             "budget": {"p_evol_bound": pt.p_evol_bound,
                        "p_dec_bound": pt.p_dec_bound},
             "recursion_exact": _recursion(pt.trace),
@@ -240,9 +249,15 @@ def build_ledger(rate_r: float, p_star: float, tau: float = 1.0) -> LedgerReport
                              levels=math.ceil(tau / round_time))
     quad = iterate_round_recursion(quadratic_block_error, point.p_evol_bound,
                                    point.p_dec_bound, point.levels, p_star)
-    clock_bits = (2.0 * math.exp(rate_r * tau) / (rate_r * point.delta)) ** 3
+    # (2 e^{r tau} / (r delta))^3 in log space, as long horizons pass floats
+    log10_clock_bits = 3.0 * (math.log10(2.0 / (rate_r * point.delta))
+                              + rate_r * tau / math.log(10.0))
+    clock_bits = None
+    if log10_clock_bits < _LOG10_FLOAT_MAX:
+        clock_bits = (2.0 * math.exp(rate_r * tau)
+                      / (rate_r * point.delta)) ** 3
     return LedgerReport(tau=tau, point=point, clock_bits=clock_bits,
-                        quadratic=quad)
+                        log10_clock_bits=log10_clock_bits, quadratic=quad)
 
 
 def feasibility_search(rate_r: float, p_star_values=(0.01,),

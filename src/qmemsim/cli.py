@@ -170,13 +170,9 @@ SCHEMAS = {
         **_PROTOCOL_FIELDS,
         "t": _Field("float", None, allow_none=True, check=_nonnegative),
         "n_bits": _Field("int", 101, check=_odd),
-        "fidelity_floor": _Field("float", None, allow_none=True,
-                                 check=_floor_range),
         "deterministic_clock": _Field("bool", False),
         "code_rate_r": _Field("float", None, allow_none=True,
                               check=_nonnegative),
-        "round_spacing": _Field("float", None, allow_none=True,
-                                check=_positive),
     },
     "lifetime-scan": {
         **_PROTOCOL_FIELDS,
@@ -536,10 +532,8 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
             t_span = v["t"]
         elif strategy == "circuit":
             _require_decoded(v, "memory-sim", strategy)
-            est = simulate_circuit_model(params, v["trials"], rng,
-                                         round_spacing=v["round_spacing"])
-            spacing = v["round_spacing"] or params.t_prot
-            t_span = params.levels * spacing
+            est = simulate_circuit_model(params, v["trials"], rng)
+            t_span = params.levels * params.t_prot
         else:
             _require_decoded(v, "memory-sim", strategy)
             est = simulate_clock_controlled(
@@ -619,11 +613,11 @@ def _run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     for n in v["n_values"]:
         for t in v["t_values"]:
-            comp = oracle_equivalence_check(n, v["r"], t, v["trials"], gen,
-                                            dt=v["dt"])
+            distance = oracle_equivalence_check(n, v["r"], t, v["trials"],
+                                                gen, dt=v["dt"])
             checks.append({"n_qubits": n, "t": t, "trials": v["trials"],
-                           "distance": comp.distance,
-                           "pass": comp.distance <= v["tolerance"]})
+                           "distance": distance,
+                           "pass": distance <= v["tolerance"]})
     summary = {
         "tolerance": v["tolerance"],
         "max_distance": max(c["distance"] for c in checks),

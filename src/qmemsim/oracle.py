@@ -8,7 +8,8 @@ Integrates the master equation
 with a fixed-step classical 4th-order Runge-Kutta scheme.  The dissipator is
 written through the single-qubit twirl identity: averaging over {I, X, Y, Z}
 conjugations on qubit n equals replacing that qubit by the maximally mixed
-state, which is the per-qubit depolarizing generator.
+state, which is the per-qubit depolarizing generator.  Each call builds the
+whole right-hand side once, as a dense matrix on vec(rho) of size 4^n.
 
 Everything here is deliberately small and dense: it is the independent
 oracle the stochastic Pauli-frame engine is validated against, so it shares
@@ -18,8 +19,6 @@ no sampling code with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,37 +67,35 @@ def pauli_string_matrix(codes) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=MAX_ORACLE_QUBITS)
-def _site_paulis(n: int):
-    """X_k, Z_k, Y_k embedded on each site k of an n-qubit register.
+def _generator(n: int, h_matrix, rate_r: float) -> np.ndarray:
+    """The master equation's right-hand side as a matrix on row-major vec(rho).
 
-    Built once per qubit count; the matrices are read-only, so no caller
-    can write into the cache.
+    vec(A rho B) = (A (x) B^T) vec(rho), so the generator is
+    -i (H (x) 1 - 1 (x) H^T) + r sum_k (sum_P P_k (x) conj(P_k) / 4 - 1),
+    with P over {I, X, Z, Y} on site k.
     """
-    ops = []
-    for k in range(n):
-        site = []
-        for p in (1, 2, 3):
-            codes = [0] * n
-            codes[k] = p
-            op = pauli_string_matrix(codes)
-            op.flags.writeable = False
-            site.append(op)
-        ops.append(tuple(site))
-    return tuple(ops)
-
-
-def master_rhs(rho: np.ndarray, h_matrix, rate_r: float, site_ops) -> np.ndarray:
-    n = len(site_ops)
-    out = np.zeros_like(rho)
+    if n > MAX_ORACLE_QUBITS:
+        raise ValueError(f"oracle is capped at {MAX_ORACLE_QUBITS} qubits")
+    eye = np.eye(2 ** n, dtype=complex)
+    gen = np.zeros((4 ** n, 4 ** n), dtype=complex)
     if h_matrix is not None:
-        out += -1j * (h_matrix @ rho - rho @ h_matrix)
-    for site in site_ops:
-        twirl = rho.copy()
-        for op in site:
-            twirl += op @ rho @ op
-        out += rate_r * (twirl / 4.0 - rho)
-    return out
+        h = np.asarray(h_matrix, dtype=complex)
+        gen -= 1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for k in range(n):
+        ops = (pauli_string_matrix([p if q == k else 0 for q in range(n)])
+               for p in range(4))
+        twirl = sum(np.kron(op, op.conj()) for op in ops)
+        gen += rate_r * (twirl / 4.0 - np.eye(4 ** n))
+    return gen
+
+
+def _rk4_step(gen: np.ndarray, vec: np.ndarray, step: float) -> np.ndarray:
+    """One classical RK4 step of vec' = gen @ vec."""
+    k1 = gen @ vec
+    k2 = gen @ (vec + 0.5 * step * k1)
+    k3 = gen @ (vec + 0.5 * step * k2)
+    k4 = gen @ (vec + step * k3)
+    return vec + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def lindblad_evolve(rho0: np.ndarray, h_matrix, rate_r: float, t: float,
@@ -113,20 +110,15 @@ def lindblad_evolve(rho0: np.ndarray, h_matrix, rate_r: float, t: float,
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if n_qubits_of(rho) > MAX_ORACLE_QUBITS:
-        raise ValueError(f"oracle is capped at {MAX_ORACLE_QUBITS} qubits")
-    site_ops = _site_paulis(n_qubits_of(rho))
+    rho = np.array(rho0, dtype=complex)
+    gen = _generator(n_qubits_of(rho), h_matrix, rate_r)
+    vec = rho.ravel()
     remaining = t
     while remaining > 1e-15:
         step = min(dt, remaining)
-        k1 = master_rhs(rho, h_matrix, rate_r, site_ops)
-        k2 = master_rhs(rho + 0.5 * step * k1, h_matrix, rate_r, site_ops)
-        k3 = master_rhs(rho + 0.5 * step * k2, h_matrix, rate_r, site_ops)
-        k4 = master_rhs(rho + step * k3, h_matrix, rate_r, site_ops)
-        rho += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vec = _rk4_step(gen, vec, step)
         remaining -= step
-    return check_density_matrix(rho)
+    return check_density_matrix(vec.reshape(rho.shape))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -149,15 +141,20 @@ def information_flow(rho0: np.ndarray, rate_r: float, t: float,
     dI/dt uses central differences of the RK4 states, so it carries an
     O(dt^2) discretization error on top of the integrator's O(dt^4).
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     steps = int(round(t / dt))
+    if steps < 1:
+        raise ValueError("t must cover at least one step of dt")
     rho = np.asarray(rho0, dtype=complex)
+    gen = _generator(n_qubits_of(rho), None, rate_r)
+    vec = rho.ravel()
     info = np.empty(steps + 1)
     info[0] = information_content(rho)
-    states = [rho]
-    for _ in range(steps):
-        rho = lindblad_evolve(rho, None, rate_r, dt, dt)
-        states.append(rho)
-        info[len(states) - 1] = information_content(rho)
+    for i in range(1, steps + 1):
+        vec = _rk4_step(gen, vec, dt)
+        rho = check_density_matrix(vec.reshape(rho.shape))
+        info[i] = information_content(rho)
     times = np.arange(steps + 1) * dt
     didt = np.empty_like(info)
     didt[1:-1] = (info[2:] - info[:-2]) / (2.0 * dt)
@@ -169,15 +166,6 @@ def information_flow(rho0: np.ndarray, rate_r: float, t: float,
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(np.asarray(rho_a) - np.asarray(rho_b))
     return 0.5 * float(np.abs(eigs).sum())
-
-
-@dataclass(frozen=True)
-class OracleComparison:
-    n_qubits: int
-    rate_r: float
-    t: float
-    trials: int
-    distance: float
 
 
 def ghz_state(n: int) -> np.ndarray:
@@ -193,7 +181,7 @@ def plus_state(n: int) -> np.ndarray:
 
 def oracle_equivalence_check(n_qubits: int, rate_r: float, t: float,
                              trials: int, rng, dt: float = 0.005,
-                             rho0: np.ndarray | None = None) -> OracleComparison:
+                             rho0: np.ndarray | None = None) -> float:
     """Trace distance between the Monte Carlo channel output and the dense
     integration, on a maximally entangled-within-register input.
 
@@ -201,8 +189,6 @@ def oracle_equivalence_check(n_qubits: int, rate_r: float, t: float,
     empirical frame distribution (there are only 4^n distinct frames), so
     the distance measures sampling error plus any modeling discrepancy.
     """
-    if n_qubits > MAX_ORACLE_QUBITS:
-        raise ValueError(f"oracle is capped at {MAX_ORACLE_QUBITS} qubits")
     if rho0 is None:
         rho0 = ghz_state(n_qubits) if n_qubits > 1 else plus_state(1)
     rho0 = check_density_matrix(rho0)
@@ -216,5 +202,4 @@ def oracle_equivalence_check(n_qubits: int, rate_r: float, t: float,
         codes = [(idx >> (2 * q)) & 3 for q in range(n_qubits)]
         op = pauli_string_matrix(codes)
         mc += (counts[idx] / trials) * (op @ rho0 @ op.conj().T)
-    return OracleComparison(n_qubits=n_qubits, rate_r=rate_r, t=t,
-                            trials=trials, distance=trace_distance(mc, dense))
+    return trace_distance(mc, dense)

@@ -328,22 +328,22 @@ def repetition_lifetime(n_bits: int, rate_r: float = 1.0,
     return lo / rate_r
 
 
-def simulate_circuit_model(params: ProtocolParams, trials: int, rng,
-                           round_spacing: float | None = None) -> LogicalChannelEstimate:
+def simulate_circuit_model(params: ProtocolParams, trials: int,
+                           rng) -> LogicalChannelEstimate:
     """Concatenated storage with externally timed, instantaneous decodes.
 
-    Per round: accumulate noise on the current register for round_spacing
-    (default t_prot: the decode itself takes no time in this model), then
-    decode one level, block by block.  Discarded qubits leave the
-    simulation.  After params.levels rounds a single qubit remains; its
-    frame is the residual logical Pauli.
+    Per round: accumulate noise on the current register for t_prot (the
+    decode itself takes no time in this model), then decode one level,
+    block by block.  Discarded qubits leave the simulation.  After
+    params.levels rounds a single qubit remains; its frame is the residual
+    logical Pauli.
     """
     if params.levels < 1:
         raise ValueError("circuit model needs at least one level")
     if params.t_prot is None:
         raise ValueError("t_prot is required")
-    spacing = params.t_prot if round_spacing is None else round_spacing
-    rounds = _Rounds(np.full(params.levels, float(spacing)), params.rate_r)
+    rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
+                     params.rate_r)
     return estimate_logical_channel(
         rounds.sample(trials, np.random.default_rng(rng)),
         exact=rounds.exact())

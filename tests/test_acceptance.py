@@ -60,8 +60,8 @@ def test_criterion_2_oracle_equivalence():
     gen = np.random.default_rng(103)
     for n in (1, 2, 3):
         for t in (0.5, 1.0, 2.0):
-            comp = oracle_equivalence_check(n, 1.0, t, 1_000_000, gen)
-            worst = max(worst, comp.distance)
+            worst = max(worst, oracle_equivalence_check(n, 1.0, t,
+                                                        1_000_000, gen))
     ok = worst <= 5e-3
     report(2, ok, f"max MC-vs-integrator distance {worst:.2e} over "
                   f"n=1..3, t in (0.5, 1, 2) at 1e6 trials (limit 5e-3)")

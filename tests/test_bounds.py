@@ -173,6 +173,13 @@ def test_ledger_validation():
     build_ledger(rate_r=1.0, p_star=1.0 / 40.0)  # boundary allowed
 
 
+def test_ledger_log10_sizes_match_float_fields():
+    derived = build_ledger(**REFERENCE).to_dict()["derived"]
+    for key in ("clock_bits", "n_qubits"):
+        assert 10.0 ** derived[f"log10_{key}"] == pytest.approx(derived[key],
+                                                              rel=1e-12)
+
+
 def test_ledger_to_dict_structure():
     d = build_ledger(**REFERENCE).to_dict()
     assert set(d) == {"inputs", "derived", "budget", "recursion_exact",

@@ -75,6 +75,11 @@ def test_minimal_config_defaults():
      "oracle-check.t_values[1]: number overflows a float"),
     ({"subcommand": "lifetime-scan", "strategy": "unprotected",
       "grid_step": 0.05}, "lifetime-scan.grid_step: unknown key"),
+    ({"subcommand": "memory-sim", "strategy": "unprotected", "t": 1.0,
+      "fidelity_floor": 0.9}, "memory-sim.fidelity_floor: unknown key"),
+    ({"subcommand": "memory-sim", "strategy": "circuit", "levels": 1,
+      "t_prot": 0.5, "round_spacing": 0.2},
+     "memory-sim.round_spacing: unknown key"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -452,6 +457,31 @@ def test_main_ledger_exit_codes(capsys):
     assert json.loads(stdout)["search"]["c_dec"] == 0.25
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("p_star,tau", [(0.002, 1.0), (0.025, 300.0)])
+def test_main_ledger_long_horizon_is_strict_json(tmp_path, capsys, p_star, tau):
+    # 477 and 11 429 rounds: n_qubits, and at tau = 300 clock_bits too,
+    # pass the float range and are written as null
+    cfg, out = tmp_path / "cfg.json", tmp_path / "ledger.json"
+    cfg.write_text(json.dumps({"subcommand": "ledger", "r": 1.0,
+                               "p_star": p_star, "tau": tau}))
+    code, stdout, _ = run_main(capsys, ["ledger", "--config", str(cfg),
+                                        "--out", str(out)])
+    summary = _strict_json(stdout)
+    assert code == (EXIT_OK if summary["verdict_holds"] else EXIT_INFEASIBLE)
+    derived = summary["derived"]
+    assert derived["n_qubits"] is None and derived["log10_n_qubits"] > 308
+    if tau == 300.0:
+        assert derived["clock_bits"] is None
+        assert derived["log10_clock_bits"] > 308
+    assert _strict_json(out.read_text())["summary"] == summary
+
+
 def test_main_runtime_failure_exit(tmp_path, capsys):
     code, _, stderr = run_main(
         capsys, ["decode-table", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
@@ -568,10 +598,10 @@ def test_bundled_config_csv_digests(tmp_path, capsys):
 LEDGER_STDOUT_SHA256 = {
     "ledger_reference": (
         EXIT_INFEASIBLE,
-        "bdd2364fc618ba82d22ca04abafcb70be134a89f3184f1de06102ed2f6917e16"),
+        "cc95700d73f6425f5035105ec4ea5483e1d913b98f3e5d8b87999cbd6c489bd5"),
     "ledger_search": (
         EXIT_OK,
-        "7b240709f1bdc85805db740202f87d3f05d0fb5cea1f89ee6ab27d09f88dba9b"),
+        "8bab05da77438de2f85fec25f15b425e1cceb16064d91edb50dc2e10f32fdbf9"),
 }
 DECODE_TABLE_CSV_SHA256 = (
     "e99e5df43a6102f3949baf58bc9c5a7240bad207b113a5b60920eb7a471e8aa9")

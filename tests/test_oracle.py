@@ -17,7 +17,6 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import oracle
 from qmemsim.bounds import information_decay_time
 from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES,
                             check_density_matrix, ghz_state,
@@ -191,19 +190,94 @@ def test_integrator_validation():
         lindblad_evolve(plus_state(MAX_ORACLE_QUBITS + 1), None, 1.0, 0.1)
 
 
-def test_cached_site_operators_change_nothing(monkeypatch):
-    ghz = ghz_state(3)
+def twirl_rhs(rho, h_matrix, rate_r):
+    """The master equation in its twirl form, site operators built per call."""
+    n = n_qubits_of(rho)
+    out = np.zeros_like(rho)
+    if h_matrix is not None:
+        out += -1j * (h_matrix @ rho - rho @ h_matrix)
+    for k in range(n):
+        twirl = rho.copy()
+        for p in (1, 2, 3):
+            op = pauli_string_matrix([p if q == k else 0 for q in range(n)])
+            twirl += op @ rho @ op
+        out += rate_r * (twirl / 4.0 - rho)
+    return out
+
+
+def twirl_evolve(rho0, h_matrix, rate_r, t, dt):
+    """RK4 on twirl_rhs with lindblad_evolve's step schedule."""
+    rho = np.array(rho0, dtype=complex)
+    remaining = t
+    while remaining > 1e-15:
+        step = min(dt, remaining)
+        k1 = twirl_rhs(rho, h_matrix, rate_r)
+        k2 = twirl_rhs(rho + 0.5 * step * k1, h_matrix, rate_r)
+        k3 = twirl_rhs(rho + 0.5 * step * k2, h_matrix, rate_r)
+        k4 = twirl_rhs(rho + step * k3, h_matrix, rate_r)
+        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        remaining -= step
+    return rho
+
+
+def random_matrix(n, gen):
+    dim = 2 ** n
+    return gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+
+
+def random_state(n, gen):
+    g = random_matrix(n, gen)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_matches_twirl_reference(n, driven):
+    gen = np.random.default_rng([60, n, driven])
+    rho0 = random_state(n, gen)
+    h = None
+    if driven:
+        g = random_matrix(n, gen)
+        h = (g + g.conj().T) / 2.0
+    # 0.0537 is not a multiple of dt: the last step is shortened
+    out = lindblad_evolve(rho0, h, 0.7, 0.0537, dt=0.01)
+    assert np.abs(out - twirl_evolve(rho0, h, 0.7, 0.0537, 0.01)).max() < 1e-14
+
+
+def test_generator_matches_twirl_reference_driven_ghz():
     h = np.kron(np.kron(X, I2), Z)
-    cached = [lindblad_evolve(rho, h, 0.7, 0.05, dt=0.01)
-              for rho in (ghz, plus_state(3), ghz)]
-    ops = oracle._site_paulis(3)
-    assert oracle._site_paulis(3) is ops
-    with pytest.raises(ValueError):
-        ops[0][0][0, 0] = 5.0
-    # fresh operators on every call, as built before the cache existed
-    monkeypatch.setattr(oracle, "_site_paulis", oracle._site_paulis.__wrapped__)
-    fresh = lindblad_evolve(ghz, h, 0.7, 0.05, dt=0.01)
-    assert fresh.tobytes() == cached[0].tobytes() == cached[2].tobytes()
+    for rho0 in (ghz_state(3), plus_state(3)):
+        out = lindblad_evolve(rho0, h, 0.7, 0.05, dt=0.01)
+        assert np.abs(out - twirl_evolve(rho0, h, 0.7, 0.05, 0.01)).max() < 1e-14
+
+
+def test_information_flow_steps_like_lindblad_evolve():
+    rho = random_state(2, np.random.default_rng(61))
+    times, info, _ = information_flow(rho, 1.3, 0.05, dt=1e-3)
+    expect = [information_content(rho)]
+    for _ in range(50):
+        rho = lindblad_evolve(rho, None, 1.3, 1e-3, 1e-3)
+        expect.append(information_content(rho))
+    assert len(times) == 51
+    assert np.abs(info - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("t,dt,fragment", [
+    (0.0004, 1e-3, "t must cover at least one step of dt"),
+    (0.0, 1e-3, "t must cover at least one step of dt"),
+    (-0.5, 1e-3, "t must cover at least one step of dt"),
+    (0.5, 0.0, "dt must be positive"),
+    (0.5, -1e-3, "dt must be positive"),
+])
+def test_information_flow_rejects_edge_inputs(t, dt, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        information_flow(plus_state(1), 1.0, t, dt=dt)
+
+
+def test_information_flow_capped():
+    with pytest.raises(ValueError, match="capped"):
+        information_flow(plus_state(MAX_ORACLE_QUBITS + 1), 1.0, 0.01)
 
 
 def exact_driven(rho0_bloch, t, rate_r):
@@ -337,19 +411,18 @@ def test_mc_tomography_converges():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_equivalence_small(n):
-    cmp_ = oracle_equivalence_check(n, 1.0, 0.7, 150_000,
-                                    np.random.default_rng([34, n]))
-    assert cmp_.distance < 8e-3
+    distance = oracle_equivalence_check(n, 1.0, 0.7, 150_000,
+                                        np.random.default_rng([34, n]))
+    assert distance < 8e-3
     with pytest.raises(ValueError):
         oracle_equivalence_check(4, 1.0, 0.1, 100, np.random.default_rng(1))
 
 
 def test_oracle_equivalence_custom_state():
     rho0 = bloch_state(0.0, 0.0, 1.0)
-    cmp_ = oracle_equivalence_check(1, 2.0, 0.4, 100_000,
-                                    np.random.default_rng(35),
-                                    rho0=rho0)
-    assert cmp_.distance < 8e-3
+    distance = oracle_equivalence_check(1, 2.0, 0.4, 100_000,
+                                        np.random.default_rng(35), rho0=rho0)
+    assert distance < 8e-3
 
 
 def test_reference_states():

@@ -316,10 +316,9 @@ def test_circuit_two_rounds_match_enumeration_oracle():
     assert within_sigmas(est)
 
 
-def test_circuit_round_spacing_override():
-    p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5)
-    est = simulate_circuit_model(p, 100_000, np.random.default_rng(46),
-                                 round_spacing=0.2)
+def test_circuit_round_spacing_is_t_prot():
+    p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.2)
+    est = simulate_circuit_model(p, 100_000, np.random.default_rng(46))
     q = 0.75 * (1.0 - math.exp(-0.2))
     expect = b_exact(q)
     sigma = math.sqrt(expect * (1.0 - expect) / est.trials)
@@ -499,8 +498,8 @@ def test_clock_code_rate_override_isolates_clock_noise():
 def test_deterministic_clock_matches_circuit_spacing():
     det = simulate_clock_controlled(UNIT, 3000, np.random.default_rng(53),
                                     deterministic_clock=True)
-    circ = simulate_circuit_model(UNIT, 3000, np.random.default_rng(54),
-                                  round_spacing=UNIT.t_prot + UNIT.t_dec)
+    circ = simulate_circuit_model(replace(UNIT, t_prot=UNIT.t_prot + UNIT.t_dec),
+                                  3000, np.random.default_rng(54))
     sigma = math.sqrt(wald_sigma(det)[0] ** 2 + wald_sigma(circ)[0] ** 2)
     assert abs(det.error_rate - circ.error_rate) < 4.0 * sigma
     assert within_sigmas(det) and within_sigmas(circ)

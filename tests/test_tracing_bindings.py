@@ -67,3 +67,20 @@ def test_explicit_counters_are_checked():
     assert counters[("protocols", "sample_cumulative_frames")] is tracing._frames
     assert counters[("oracle", "sample_cumulative_frames")] is tracing._frames
     assert counters[("oracle", "lindblad_evolve")] is tracing._rk4
+
+
+@pytest.mark.parametrize("t,dt", [(1.0, 0.005), (0.5, 0.005), (0.0123, 0.005),
+                                  (0.37, 0.01), (0.3, 0.1), (1e-16, 0.005),
+                                  (0.0, 0.005)])
+def test_rk4_step_replay_matches_lindblad_evolve(monkeypatch, t, dt):
+    oracle = importlib.import_module("qmemsim.oracle")
+    steps = []
+    rk4_step = oracle._rk4_step
+
+    def counted(gen, vec, step):
+        steps.append(step)
+        return rk4_step(gen, vec, step)
+
+    monkeypatch.setattr(oracle, "_rk4_step", counted)
+    oracle.lindblad_evolve(oracle.plus_state(1), None, 1.0, t, dt)
+    assert tracing.rk4_steps(t, dt) == len(steps)
