@@ -23,7 +23,7 @@ from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     window_passage, window_schedule)
 from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
                         decode_blocks, default_table, quadratic_bound_range,
-                        residual_channel, syndrome_of, unpack)
+                        unpack)
 from .oracle import (ghz_state, information_content, information_flow,
                      lindblad_evolve, oracle_equivalence_check, plus_state,
                      trace_distance, von_neumann_entropy)

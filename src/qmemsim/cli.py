@@ -467,8 +467,7 @@ def _run_bp_curve(cfg: ExperimentConfig) -> ExperimentResult:
         "ci_covered": covered, "max_abs_deviation": max_dev,
         "quadratic_bound_max_p": quadratic_bound_range(),
     }
-    plot = np.column_stack([ps, [b_exact(float(p)) for p in ps],
-                            [quadratic_block_error(float(p)) for p in ps]])
+    plot = np.column_stack([ps, b_exact(ps), quadratic_block_error(ps)])
     return ExperimentResult(
         cfg, ("p", "b_exact", "b_mc", "ci_lo", "ci_hi"), rows, summary,
         plot_comment="p(per-qubit error prob)  b_exact  ten_p_squared",

@@ -19,14 +19,14 @@ Five-site Pauli strings pack into indices 0..1023 with site s contributing
 code * 4**s.  Because each base-4 digit occupies its own bit pair, bitwise
 XOR of packed indices is sitewise Pauli multiplication, and the whole decode
 map is a 1024-entry lookup table, built once (default_table) and shared by
-every decode and block error rate.  The same table gives residual_channel,
-the exact decoded logical distribution of a block whose five sites carry
-i.i.d. Pauli noise of any law.
+every decode and block error rate.
 
 Block error rate convention: ``b_exact(p)`` takes the depolarizing weight p,
 meaning each qubit independently suffers X, Y, Z each with probability p/3.
 The cumulative channel of the noise model at time t has weight
-p(t) = 3(1 - e^{-rt})/4.
+p(t) = 3(1 - e^{-rt})/4.  The failing strings of each error weight split
+evenly among the logical classes X, Z and Y, so a decoded depolarized block
+is a depolarized logical qubit, of weight b_exact(p).
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ def _syndromes(codes, checks=GENERATORS):
                                  axis=-1)
     return np.bitwise_or.reduce(bits << np.arange(len(checks), dtype=np.uint8),
                                 axis=-1)
-
-
-def syndrome_of(frame) -> int:
-    """4-bit syndrome; bit i is the anticommutation with generator i+1."""
-    frame = np.asarray(frame, dtype=np.uint8)
-    if frame.shape != (BLOCK,):
-        raise ValueError("five-qubit block expected")
-    return int(_syndromes(frame))
 
 
 @dataclass(frozen=True)
@@ -126,62 +118,25 @@ def decode_blocks(frames):
     return default_table().residuals[idx]
 
 
-@lru_cache(maxsize=1)
-def _residual_classes() -> np.ndarray:
-    """(1024, 4) one-hot residual class of each packed string."""
-    return np.eye(4)[default_table().residuals]
-
-
-#: residual_channel builds the string probabilities of this many rows at a
-#: time (8 kB a row); chunks of 256 rows and more ran 3-5 times slower
-_CHUNK_ROWS = 128
-
-
-def residual_channel(site_probs):
-    """Exact decoded logical distribution of a block of i.i.d. sites.
-
-    site_probs is (..., 4): each row is the Pauli distribution of every
-    site of one block, in code order I, X, Z, Y.  Returns (..., 4), the
-    distribution of the block's residual class after decoding: the
-    probabilities of all 1024 strings, built by outer products over the
-    sites (two, then four, then five; the sites share one law, so the
-    order does not matter), summed by residual class.  The logical fault
-    probability is best read as the sum of the X, Z and Y entries, which
-    keeps full relative precision where 1 - p_I would not.
-    """
-    p = np.asarray(site_probs, dtype=float)
-    if p.shape[-1] != 4:
-        raise ValueError("last axis must have length 4")
-    rows = p.reshape(-1, 4)
-    out = np.empty_like(rows)
-    for lo in range(0, len(rows), _CHUNK_ROWS):
-        site = rows[lo:lo + _CHUNK_ROWS]
-        pair = (site[:, :, None] * site[:, None, :]).reshape(-1, 16)
-        four = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 256)
-        strings = (four[:, :, None] * site[:, None, :]).reshape(-1, N_STRINGS)
-        out[lo:lo + _CHUNK_ROWS] = strings @ _residual_classes()
-    return out.reshape(p.shape)
-
-
-def b_exact(p) -> float:
+def b_exact(p):
     """Exact block logical error rate at depolarizing weight p.
 
     Sums the probability of the 1024 error strings whose decoded residual is
     a logical fault; only the error weight matters, so the sum collapses onto
     the failing-weight counts.  Leading behavior is 10 p^2 (1-p)^3: exactly
-    the 90 weight-2 errors fail at second order.  The X, Z and Y entries of
-    residual_channel at the site row (1 - p, p/3, p/3, p/3) sum to the same
-    value; this closed form in the error weight stays, at about half the
-    cost per scalar p, for the ledger, the search and quadratic_bound_range.
+    the 90 weight-2 errors fail at second order.
+
+    p may be an array with every entry in [0, 1]; each entry of the result
+    equals the scalar call at that entry bit for bit.
     """
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must be in [0, 1]")
-    counts = default_table().failing_weight_counts
-    total = 0.0
-    for w, c in enumerate(counts):
-        if c:
-            total += c * (p / 3.0) ** w * (1.0 - p) ** (BLOCK - w)
-    return total
+    w, q = np.arange(BLOCK + 1), p[..., None]
+    # np.float_power takes the C library's pow, as Python's float ** does;
+    # the vector loops of np.power round some of these powers differently
+    return (default_table().failing_weight_counts * np.float_power(q / 3.0, w)
+            * np.float_power(1.0 - q, BLOCK - w)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -223,7 +178,7 @@ def quadratic_bound_range():
     """
     step = 1e-3
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    ok = np.array([b_exact(p) <= 10 * p * p + 1e-15 for p in grid])
+    ok = b_exact(grid) <= 10 * grid * grid + 1e-15
     if not ok[0]:
         return 0.0
     bad = np.flatnonzero(~ok)

@@ -50,6 +50,8 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity within tolerances."""
     rho = np.asarray(rho, dtype=complex)
     n_qubits_of(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
@@ -65,6 +67,13 @@ def pauli_string_matrix(codes) -> np.ndarray:
     for c in codes:
         out = np.kron(out, PAULI_MATRICES[int(c)])
     return out
+
+
+def _require_finite(**values):
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _generator(n: int, h_matrix, rate_r: float) -> np.ndarray:
@@ -106,6 +115,7 @@ def lindblad_evolve(rho0: np.ndarray, h_matrix, rate_r: float, t: float,
     Raises if the result violates the density-matrix invariants, which is
     the signal that dt is too large.
     """
+    _require_finite(t=t, dt=dt, rate_r=rate_r)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
@@ -141,6 +151,7 @@ def information_flow(rho0: np.ndarray, rate_r: float, t: float,
     dI/dt uses central differences of the RK4 states, so it carries an
     O(dt^2) discretization error on top of the integrator's O(dt^4).
     """
+    _require_finite(t=t, dt=dt, rate_r=rate_r)
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps = int(round(t / dt))
@@ -192,6 +203,8 @@ def oracle_equivalence_check(n_qubits: int, rate_r: float, t: float,
     if rho0 is None:
         rho0 = ghz_state(n_qubits) if n_qubits > 1 else plus_state(1)
     rho0 = check_density_matrix(rho0)
+    if n_qubits_of(rho0) != n_qubits:
+        raise ValueError(f"rho0 must hold n_qubits = {n_qubits} qubits")
     dense = lindblad_evolve(rho0, None, rate_r, t, dt)
 
     frames = sample_cumulative_frames(n_qubits, t, rate_r, trials, rng)

@@ -28,11 +28,12 @@ window is never entered at all, or whose decode instants come out of order
 (possible only on non-good trajectories), aborts the trial: it is tallied as
 decode_failure and counted as a full logical fault.
 
-Exact channel.  Blocks are disjoint and their noise is i.i.d., so given
-each round's duration and kick weight the logical channel is exact, round
-by round: XOR-compose it with the round's noise, then decode with
-fivequbit.residual_channel.  A clock-controlled run has one such channel
-per trial, given that trial's pass-1 record.
+Exact channel.  Blocks are disjoint, their noise is i.i.d. depolarizing,
+and decoding a depolarized block gives a depolarized logical qubit (see
+fivequbit).  So the logical channel is one fault weight w, exact round by
+round: the round's noise of weight q takes w to w + q (1 - 4w/3), the
+decode applies b_exact, and the kick composes like the noise.  A
+clock-controlled run has one such weight per trial, given its pass-1 record.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ from .bounds import TWO_PI, clock_size_for
 from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
                     is_good, refinement_pays, sample_passages,
                     sample_trajectory, window_passage, window_schedule)
-from .fivequbit import BLOCK, decode_blocks, residual_channel
+from .fivequbit import BLOCK, b_exact, decode_blocks
 from .pauli import depolarize, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
 
 _LN2 = math.log(2.0)
-
-# the identity channel, in the residual code order I=0, X=1, Z=2, Y=3
-_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -179,13 +177,16 @@ def estimate_logical_channel(residuals, decode_failures: int = 0,
                                   exact=exact)
 
 
-def _depolarized(channel, weight):
-    """(..., 4) law of P Q for independent P ~ channel (..., 4) and Q
-    depolarizing at weight (...) (X, Z, Y each with probability weight/3):
-    the XOR composition (1 - 4w/3) channel + w/3, written so that small
-    entries keep their relative precision."""
-    third = np.asarray(weight, dtype=float)[..., None] / 3.0
-    return channel + third * (1.0 - 4.0 * channel)
+def _depolarized(w, q):
+    """Fault weight of P Q for independent depolarizing P and Q of fault
+    weights w and q (X, Z, Y each with a third of the weight)."""
+    return w + q * (1.0 - 4.0 * w / 3.0)
+
+
+def _law(w):
+    """(..., 4) depolarizing law (1 - w, w/3, w/3, w/3) of fault weight w."""
+    w = np.asarray(w, dtype=float)
+    return np.stack([1.0 - w, w / 3.0, w / 3.0, w / 3.0], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -215,15 +216,16 @@ class _Rounds:
                 depolarize(frames, self.kicks[:, j], gen)
         return frames[:, 0]
 
-    def exact(self) -> np.ndarray:
-        """(..., 4) exact law of that residual, one row per trial axis."""
-        channel = _IDENTITY
+    def exact(self):
+        """Exact fault weight of that residual, one entry per trial axis;
+        the residual is depolarizing, so this is its whole law."""
+        w = 0.0
         for j in range(self.durations.shape[-1]):
-            weight = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
-            channel = residual_channel(_depolarized(channel, weight))
+            q = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
+            w = b_exact(_depolarized(w, q))
             if self.kicks is not None:
-                channel = _depolarized(channel, self.kicks[:, j])
-        return channel
+                w = _depolarized(w, self.kicks[:, j])
+        return w
 
 
 def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
@@ -236,8 +238,7 @@ def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
         raise ValueError("t must be nonnegative")
     frames = sample_cumulative_frames(1, t, params.rate_r, trials, rng)
     weight = -0.75 * math.expm1(-params.rate_r * t)
-    return estimate_logical_channel(frames[:, 0],
-                                    exact=_depolarized(_IDENTITY, weight))
+    return estimate_logical_channel(frames[:, 0], exact=_law(weight))
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
                      params.rate_r)
     return estimate_logical_channel(
         rounds.sample(trials, np.random.default_rng(rng)),
-        exact=rounds.exact())
+        exact=_law(rounds.exact()))
 
 
 def _kick_probability(exponent: float) -> float:
@@ -448,9 +449,7 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
                      r_code, kick_probs)
     residuals = rounds.sample(trials, gen)[~aborted]
-    if deterministic_clock:  # every trial has the same rounds and channel
-        rounds = _Rounds(rounds.durations[:1], r_code, kick_probs[:1])
-    channels = np.broadcast_to(rounds.exact(), (trials, 4)).copy()
+    channels = _law(rounds.exact())
     channels[aborted] = (0.0, 0.0, 0.0, 1.0)  # a Y fault
     estimate = estimate_logical_channel(residuals,
                                         decode_failures=int(aborted.sum()),

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmemsim import fivequbit
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_blocks, default_table,
-                               quadratic_bound_range, residual_channel,
-                               syndrome_of, unpack)
+                               quadratic_bound_range, unpack)
 from qmemsim.pauli import frame_from_label, frame_to_label
 from test_pauli import string_anticommutes, weight
 
@@ -42,6 +40,11 @@ frames_strategy = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
 def decode_one(frame) -> int:
     """Residual code of one five-qubit frame, read off the table."""
     return int(default_table().residuals[pack(frame)])
+
+
+def syndrome_one(frame) -> int:
+    """4-bit syndrome of one five-qubit frame, read off the table."""
+    return int(default_table().syndromes[pack(frame)])
 
 
 def block_residual_probs(site_probs):
@@ -96,10 +99,10 @@ def test_pack_unpack_round_trip():
 
 
 def test_syndrome_of_identity_and_single_x():
-    assert syndrome_of(np.zeros(BLOCK, dtype=np.uint8)) == 0
+    assert syndrome_one(np.zeros(BLOCK, dtype=np.uint8)) == 0
     # X on qubit 0 commutes with the first three generators and
     # anticommutes with ZXIXZ only: bits (0, 0, 0, 1)
-    s = syndrome_of(frame_from_label("XIIII"))
+    s = syndrome_one(frame_from_label("XIIII"))
     assert syndrome_bits(s) == (0, 0, 0, 1)
     assert s == 8
 
@@ -111,7 +114,7 @@ def test_weight_le_one_errors_have_distinct_syndromes():
             f = np.zeros(BLOCK, dtype=np.uint8)
             f[q] = code
             frames.append(f)
-    syndromes = [syndrome_of(f) for f in frames]
+    syndromes = [syndrome_one(f) for f in frames]
     assert sorted(syndromes) == list(range(16))
 
 
@@ -184,35 +187,47 @@ def test_b_exact_matches_frozen_polynomial():
         assert b_exact(p) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_residual_channel_matches_b_exact():
-    # the depolarizing site row gives b_exact as the X + Z + Y entries, on
-    # the whole unit interval
-    for p in np.linspace(0.0, 1.0, 1001):
-        out = residual_channel([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
-        assert out[1:].sum() == pytest.approx(b_exact(float(p)), rel=1e-12,
-                                              abs=1e-300)
-        assert out.sum() == pytest.approx(1.0, rel=1e-12)
+def test_residual_classes_symmetric_at_every_weight():
+    # the failing strings of each error weight split evenly among X, Z and
+    # Y, so a decoded depolarized block is depolarized: the exact channel of
+    # the protocols carries one fault weight per level on this alone
+    table = default_table()
+    weights = (unpack(np.arange(N_STRINGS)) != 0).sum(axis=1)
+    by_class = [np.bincount(weights[table.residuals == c], minlength=BLOCK + 1)
+                for c in (1, 2, 3)]
+    assert by_class[0].tolist() == [n // 3 for n in N_W]
+    assert by_class[0].tolist() == by_class[1].tolist() == by_class[2].tolist()
 
 
-def test_residual_channel_matches_enumeration(monkeypatch):
-    # random site laws that are not depolarizing (as after a decoded round
-    # plus fresh noise), one by one and stacked in a (2, 3, 4) batch that
-    # is split into chunks of two rows
-    rng = np.random.default_rng(13)
-    sites = rng.dirichlet(np.full(4, 0.5), size=(2, 3))
-    sites[0, 0] = [1.0, 0.0, 0.0, 0.0]
-    expected = np.array([[block_residual_probs(row) for row in block]
-                         for block in sites])
-    for block, want in zip(sites, expected):
-        for row, w in zip(block, want):
-            assert np.allclose(residual_channel(row), w, rtol=1e-12, atol=1e-15)
-    monkeypatch.setattr(fivequbit, "_CHUNK_ROWS", 2)
-    batch = residual_channel(sites)
-    assert batch.shape == (2, 3, 4)
-    assert np.allclose(batch, expected, rtol=1e-12, atol=1e-15)
-    assert np.array_equal(batch[0, 0], [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        residual_channel(np.ones((2, 3)) / 3.0)
+def test_depolarized_block_decodes_to_b_exact():
+    # brute-force enumeration of a depolarized block: the residual law is
+    # (1 - b, b/3, b/3, b/3) at b = b_exact(p), on the whole unit interval
+    for p in np.linspace(0.0, 1.0, 101):
+        out = block_residual_probs([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
+        b = b_exact(float(p))
+        assert out[1:] == pytest.approx([b / 3.0] * 3, rel=1e-12, abs=1e-300)
+        assert out[0] == pytest.approx(1.0 - b, rel=1e-12)
+
+
+def test_b_exact_array_matches_scalar_calls():
+    # bit for bit, on random weights, small weights and a (2, n) grid, and
+    # equal to the closed form in Python floats, whose values the bp-curve
+    # CSV digests pin
+    rng = np.random.default_rng(15)
+    ps = np.concatenate([rng.random(2_000), rng.random(500) * 1e-3,
+                         np.linspace(0.0, 1.0, 1001)])
+    scalar = [b_exact(float(p)) for p in ps]
+    assert np.array_equal(b_exact(ps), scalar)
+    assert scalar == [sum(n * (p / 3.0) ** w * (1.0 - p) ** (5 - w)
+                          for w, n in enumerate(N_W)) for p in ps.tolist()]
+    grid = ps[:2_000].reshape(2, -1)
+    assert b_exact(grid).shape == grid.shape
+    assert np.array_equal(b_exact(grid).ravel(), b_exact(grid.ravel()))
+    for bad in (-1e-300, 1.0 + 1e-15, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            b_exact(np.array([0.1, bad, 0.2]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            b_exact(bad)
 
 
 def test_b_exact_frozen_values():
@@ -270,5 +285,5 @@ def test_frame_labels_for_corrections():
     for s in range(16):
         frame = corrections[s]
         assert weight(frame) <= 1
-        assert syndrome_of(frame) == s
+        assert syndrome_one(frame) == s
         assert frame_to_label(frame)  # label round-trips without error

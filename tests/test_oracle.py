@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from qmemsim import oracle
 from qmemsim.bounds import information_decay_time
 from qmemsim.oracle import (MAX_ORACLE_QUBITS, PAULI_MATRICES,
                             check_density_matrix, ghz_state,
@@ -153,6 +154,12 @@ def test_check_density_matrix():
     neg = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         check_density_matrix(neg)
+    # NaN fails every tolerance comparison, so it is caught up front
+    inf = plus_state(1)
+    inf[0, 1] = np.inf
+    for rho in (np.full((2, 2), np.nan), inf):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            check_density_matrix(rho)
 
 
 def test_pauli_string_matrix_order():
@@ -188,6 +195,24 @@ def test_integrator_validation():
         lindblad_evolve(rho0, None, 1.0, -0.5)
     with pytest.raises(ValueError):
         lindblad_evolve(plus_state(MAX_ORACLE_QUBITS + 1), None, 1.0, 0.1)
+
+
+NON_FINITE = [
+    (dict(t=math.inf), "t must be finite, got inf"),
+    (dict(t=math.nan), "t must be finite, got nan"),
+    (dict(dt=math.nan), "dt must be finite, got nan"),
+    (dict(rate_r=math.nan), "rate_r must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("bad, message", NON_FINITE)
+def test_integrators_reject_non_finite_inputs(bad, message):
+    # checked before the step loop: t = inf would otherwise never return
+    args = {"rate_r": 1.0, "t": 0.1, "dt": 0.01, **bad}
+    with pytest.raises(ValueError, match=message):
+        lindblad_evolve(plus_state(1), None, **args)
+    with pytest.raises(ValueError, match=message):
+        information_flow(plus_state(1), **args)
 
 
 def twirl_rhs(rho, h_matrix, rate_r):
@@ -416,6 +441,20 @@ def test_oracle_equivalence_small(n):
     assert distance < 8e-3
     with pytest.raises(ValueError):
         oracle_equivalence_check(4, 1.0, 0.1, 100, np.random.default_rng(1))
+
+
+def test_oracle_equivalence_checks_rho0_size(monkeypatch):
+    # the mismatch is reported before any integration or sampling
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a mismatched rho0")
+
+    monkeypatch.setattr(oracle, "lindblad_evolve", integrate)
+    gen = np.random.default_rng(36)
+    state = gen.bit_generator.state
+    for n, rho0 in ((1, ghz_state(2)), (3, plus_state(1))):
+        with pytest.raises(ValueError, match=f"hold n_qubits = {n} qubits"):
+            oracle_equivalence_check(n, 1.0, 0.4, 1_000, gen, rho0=rho0)
+    assert gen.bit_generator.state == state
 
 
 def test_oracle_equivalence_custom_state():

@@ -1,8 +1,10 @@
 """Storage strategies: parameters, estimates, and the four simulators.
 
 The concatenated checks compare sampled counts with the exact logical
-channel each estimate carries (fivequbit.residual_channel, checked against
-brute-force enumeration in test_fivequbit, composed round by round).
+channel each estimate carries: one depolarizing fault weight per trial,
+carried through the rounds by fivequbit.b_exact.  It is checked against a
+decimal reference of the same recursion and, over two rounds, against
+brute-force enumeration of general (not depolarizing) block laws.
 """
 
 import hashlib
@@ -12,16 +14,18 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from distribution_gate import fidelity_sigma, wald_sigma
+from test_fivequbit import N_W, block_residual_probs
 from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
-from qmemsim.fivequbit import b_exact, residual_channel
+from qmemsim.fivequbit import b_exact
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -30,13 +34,26 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
-                               _kick_probability)
+                               _kick_probability, _Rounds)
 
 TWO_PI = 2.0 * math.pi
 
 # small clock register the event sampler can afford, generous windows
 UNIT = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5, t_dec=0.3,
                       delta=0.02, epsilon=0.3, clock_bits=4096)
+
+
+def xor_composition(a, b):
+    """(4,) law of P Q for independent P ~ a and Q ~ b, over every pair of
+    codes: XOR of codes is Pauli multiplication up to phase."""
+    out = np.zeros(4)
+    for i, j in itertools.product(range(4), repeat=2):
+        out[i ^ j] += a[i] * b[j]
+    return out
+
+
+def depolarizing(w):
+    return np.array([1.0 - w, w / 3.0, w / 3.0, w / 3.0])
 
 
 def within_sigmas(est, z=4.0):
@@ -290,30 +307,63 @@ def test_circuit_single_round_matches_block_rate():
 
 
 def test_depolarized_is_xor_composition():
-    # P Q for independent P ~ channel and depolarizing Q, summed over every
-    # pair of codes, on a batch of channels with one weight each
-    rng = np.random.default_rng(14)
-    channels = rng.dirichlet(np.ones(4), size=5)
-    weights = np.array([0.0, 1e-9, 0.2, 0.75, 1.0])
-    got = _depolarized(channels, weights)
-    for a, w, out in zip(channels, weights, got):
-        noise = [1.0 - w, w / 3.0, w / 3.0, w / 3.0]
-        expect = np.zeros(4)
-        for i, j in itertools.product(range(4), repeat=2):
-            expect[i ^ j] += a[i] * noise[j]
-        assert out == pytest.approx(expect, rel=1e-12, abs=1e-300)
+    # the product of two independent depolarizing Paulis is depolarizing,
+    # at the weight _depolarized gives
+    for w, q in itertools.product([0.0, 1e-9, 0.2, 0.75, 0.8, 1.0], repeat=2):
+        law = xor_composition(depolarizing(w), depolarizing(q))
+        assert law[1] == pytest.approx(law[2], rel=1e-12, abs=1e-300)
+        assert law[1] == pytest.approx(law[3], rel=1e-12, abs=1e-300)
+        assert law[1:].sum() == pytest.approx(_depolarized(w, q), rel=1e-12,
+                                              abs=1e-300)
 
 
 def test_circuit_two_rounds_match_enumeration_oracle():
+    # brute force that assumes no symmetry: every block string enumerated,
+    # with the general XOR composition of the round-1 law and fresh noise
     p = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.4)
     est = simulate_circuit_model(p, 100_000, np.random.default_rng(45))
-    q = 0.75 * (1.0 - math.exp(-0.4))
-    site = np.array([1.0 - q, q / 3.0, q / 3.0, q / 3.0])
-    inner = residual_channel(site)               # round 1 residual channel
-    outer = residual_channel(_depolarized(inner, q))  # fresh noise, decode
+    noise = depolarizing(0.75 * (1.0 - math.exp(-0.4)))
+    inner = block_residual_probs(noise)          # round 1 residual law
+    outer = block_residual_probs(xor_composition(inner, noise))
     assert est.exact == pytest.approx(outer, rel=1e-12)
     assert est.exact.sum() == pytest.approx(1.0, abs=1e-12)
     assert within_sigmas(est)
+
+
+def reference_weight(q, levels, digits=50):
+    """The round recursion w -> b(w + q (1 - 4w/3)) in decimal arithmetic,
+    from the float round weight q; b is the failing-count polynomial."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        q, w = Decimal(q), Decimal(0)
+        for _ in range(levels):
+            p = w + q * (1 - 4 * w / 3)
+            w = sum(n * (p / 3) ** k * (1 - p) ** (5 - k)
+                    for k, n in enumerate(N_W))
+        return float(w)
+
+
+@pytest.mark.parametrize("t_prot", [0.001, 0.005, 0.02, 0.1, 0.4])
+def test_exact_weight_matches_decimal_reference(t_prot):
+    q = -0.75 * math.expm1(-t_prot)
+    for levels in range(1, 7):
+        got = _Rounds(np.full(levels, t_prot), 1.0).exact()
+        assert got == pytest.approx(reference_weight(q, levels), rel=2e-15)
+    # one level of the circuit model carries the same weight
+    est = simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=1,
+                                                t_prot=t_prot),
+                                 10, np.random.default_rng(1))
+    assert est.exact[1:].sum() == pytest.approx(reference_weight(q, 1),
+                                                rel=2e-15)
+
+
+def test_exact_weight_settles_over_many_levels():
+    # below threshold the weight settles at the recursion's fixed point,
+    # and its law still sums to 1 exactly
+    q = -0.75 * math.expm1(-0.005)
+    got = _Rounds(np.full(250, 0.005), 1.0).exact()
+    assert got == pytest.approx(reference_weight(q, 250), rel=2e-15)
+    assert got == pytest.approx(1.50009e-4, rel=1e-5)
 
 
 def test_circuit_round_spacing_is_t_prot():
@@ -438,6 +488,23 @@ def test_clock_controlled_pinned_counts():
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
     assert est.counts.tolist() == [21, 15, 11, 17]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
+
+
+def test_exact_laws_are_depolarizing():
+    # every exact row of a trial that decoded has X = Z = Y and sums to 1
+    rows = [simulate_unprotected(0.3, ProtocolParams(rate_r=1.0, levels=0),
+                                 10, np.random.default_rng(1)).exact]
+    for levels in (1, 2, 3):
+        p = ProtocolParams(rate_r=1.0, levels=levels, t_prot=0.02)
+        rows.append(simulate_circuit_model(p, 10, np.random.default_rng(2)).exact)
+    est, diag = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61),
+                                          return_diagnostics=True)
+    rows.extend(diag.channels[~diag.aborted])
+    rows = np.array(rows)
+    assert len(rows) == 4 + 57
+    assert np.all(rows[:, 1] == rows[:, 2]) and np.all(rows[:, 1] == rows[:, 3])
+    sums = np.vstack([rows, diag.channels, est.exact]).sum(axis=1)
+    assert np.abs(sums - 1.0).max() <= 1e-15
 
 
 # a clock above the leaf size, so pass 1 runs clock.sample_passages
