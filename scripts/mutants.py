@@ -1,0 +1,141 @@
+"""Seeded mutations of qmemsim, each run against the tests that must catch it.
+
+    python scripts/mutants.py [name ...]
+
+For each mutation in MUTANTS (or only those named), the script copies src/
+to a temporary directory, applies one source substitution there (the
+working tree is never edited), and runs the mutation's tests with pytest
+against the copy.  It prints one line per mutation: "killed" and the tests
+that failed, or "survived".  An unmutated copy runs every listed test
+first, so a kill is never a test that fails anyway.  The script exits 1 if
+a mutation survived or the unmutated run failed.
+
+pytest collects only tests/, so nothing here runs with the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under src/qmemsim, text, replacement, tests that must fail)
+MUTANTS = {
+    # up flips before equal down flips, and every up slot one early
+    "flip_steps_left_side": (
+        "clock.py",
+        'at = np.searchsorted(times, up, side="right")',
+        'at = np.searchsorted(times, up, side="left")',
+        ["tests/test_clock.py::test_flip_steps_puts_up_flips_after_equal_down_flips",
+         "tests/test_clock.py::test_sample_trajectory_matches_argsort_reference"]),
+    # every up flip lands after the downs up to its time, but at the same
+    # slot as the up flips before it
+    "flip_steps_no_rank_offset": (
+        "clock.py",
+        "at += np.arange(up.size)\n",
+        "\n",
+        ["tests/test_clock.py::test_flip_steps_puts_up_flips_after_equal_down_flips",
+         "tests/test_clock.py::test_sample_trajectory_matches_argsort_reference",
+         "tests/test_passages.py::test_leaf_pieces_form_the_path"]),
+    # a window's inside segments keep their starts sorted but their ends in
+    # the order they were found, level by level
+    "passages_sort_starts_only": (
+        "clock.py",
+        "np.sort(ends[window == w])",
+        "ends[window == w]",
+        ["tests/test_passages.py"]),
+    # the exact logical channel at 1.5 times the storage noise rate
+    "rounds_exact_rate_1_5x": (
+        "protocols.py",
+        "q = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])",
+        "q = -0.75 * np.expm1(-1.5 * self.rate_r * self.durations[..., j])",
+        ["tests/test_protocols.py",
+         "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
+         "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
+    # the exact logical channel without the clock's decode kicks
+    "rounds_exact_no_kicks": (
+        "protocols.py",
+        "            if self.kicks is not None:\n"
+        "                w = _depolarized(w, self.kicks[:, j])",
+        "            if False:\n"
+        "                w = _depolarized(w, self.kicks[:, j])",
+        ["tests/test_protocols.py",
+         "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
+}
+
+
+def run_tests(src: Path, tests) -> tuple[int, list[str]]:
+    """(pytest exit code, ids of the failed tests) for tests run on src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--tb=no", "-rf", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return proc.returncode, failed
+
+
+def by_function(failed) -> str:
+    """Failed test ids as their function names, with a count of cases."""
+    counts = {}
+    for test_id in failed:
+        name = test_id.split("::")[-1].split("[")[0]
+        counts[name] = counts.get(name, 0) + 1
+    return ", ".join(name if n == 1 else f"{name} ({n} cases)"
+                     for name, n in counts.items())
+
+
+def copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def mutate(src: Path, name: str) -> None:
+    file, text, replacement, _ = MUTANTS[name]
+    path = src / "qmemsim" / file
+    source = path.read_text()
+    if source.count(text) != 1:
+        raise SystemExit(f"{name}: the text to replace is not in {file} "
+                         "exactly once")
+    path.write_text(source.replace(text, replacement))
+
+
+def main(names) -> int:
+    unknown = sorted(set(names) - set(MUTANTS))
+    if unknown:
+        raise SystemExit(f"unknown mutation {unknown[0]}; "
+                         f"known: {', '.join(MUTANTS)}")
+    names = names or list(MUTANTS)
+    all_tests = sorted({t for name in names for t in MUTANTS[name][3]})
+    with tempfile.TemporaryDirectory(prefix="qmemsim-mutants-") as tmp:
+        code, failed = run_tests(copy_src(Path(tmp) / "clean"), all_tests)
+        if code != 0:
+            print(f"unmutated copy: pytest exit {code}, failed {failed}")
+            return 1
+        print(f"unmutated copy: {len(all_tests)} test targets pass")
+        survived = 0
+        for name in names:
+            src = copy_src(Path(tmp) / name)
+            mutate(src, name)
+            code, failed = run_tests(src, MUTANTS[name][3])
+            if code == 0:
+                survived += 1
+                print(f"{name}: survived")
+            elif code == 1:
+                print(f"{name}: killed by {by_function(failed)}")
+            else:
+                print(f"{name}: killed (pytest exit {code}, no test ran "
+                      "to a verdict)")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (build_ledger, entanglement_breaking_time,
+from .bounds import (TWO_PI, build_ledger, entanglement_breaking_time,
                      feasibility_search, quadratic_block_error)
 from .clock import (ClockParams, DegenerateWindowError, OverlappingWindowsError,
                     ScheduleInfeasibleError, first_exit, good_prob_bound,
@@ -99,6 +99,10 @@ def _odd(v):
     return None if v % 2 == 1 else "must be odd (majority vote needs a tiebreak)"
 
 
+def _positive_odd(v):
+    return _positive(v) or _odd(v)
+
+
 def _strategy(v):
     allowed = ("unprotected", "repetition", "circuit", "clock")
     return None if v in allowed else f"must be one of {allowed}"
@@ -113,8 +117,8 @@ def _positive_list(v):
 
 
 def _positive_odd_list(v):
-    return _positive_list(v) or next(
-        (f"entry {x} {msg}" for x in v if (msg := _odd(x))), None)
+    return next((f"entry {x} {msg}" for x in v if (msg := _positive_odd(x))),
+                None)
 
 
 def _nonnegative_list(v):
@@ -169,7 +173,7 @@ SCHEMAS = {
     "memory-sim": {
         **_PROTOCOL_FIELDS,
         "t": _Field("float", None, allow_none=True, check=_nonnegative),
-        "n_bits": _Field("int", 101, check=_odd),
+        "n_bits": _Field("int", 101, check=_positive_odd),
         "deterministic_clock": _Field("bool", False),
         "code_rate_r": _Field("float", None, allow_none=True,
                               check=_nonnegative),
@@ -184,7 +188,8 @@ SCHEMAS = {
     },
     "ledger": {
         "r": _RATE,
-        "p_star": _Field("float", 1.0 / 40.0, check=_open_unit),
+        "p_star": _Field("float", 1.0 / 40.0, check=lambda v: None
+                         if 0.0 < v <= 1.0 / 40.0 else "must lie in (0, 1/40]"),
         "tau": _Field("float", 1.0, check=_positive),
         "search": _Field("bool", False),
         "p_star_values": _Field("list_float", None, allow_none=True,
@@ -474,7 +479,10 @@ def _run_bp_curve(cfg: ExperimentConfig) -> ExperimentResult:
         plot_columns=plot)
 
 
-def _protocol_params(v: dict) -> ProtocolParams:
+def _protocol_params(v: dict, sub: str) -> ProtocolParams:
+    if v["h_norm"] is not None and v["t_dec"] is not None \
+            and v["h_norm"] > TWO_PI / v["t_dec"] * (1.0 + 1e-12):
+        raise ConfigError(f"{sub}.h_norm: exceeds the drive bound 2*pi/t_dec")
     return ProtocolParams(rate_r=v["r"], levels=v["levels"],
                           p_star=v["p_star"], t_prot=v["t_prot"],
                           t_dec=v["t_dec"], delta=v["delta"],
@@ -524,7 +532,7 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
         row = (strategy, v["n_bits"], 0, v["t"], est.trials,
                1.0 - f, f, 0.0, 0.0, 1.0 - f, (hi - lo) / 2.0, 0, 0)
     else:
-        params = _protocol_params(v)
+        params = _protocol_params(v, "memory-sim")
         if strategy == "unprotected":
             _require(v, "memory-sim", "t", strategy)
             est = simulate_unprotected(v["t"], params, v["trials"], rng)
@@ -565,7 +573,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     strategy = v["strategy"]
     if strategy in ("circuit", "clock"):
         _require_decoded(v, "lifetime-scan", strategy)
-    params = _protocol_params(v)
+    params = _protocol_params(v, "lifetime-scan")
     levels_list = tuple(v["levels_list"]) if v["levels_list"] else None
     n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
     scan = lifetime_scan(strategy, params, v["fidelity_floor"], v["trials"],
@@ -580,7 +588,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     if strategy == "unprotected":
         # the ln 3 / r floor: each point's lifetime at fidelity floor 2/3
         summary["entanglement_breaking_time"] = entanglement_breaking_time(v["r"])
-    plot = np.column_stack([np.log([n for n, _ in scan.points]),
+    plot = np.column_stack([[math.log(n) for n, _ in scan.points],
                             [life for _, life in scan.points]])
     return ExperimentResult(
         cfg, ("N", "lifetime", "fit_slope"), rows, summary,

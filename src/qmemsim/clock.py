@@ -16,14 +16,10 @@ trajectories.
 Sampling exploits exchangeability twice over:
 
 * sample_trajectory draws, for each flip multiplicity j, how many bits flip
-  exactly j times (successive conditional binomials over Poisson tails),
-  places j sorted uniform flip times per such bit, and merges.  This is an
-  exact event-level sample of the aggregated birth-death chain on the 1-bit
-  count (down rate n r/2, up rate (K-n) r/2) with no per-bit state.  The
-  merge is one value sort of the single-flip times (each a -2 step, nearly
-  all flips at small mu) and an argsort of the multi-flip times, which are
-  then inserted at their searchsorted positions; the merged times are
-  written straight into the trajectory's piece-edge buffer.
+  exactly j times (successive conditional binomials over Poisson tails) and
+  places j sorted uniform flip times per such bit.  This is an exact
+  event-level sample of the aggregated birth-death chain on the 1-bit count
+  (down rate n r/2, up rate (K-n) r/2) with no per-bit state.
 * sample_trajectory_checkpointed advances the 1-bit count n directly between
   checkpoints via two binomials (each bit keeps its value over a span D with
   probability (1+e^{-rD})/2), exact at the checkpoints, for K far beyond
@@ -50,6 +46,11 @@ share one rule: a piece is inside when its value is in [k_off, k_on]
 
 Band exits: is_good, first_exit and the leaves of sample_passages share one
 rule, _band_exit, over the constant pieces that start by t_max.
+
+Flip order: sample_trajectory and the leaves of sample_passages keep the
+up (+2) times beside all flip times (a bit's steps alternate, from -2 at 1
+or +2 at 0) and share one rule, _flip_steps: flips sort by time alone, a
+down before an up at equal times.
 
 A ClockTrajectory is two read-only arrays: its piece edges (0, flip
 times..., horizon) and its piece values (K, k after each flip...).
@@ -220,20 +221,15 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     Bits are exchangeable, so only the multiset of per-bit flip counts
     matters: counts are Poisson(mu), mu = r*horizon/2.  Draw the number of
     bits with >= j flips by successive conditional binomials on the Poisson
-    tail ratios, give each bit with exactly j flips j sorted uniform times
-    (Poisson arrivals conditioned on their count), alternate step signs
-    starting at -2 (a bit at 1 flips down first), and merge by time.
-
-    The single-flip times, whose steps are all -2, are sorted by value
-    alone; only the multi-flip times are argsorted with their steps, and
-    the two sorted runs are merged (see _merge_by_time).
+    tail ratios and give each bit with exactly j flips j sorted uniform
+    times (Poisson arrivals conditioned on their count).  A bit at 1 flips
+    down first, so _flip_steps gets its 2nd, 4th, ... times as up times.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
-    single = np.empty(0, dtype=float)
-    times_parts, steps_parts = [], []
+    times_parts, up_parts = [np.empty(0)], [np.empty(0)]
     sf = -math.expm1(-mu)          # P(count >= 1)
     pmf = math.exp(-mu)            # P(count = 0)
     n_ge = int(gen.binomial(params.n_bits, sf))
@@ -244,49 +240,37 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
         ratio = min(sf_next / sf, 1.0) if sf > 0 else 0.0
         n_ge_next = int(gen.binomial(n_ge, ratio))
         m = n_ge - n_ge_next
-        if m and j == 1:
-            single = gen.random(m)
-            single *= horizon
-        elif m:
-            t = np.sort(gen.random((m, j)), axis=1).ravel() * horizon
-            s = np.empty((m, j), dtype=np.int8)
-            s[:, 0::2] = -2
-            s[:, 1::2] = 2
-            times_parts.append(t)
-            steps_parts.append(s.ravel())
+        if m:
+            t = gen.random((m, j))
+            if j > 1:
+                t.sort(axis=1)
+                up_parts.append(t[:, 1::2].ravel())
+            times_parts.append(t.ravel())
         n_ge, sf = n_ge_next, sf_next
         j += 1
-    single.sort()
-    multi = np.concatenate([single[:0]] + times_parts)
-    multi_steps = np.concatenate([np.empty(0, dtype=np.int8)] + steps_parts)
-    edges = np.empty(single.size + multi.size + 2)
+    edges = np.empty(sum(t.size for t in times_parts) + 2)
     edges[0], edges[-1] = 0.0, horizon
+    times = np.concatenate(times_parts, out=edges[1:-1])
+    times *= horizon
     values = np.empty(edges.size - 1, dtype=np.int64)
     values[0] = params.n_bits
-    values[1:] = _merge_by_time(single, multi, multi_steps, edges[1:-1])
+    values[1:] = _flip_steps(times, np.concatenate(up_parts) * horizon)
     np.cumsum(values, out=values)
     return ClockTrajectory(edges, values)
 
 
-def _merge_by_time(single, multi, multi_steps, out):
-    """Merge sorted single-flip times (steps -2) with the multi-flip flips.
-
-    Writes the merged times into out and returns their steps, in the order
-    of a stable sort of (single, argsorted multi): the multi-flip times are
-    argsorted and each is inserted after every equal single-flip time, at
-    its searchsorted position plus the number of multi-flip times before it.
-    Equal multi-flip times come in np.argsort's order, which is unspecified.
-    """
-    order = np.argsort(multi)
-    multi = multi[order]
-    at = np.searchsorted(single, multi, side="right")
-    at += np.arange(multi.size)
-    is_single = np.ones(out.size, dtype=bool)
-    is_single[at] = False
-    out[is_single] = single
-    out[at] = multi
-    steps = np.full(out.size, -2, dtype=np.int8)
-    steps[at] = multi_steps[order]
+def _flip_steps(times, up):
+    """Steps (int8 -2 or +2) of the flips at times, given the +2 flips'
+    times up; sorts both in place.  Flips go by time alone, the -2 flips
+    first at equal times: the i-th smallest up time takes the slot after
+    every down time up to it and after the i up times before it."""
+    times.sort()
+    up.sort()
+    at = np.searchsorted(times, up, side="right")
+    at -= np.searchsorted(up, up, side="right")
+    at += np.arange(up.size)
+    steps = np.full(times.size, -2, dtype=np.int8)
+    steps[at] = 2
     return steps
 
 
@@ -595,9 +579,10 @@ def _leaf_pieces(starts, ends, k_start, counts, gen, rate_r):
 
     Each active bit draws its flip count from Poisson(r D / 2) conditioned on
     its parity class (odd, or even >= 2), by inversion, then that many
-    sorted uniform times; its steps alternate, starting at -2 for a bit at 1.
-    Every bit gets one uniform time up front; the few bits with two or more
-    flips replace it by the first of their sorted times.
+    sorted uniform times; its steps alternate, starting at -2 for a bit at 1
+    and at +2 for a bit at 0, and _flip_steps orders all of them.  Every
+    bit gets one uniform time up front; the few bits with two or more flips
+    replace it by the first of their sorted times.
     """
     n = starts.size
     width = float(ends[0] - starts[0])
@@ -605,7 +590,7 @@ def _leaf_pieces(starts, ends, k_start, counts, gen, rate_r):
     per_class = counts.transpose(2, 0, 1).ravel()         # (c, leaf, s)
     n_odd = int(per_class[:2 * n].sum())
     owner = np.repeat(np.tile(np.arange(n).repeat(2), 2), per_class)
-    first = np.repeat(np.tile(np.array([2, -2], np.int8), 2 * n), per_class)
+    at_zero = np.repeat(np.tile([True, False], 2 * n), per_class)
     u = gen.random(owner.size)
     multi = np.concatenate([np.flatnonzero(u[:n_odd] >= odd_cdf[0]),
                             np.arange(n_odd, owner.size)])
@@ -615,23 +600,21 @@ def _leaf_pieces(starts, ends, k_start, counts, gen, rate_r):
     times = gen.random(owner.size)
     times *= width
     times += starts[owner]
-    times_parts, steps_parts, owner_parts = [times], [first], [owner]
+    times_parts, up_parts, owner_parts = [times], [], [owner]
     for j in np.flatnonzero(np.bincount(flips)):
         rows = multi[flips == j]
         t = np.sort(gen.random((rows.size, j)), axis=1)
         t *= width
         t += starts[owner[rows], None]
         times[rows] = t[:, 0]
-        steps = np.repeat(-first[rows], j - 1)
-        steps.reshape(-1, j - 1)[:, 1::2] *= -1
+        down_first = ~at_zero[rows]
+        up_parts += [t[down_first, 1::2].ravel(), t[~down_first, 2::2].ravel()]
         times_parts.append(t[:, 1:].ravel())
-        steps_parts.append(steps)
         owner_parts.append(np.repeat(owner[rows], j - 1))
+    up_parts.append(times[at_zero])
     per_leaf = np.bincount(np.concatenate(owner_parts), minlength=n)
     times = np.concatenate(times_parts)
-    order = np.argsort(times)
-    times = times[order]
-    steps = np.concatenate(steps_parts)[order]
+    steps = _flip_steps(times, np.concatenate(up_parts))
     # the leaves are disjoint, so the sorted events come leaf by leaf
     first_event = np.concatenate(([0], np.cumsum(per_leaf)[:-1]))
     first_piece = first_event + np.arange(n)
@@ -733,7 +716,8 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
         counts = np.stack([left, right], axis=1).reshape(-1, 2, 2)
         level += 1
     window, starts, ends = (np.concatenate(part) for part in zip(*found))
-    order = np.argsort(starts)
-    window, starts, ends = window[order], starts[order], ends[order]
-    return in_band, [_passage(starts[window == w], ends[window == w], t_dec)
+    # one window's inside segments are disjoint, so sorting their starts
+    # and their ends apart keeps each pair together
+    return in_band, [_passage(np.sort(starts[window == w]),
+                              np.sort(ends[window == w]), t_dec)
                      for w in range(k_off.size)]

@@ -507,7 +507,8 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
             if u >= 0.75:
                 raise RuntimeError("fidelity never crosses the floor; raise it")
             points.append((BLOCK ** lev, -math.log1p(-u / 0.75) / params.rate_r))
-        xs = np.log([n for n, _ in points])
+        # per point: 5**28 and up overflow int64
+        xs = [math.log(n) for n, _ in points]
     elif strategy in ("circuit", "clock"):
         levels_list = tuple(range(1, params.levels + 1)) if levels_list is None \
             else levels_list

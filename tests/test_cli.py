@@ -80,6 +80,12 @@ def test_minimal_config_defaults():
     ({"subcommand": "memory-sim", "strategy": "circuit", "levels": 1,
       "t_prot": 0.5, "round_spacing": 0.2},
      "memory-sim.round_spacing: unknown key"),
+    # the ledger's recursion assumes p* <= 1/40
+    ({"subcommand": "ledger", "p_star": 0.03},
+     "ledger.p_star: must lie in (0, 1/40]"),
+    # -1 is odd, but a repetition code needs bits
+    ({"subcommand": "memory-sim", "strategy": "repetition", "t": 1.0,
+      "n_bits": -1}, "memory-sim.n_bits: must be positive"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -421,6 +427,14 @@ def test_main_bad_parameter_exit(tmp_path, capsys):
         code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
         assert code == EXIT_CONFIG, (sub, strategy, levels, stderr)
         assert f"{sub}.{next(iter(levels))}: " in stderr
+    # h_norm above the drive bound 2 pi / t_dec (12.57 here)
+    for sub, strategy in [("memory-sim", "circuit"), ("lifetime-scan", "clock")]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": sub, "strategy": strategy,
+                                    **base, "t_dec": 0.5, "h_norm": 13.0}))
+        code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
+        assert code == EXIT_CONFIG, (sub, strategy, stderr)
+        assert f"{sub}.h_norm: exceeds the drive bound" in stderr
 
 
 def test_main_rejects_non_finite_numbers(tmp_path, capsys):
@@ -502,6 +516,23 @@ def test_main_lifetime_scan_floor_never_crossed(tmp_path, capsys):
     assert stderr.splitlines() == [
         "runtime failure: RuntimeError: fidelity never crosses the floor; "
         "raise it"]
+
+
+def test_main_lifetime_scan_past_int64(tmp_path, capsys):
+    # 5**28 qubits and more overflow int64: the fit and the plot column
+    # take each point's log on its own
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "lifetime-scan",
+                                "strategy": "unprotected",
+                                "levels_list": [0, 28, 40], "trials": 2000}))
+    plot = tmp_path / "scan.dat"
+    code, stdout, _ = run_main(capsys, ["lifetime-scan", "--config", str(path),
+                                        "--plot-data", str(plot)])
+    assert code == EXIT_OK
+    assert [n for n, _ in json.loads(stdout)["points"]] == [1, 5 ** 28, 5 ** 40]
+    ln_n = [float(line.split()[0]) for line in plot.read_text().splitlines()[2:]]
+    assert ln_n == pytest.approx([0.0, 28 * math.log(5), 40 * math.log(5)],
+                                 rel=1e-11)
 
 
 def test_main_plot_data(tmp_path, capsys):

@@ -18,7 +18,7 @@ from qmemsim.clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                            sample_trajectory, sample_trajectory_checkpointed,
                            time_error_bound, time_estimate,
                            vertical_exit_rate_bound, window_passage,
-                           window_schedule, _merge_by_time)
+                           window_schedule, _flip_steps)
 from qmemsim.bounds import clock_size_for
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
@@ -210,24 +210,24 @@ def test_sample_trajectory_matches_argsort_reference(n_bits, mu):
         assert steps_of(traj).tobytes() == steps.astype(np.int64).tobytes()
 
 
-def test_merge_by_time_puts_multi_flips_after_equal_single_flips():
-    # single-flip times drawn from a few values, so most multi-flip times
-    # tie with some; the merge must order them as a stable argsort of
-    # (single, multi) would (multi-flip times are distinct among themselves)
+def test_flip_steps_puts_up_flips_after_equal_down_flips():
+    # times drawn from a few values, so most up times tie with down times
+    # and with each other; the steps must be those of a stable argsort of
+    # (downs, ups), whatever order the two inputs come in
     gen = np.random.default_rng(35)
-    for n_single, n_multi, n_values in [(0, 0, 8), (0, 5, 8), (7, 0, 8),
-                                        (40, 3, 8), (3, 6, 8), (200, 8, 8),
-                                        (5000, 40, 50)]:
-        single = np.sort(gen.integers(0, n_values, n_single).astype(float))
-        multi = gen.permutation(n_values)[:n_multi].astype(float)
-        multi_steps = gen.choice(np.array([-2, 2], dtype=np.int8), n_multi)
-        times = np.empty(n_single + n_multi)
-        steps = _merge_by_time(single, multi, multi_steps, times)
-        all_times = np.concatenate((single, multi))
-        all_steps = np.concatenate((np.full(n_single, -2, dtype=np.int8),
-                                    multi_steps))
+    for n_down, n_up, n_values in [(0, 0, 8), (7, 0, 8), (0, 5, 8),
+                                   (0, 30, 4), (40, 3, 8), (3, 6, 8),
+                                   (200, 8, 8), (5000, 400, 50)]:
+        down = gen.integers(0, n_values, n_down).astype(float)
+        up = gen.integers(0, n_values, n_up).astype(float)
+        all_times = np.concatenate((down, up))
+        all_steps = np.concatenate((np.full(n_down, -2, dtype=np.int8),
+                                    np.full(n_up, 2, dtype=np.int8)))
         order = np.argsort(all_times, kind="stable")
+        times = gen.permutation(all_times)
+        steps = _flip_steps(times, gen.permutation(up))
         assert times.tobytes() == all_times[order].tobytes()
+        assert steps.dtype == np.int8
         assert steps.tobytes() == all_steps[order].tobytes()
 
 

@@ -662,6 +662,18 @@ def test_lifetime_scan_unprotected_floor_below_asymptote():
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
+def test_lifetime_scan_unprotected_past_int64():
+    # registers of 5**28 qubits and more overflow int64; the fit takes each
+    # point's log exactly
+    p = ProtocolParams(rate_r=1.0, levels=0)
+    scan = lifetime_scan("unprotected", p, 2.0 / 3.0, 2000,
+                         np.random.default_rng(65), levels_list=(0, 28, 40))
+    assert [n for n, _ in scan.points] == [1, 5 ** 28, 5 ** 40]
+    for _, life in scan.points:
+        assert life == pytest.approx(math.log(3.0), abs=0.3)
+    assert math.isfinite(scan.slope) and abs(scan.slope) < 0.05
+
+
 def test_lifetime_scan_repetition_frozen():
     p = ProtocolParams(rate_r=1.0, levels=0)
     scan = lifetime_scan("repetition", p, 0.9, 1, np.random.default_rng(57))
