@@ -24,6 +24,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the hit-list rounds against the dense register, byte for byte
+HIT_GATE = [
+    "tests/test_protocols.py::test_rounds_sample_matches_dense_register",
+    "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
+    "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
+
 # name -> (file under src/qmemsim, text, replacement, tests that must fail)
 MUTANTS = {
     # up flips before equal down flips, and every up slot one early
@@ -66,6 +72,24 @@ MUTANTS = {
         "                w = _depolarized(w, self.kicks[:, j])",
         ["tests/test_protocols.py",
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
+    # a cell hit twice keeps its newer code instead of the XOR of both
+    "hits_merge_keeps_newer": (
+        "protocols.py",
+        "codes = np.bitwise_xor.reduceat(codes, starts)",
+        "codes = codes[np.append(starts[1:], codes.size) - 1]",
+        HIT_GATE),
+    # a hit's site read from the block's digit instead of the cell's
+    "hits_site_wrong_digit": (
+        "protocols.py",
+        "frames[np.cumsum(first) - 1, cells % BLOCK] = codes",
+        "frames[np.cumsum(first) - 1, blocks % BLOCK] = codes",
+        HIT_GATE),
+    # the kick drawn on the register before the decode, five times wider
+    "hits_kick_pre_decode_width": (
+        "protocols.py",
+        "(trials, width), self.kicks[:, j], gen)",
+        "(trials, width * BLOCK), self.kicks[:, j], gen)",
+        HIT_GATE),
 }
 
 

@@ -20,14 +20,17 @@ lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
 `depolarize` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each with probability
 p/3); no event times or counts are sampled.
 
-`depolarize` has two exact draw orders, chosen by the largest weight of the
-call.  Below SPARSE_WEIGHT (the low-noise regime the protection lives in,
-where a round's weight is a few 1e-3) it draws only the hit cells: a
-Binomial(n, p_i) hit count per row, that many uniform columns with the
-collisions of a row redrawn until distinct, and one uniform X, Y or Z per
-hit.  At or above it, it draws one uniform per cell and one Pauli per hit
-cell in row-major order.  The two have the same law but not the same
-random stream.
+Every frame draw goes through one hit draw, `_hits`, which returns the hit
+cells of a register in ascending flat order with one X, Y or Z code each;
+`depolarize` XORs them onto a dense array, and the concatenated runs of
+protocols carry them as hit lists.  The hit draw has two exact orders,
+chosen by the largest weight of the call.  Below SPARSE_WEIGHT (the
+low-noise regime the protection lives in, where a round's weight is a few
+1e-3) it draws only the hit cells: a Binomial(n, p_i) hit count per row,
+that many uniform columns with the collisions of a row redrawn until
+distinct, and one uniform X, Y or Z per hit.  At or above it, it draws one
+uniform per cell and one Pauli per hit cell in row-major order.  The two
+have the same law but not the same random stream.
 
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
@@ -75,29 +78,37 @@ def depolarize(frames, p, rng):
     """XOR X, Y or Z, each with probability p/3, onto every cell, in place.
 
     frames is a (trials, n) uint8 array; p is a scalar or a per-trial array
-    (trials,), each weight in [0, 1].  Returns frames.
+    (trials,), each weight in [0, 1].  Returns frames.  The hits are one
+    `_hits` draw, in either of its two orders.
+    """
+    cells, codes = _hits(frames.shape, p, np.random.default_rng(rng))
+    if cells.size:
+        np.put(frames, cells, np.take(frames, cells) ^ codes)
+    return frames
+
+
+def _hits(shape, p, gen):
+    """The hit cells of a (rows, n) register under depolarizing weight p (a
+    scalar or one per row): their ascending flat indices, and one X, Y or Z
+    code (uint8) per hit in that order.
 
     When every weight is below SPARSE_WEIGHT, row i gets a hit count
     k_i ~ Binomial(n, p_i), then k_i uniform columns (columns that collide
     within a row are redrawn until distinct, which leaves a uniform k_i-subset
-    since every step treats the columns alike), then one uniform X, Y or Z
-    per hit in ascending cell order.  Otherwise it draws one uniform per
-    cell, then one Pauli per hit cell in row-major order.
+    since every step treats the columns alike).  Otherwise it draws one
+    uniform per cell.  Either way the codes come last, one uniform X, Y or Z
+    per hit.
     """
-    gen = np.random.default_rng(rng)
     p = np.asarray(p, dtype=float)
     top = p.max(initial=0.0)
     if not (p.min(initial=0.0) >= 0.0 and top <= 1.0):
         raise ValueError("depolarizing weight p must lie in [0, 1]")
     if top < SPARSE_WEIGHT:
-        cells = _hit_cells(frames.shape, p, gen)
-        if cells.size:
-            np.put(frames, cells, np.take(frames, cells)
-                   ^ gen.integers(1, 4, cells.size, dtype=np.uint8))
-        return frames
-    hit = gen.random(frames.shape) < (p[:, None] if p.ndim == 1 else p)
-    frames[hit] ^= gen.integers(1, 4, np.count_nonzero(hit), dtype=np.uint8)
-    return frames
+        cells = _hit_cells(shape, p, gen)
+    else:
+        cells = np.flatnonzero(gen.random(shape)
+                               < (p[:, None] if p.ndim == 1 else p))
+    return cells, gen.integers(1, 4, cells.size, dtype=np.uint8)
 
 
 def _hit_cells(shape, p, gen):

@@ -15,7 +15,11 @@ Four ways to hold one logical qubit for as long as possible:
 
 All strategies are simulated in the Pauli frame: the state is never
 represented, only the cumulative Pauli error per qubit, which is exact for
-stabilizer codes under Pauli noise and Clifford decoding.
+stabilizer codes under Pauli noise and Clifford decoding.  The concatenated
+strategies hold each register as a hit list, the qubits that carry a
+non-identity Pauli and their codes: each round merges in the new noise
+hits and decodes only the blocks that hold one, since a block with no hit
+decodes to the identity and is never read.
 
 Clock-controlled timing model.  Pass 1 resolves the clock: the trajectory is
 sampled, each level's decode time is the instant its window has been
@@ -48,7 +52,7 @@ from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
                     is_good, refinement_pays, sample_passages,
                     sample_trajectory, window_passage, window_schedule)
 from .fivequbit import BLOCK, b_exact, decode_blocks
-from .pauli import depolarize, sample_cumulative_frames
+from .pauli import _hits, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
 
 _LN2 = math.log(2.0)
@@ -189,6 +193,30 @@ def _law(w):
     return np.stack([1.0 - w, w / 3.0, w / 3.0, w / 3.0], axis=-1)
 
 
+def _firsts(values):
+    """True at the first entry of each run of equal values."""
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def _merge(cells, codes, new_cells, new_codes):
+    """XOR of two hit lists (ascending flat cells, nonzero codes, each cell
+    at most once per list): one hit list, without the cells that cancel."""
+    if not new_cells.size:
+        return cells, codes
+    if not cells.size:
+        return new_cells, new_codes
+    cells = np.concatenate((cells, new_cells))
+    codes = np.concatenate((codes, new_codes))
+    order = np.argsort(cells, kind="stable")
+    cells, codes = cells[order], codes[order]
+    starts = np.flatnonzero(_firsts(cells))
+    codes = np.bitwise_xor.reduceat(codes, starts)
+    keep = codes != 0
+    return cells[starts][keep], codes[keep]
+
+
 @dataclass(frozen=True)
 class _Rounds:
     """The noise of a concatenated run, round by round.
@@ -196,7 +224,8 @@ class _Rounds:
     Round j depolarizes every qubit of the register for durations[..., j]
     at rate_r, decodes one level, then depolarizes each decoded qubit at
     weight kicks[:, j] (no kicks when None).  A leading trial axis gives
-    each trial its own rounds.
+    each trial its own rounds.  sample carries the register as a hit list,
+    so a block with no hit is never read; exact gives the residual's law.
     """
 
     durations: np.ndarray    # (levels,) or (trials, levels)
@@ -204,17 +233,36 @@ class _Rounds:
     kicks: np.ndarray | None = None  # (trials, levels)
 
     def sample(self, trials: int, gen) -> np.ndarray:
-        """Residual code (trials,) of the last qubit, from Pauli frames."""
+        """Residual code (trials,) of the last qubit, from Pauli frames.
+
+        The trials x 5^levels register is held as its hit list: the
+        ascending flat cells (trial * width + qubit) that carry a Pauli, and
+        their codes.  Each round XORs in a pauli._hits draw (the draws of
+        sample_cumulative_frames and depolarize, in the same order), and
+        decodes only the blocks that hold a hit; the block of cell c is
+        c // 5, which is also its decoded qubit's cell one level up.
+        """
         levels = self.durations.shape[-1]
-        frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
+        width = BLOCK ** levels
+        cells = np.zeros(0, dtype=np.intp)
+        codes = np.zeros(0, dtype=np.uint8)
         for j in range(levels):
-            frames ^= sample_cumulative_frames(frames.shape[1],
-                                               self.durations[..., j],
-                                               self.rate_r, trials, gen)
-            frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
+            p = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
+            cells, codes = _merge(cells, codes, *_hits((trials, width), p, gen))
+            blocks = cells // BLOCK
+            first = _firsts(blocks)
+            frames = np.zeros((np.count_nonzero(first), BLOCK), dtype=np.uint8)
+            frames[np.cumsum(first) - 1, cells % BLOCK] = codes
+            residuals = decode_blocks(frames)
+            keep = residuals != 0
+            cells, codes = blocks[first][keep], residuals[keep]
+            width //= BLOCK
             if self.kicks is not None:
-                depolarize(frames, self.kicks[:, j], gen)
-        return frames[:, 0]
+                cells, codes = _merge(cells, codes, *_hits(
+                    (trials, width), self.kicks[:, j], gen))
+        out = np.zeros(trials, dtype=np.uint8)
+        out[cells] = codes
+        return out
 
     def exact(self):
         """Exact fault weight of that residual, one entry per trial axis;

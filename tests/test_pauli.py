@@ -152,10 +152,14 @@ def test_depolarize_xors_in_place_sparse():
     fresh = depolarize(np.zeros((400, 5), dtype=np.uint8), 0.01,
                        np.random.default_rng(4))
     assert fresh.any() and np.array_equal(out, start ^ fresh)
-    wide = np.zeros((5, 800), dtype=np.uint8)
-    view = wide[:, ::2].T
-    assert depolarize(view, 0.01, np.random.default_rng(4)) is view
-    assert np.array_equal(view, fresh) and not wide[:, 1::2].any()
+    # both draws write their hits through a view
+    for p in (0.01, 0.3):
+        fresh = depolarize(np.zeros((400, 5), dtype=np.uint8), p,
+                           np.random.default_rng(4))
+        wide = np.zeros((5, 800), dtype=np.uint8)
+        view = wide[:, ::2].T
+        assert depolarize(view, p, np.random.default_rng(4)) is view
+        assert np.array_equal(view, fresh) and not wide[:, 1::2].any()
 
 
 @pytest.mark.parametrize("p", [BELOW_CUT, SPARSE_WEIGHT])

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -20,12 +21,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distribution_gate import fidelity_sigma, wald_sigma
+from distribution_gate import count_p_value, fidelity_sigma, wald_sigma
 from test_fivequbit import N_W, block_residual_probs
 from qmemsim import protocols
 from qmemsim.bounds import clock_size_for
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
-from qmemsim.fivequbit import b_exact
+from qmemsim.fivequbit import BLOCK, b_exact, decode_blocks
+from qmemsim.pauli import SPARSE_WEIGHT, depolarize, sample_cumulative_frames
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -37,6 +39,9 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                _kick_probability, _Rounds)
 
 TWO_PI = 2.0 * math.pi
+
+# every exact-tail p-value must reach this; fixed before the first run
+GATE_ALPHA = 1e-4
 
 # small clock register the event sampler can afford, generous windows
 UNIT = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.5, t_dec=0.3,
@@ -383,6 +388,105 @@ def test_circuit_storage_levels_override():
     assert est.trials == 2_000  # ran with 5 qubits, not 125
     q = 0.75 * (1.0 - math.exp(-0.4))
     assert est.exact[1:].sum() == pytest.approx(b_exact(q), rel=1e-12)
+
+
+# --- hit-list rounds against the dense register ------------------------------
+
+def dense_rounds(rounds, trials, gen):
+    """Reference for _Rounds.sample: the whole trials x 5^levels register,
+    XORed with fresh frames, decoded block by block and kicked in place."""
+    levels = rounds.durations.shape[-1]
+    frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
+    for j in range(levels):
+        frames ^= sample_cumulative_frames(frames.shape[1],
+                                           rounds.durations[..., j],
+                                           rounds.rate_r, trials, gen)
+        frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
+        if rounds.kicks is not None:
+            depolarize(frames, rounds.kicks[:, j], gen)
+    return frames[:, 0]
+
+
+def faults_if_dense_equal(rounds, trials, seeds=(1, 2, 3)):
+    """Assert _Rounds.sample gives the reference's residuals byte for byte
+    on each seed; returns the pooled fault count."""
+    faults = 0
+    for seed in seeds:
+        got = rounds.sample(trials, np.random.default_rng(seed))
+        want = dense_rounds(rounds, trials, np.random.default_rng(seed))
+        assert got.dtype == np.uint8 and got.shape == (trials,)
+        assert got.tobytes() == want.tobytes(), seed
+        faults += int(np.count_nonzero(want))
+    return faults
+
+
+# the float just below the cut, and durations at rate 1 whose storage
+# weight -0.75 expm1(-t) is the cut exactly and the largest weight below it
+# that a duration reaches (two floats below; BELOW_CUT itself is a kick)
+BELOW_CUT = float(np.nextafter(SPARSE_WEIGHT, 0.0))
+T_CUT = -math.log1p(-SPARSE_WEIGHT / 0.75)
+T_BELOW_CUT = float(np.nextafter(T_CUT, 0.0))
+
+
+def test_cut_durations_straddle_the_cut():
+    assert -0.75 * np.expm1(-T_CUT) == SPARSE_WEIGHT
+    below = -0.75 * np.expm1(-T_BELOW_CUT)
+    assert BELOW_CUT - 2 * np.spacing(BELOW_CUT) < below < SPARSE_WEIGHT
+
+
+# storage weights 0.0037 (the circuit point), two below the cut, the cut,
+# and 0.3
+@pytest.mark.parametrize("t", [0.005, T_BELOW_CUT, T_CUT, -math.log1p(-0.4)],
+                         ids=["circuit", "below_cut", "cut", "dense"])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_rounds_sample_matches_dense_register(levels, t):
+    faults = faults_if_dense_equal(_Rounds(np.full(levels, t), 1.0), 400)
+    assert faults > 0 or t == 0.005
+
+
+# per-trial storage durations, and kicks whose largest weight (trial 0's)
+# is 0, below the cut, the float below it, the cut, and 0.5
+@pytest.mark.parametrize("kick", [0.0, 0.02, BELOW_CUT, SPARSE_WEIGHT, 0.5])
+@pytest.mark.parametrize("longest", [0.02, 0.5])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_rounds_sample_with_kicks_matches_dense_register(levels, longest,
+                                                         kick):
+    gen = np.random.default_rng(70 + levels)
+    durations = gen.uniform(0.0, longest, (300, levels))
+    kicks = gen.uniform(0.0, kick, (300, levels))
+    kicks[0] = kick
+    faults = faults_if_dense_equal(_Rounds(durations, 1.0, kicks), 300)
+    assert faults > 0 or (kick < 0.1 and longest < 0.1)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_rounds_sample_single_trial_matches_dense_register(levels):
+    seeds = range(30)
+    faults = 0
+    for t in (0.005, T_BELOW_CUT, T_CUT, 0.5):
+        faults += faults_if_dense_equal(_Rounds(np.full(levels, t), 1.0), 1,
+                                        seeds)
+    for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5):
+        rounds = _Rounds(np.full((1, levels), 0.02), 1.0,
+                         np.full((1, levels), kick))
+        faults += faults_if_dense_equal(rounds, 1, seeds)
+    assert faults > 0
+
+
+def test_circuit_six_levels_in_hit_lists():
+    # 15 625 qubits x 2000 trials: the 31 MB register and its draws are
+    # never built, and the faults follow the exact channel
+    params = ProtocolParams(rate_r=1.0, levels=6, t_prot=0.03)
+    tracemalloc.start()
+    try:
+        est = simulate_circuit_model(params, 2000, np.random.default_rng(72))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+    weight = float(_Rounds(np.full(6, 0.03), 1.0).exact())
+    faults = est.trials - int(est.counts[0])
+    assert count_p_value(faults, [(est.trials, weight)]) >= GATE_ALPHA
 
 
 # --- clock controlled ----------------------------------------------------------
