@@ -30,6 +30,10 @@ HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
 
+# the sampled clock faults against the exact channels, at power >= 0.99
+# against both mutations of _Rounds.exact below
+KICK_CHECK = "tests/test_protocols.py::test_clock_sampled_faults_see_the_kicks"
+
 # name -> (file under src/qmemsim, text, replacement, tests that must fail)
 MUTANTS = {
     # up flips before equal down flips, and every up slot one early
@@ -61,6 +65,7 @@ MUTANTS = {
         "q = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])",
         "q = -0.75 * np.expm1(-1.5 * self.rate_r * self.durations[..., j])",
         ["tests/test_protocols.py",
+         KICK_CHECK,
          "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
     # the exact logical channel without the clock's decode kicks
@@ -71,6 +76,7 @@ MUTANTS = {
         "            if False:\n"
         "                w = _depolarized(w, self.kicks[:, j])",
         ["tests/test_protocols.py",
+         KICK_CHECK,
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
     # a cell hit twice keeps its newer code instead of the XOR of both
     "hits_merge_keeps_newer": (
@@ -90,6 +96,13 @@ MUTANTS = {
         "(trials, width), self.kicks[:, j], gen)",
         "(trials, width * BLOCK), self.kicks[:, j], gen)",
         HIT_GATE),
+    # the samplers take clocks up to the int64 limit itself, where the
+    # 2 K polarization sums no longer fit
+    "max_bits_int64_limit": (
+        "clock.py",
+        "MAX_BITS = 2 ** 62 - 1",
+        "MAX_BITS = 2 ** 63 - 1",
+        ["tests/test_clock.py::test_samplers_bound_register_size_by_int64_sums"]),
 }
 
 

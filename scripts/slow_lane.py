@@ -43,15 +43,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from distribution_gate import (compare_frames, compare_passages,  # noqa: E402
+from distribution_gate import (BELOW_CUT, GATE_ALPHA,  # noqa: E402
+                               compare_frames, compare_passages,
                                frame_draws, passage_outcomes,
                                passage_samplers)
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
-from qmemsim.pauli import SPARSE_WEIGHT  # noqa: E402
 from qmemsim.protocols import (ProtocolParams, lifetime_scan,  # noqa: E402
                                simulate_clock_controlled, with_sized_clock)
 
-GATE_ALPHA = 1e-4
 GATE_TRIALS = 10_000       # trajectories a side per gate point and seed
 CRITERION6_EVENTS = 1_300  # event trajectories at the criterion-6 clock
 SCALED_TRIALS = 2_000      # trials per SCALED level and per scan point
@@ -62,7 +61,7 @@ SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
 FRAME_SIZES = (((10_000, 625), 1), ((100_000, 25), 10))
 # the tier-1 weights: below, at and just below the criterion-5 round weight
 # 0.0037 and the cut, and 0.3 with the sparse draw forced
-FRAME_WEIGHTS = (1e-3, 0.0037, float(np.nextafter(SPARSE_WEIGHT, 0.0)), 0.3)
+FRAME_WEIGHTS = (1e-3, 0.0037, BELOW_CUT, 0.3)
 
 # (K, epsilon, t_prot, t_dec): two windows each, and bands 1.5 to 2.2
 # sigma wide at t_max = 2 (t_prot + t_dec), so that 7% to 60% of the

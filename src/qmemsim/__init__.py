@@ -15,12 +15,12 @@ from .bounds import (LedgerReport, RecursionTrace, RoundConstants,
 from .clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
                     DegenerateWindowError, GoodProbBound, LevelWindow,
                     OverlappingWindowsError, ScheduleInfeasibleError,
-                    checkpoint_times, deterministic_passage, first_exit,
-                    good_prob_bound, is_good, max_time_error,
-                    mean_polarization, sample_count_matrix, sample_passages,
-                    sample_trajectory, sample_trajectory_checkpointed,
-                    time_error_bound, time_estimate, vertical_exit_rate_bound,
-                    window_passage, window_schedule)
+                    checkpoint_times, first_exit, good_prob_bound, is_good,
+                    max_time_error, mean_polarization, sample_count_matrix,
+                    sample_passages, sample_trajectory,
+                    sample_trajectory_checkpointed, time_error_bound,
+                    time_estimate, vertical_exit_rate_bound, window_passage,
+                    window_schedule)
 from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
                         decode_blocks, default_table, quadratic_bound_range,
                         unpack)

@@ -26,13 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (TWO_PI, build_ledger, entanglement_breaking_time,
+from .bounds import (build_ledger, entanglement_breaking_time,
                      feasibility_search, quadratic_block_error)
-from .clock import (ClockParams, DegenerateWindowError, OverlappingWindowsError,
-                    ScheduleInfeasibleError, first_exit, good_prob_bound,
-                    is_good, max_time_error, mean_polarization,
-                    sample_trajectory, sample_trajectory_checkpointed,
-                    time_error_bound, vertical_exit_rate_bound)
+from .clock import (MAX_BITS, ClockParams, DegenerateWindowError,
+                    OverlappingWindowsError, ScheduleInfeasibleError,
+                    first_exit, good_prob_bound, is_good, max_time_error,
+                    mean_polarization, sample_trajectory,
+                    sample_trajectory_checkpointed, time_error_bound,
+                    vertical_exit_rate_bound)
 from .fivequbit import (N_STRINGS, b_exact, b_monte_carlo, default_table,
                         quadratic_bound_range, unpack)
 from .oracle import oracle_equivalence_check
@@ -91,8 +92,11 @@ def _seed_range(v):
 
 
 def _clock_size(v):
-    return None if v >= 16 else \
-        "the clock concentration bound is stated for K >= 16"
+    if v < 16:
+        return "the clock concentration bound is stated for K >= 16"
+    if v > MAX_BITS:
+        return "must be below 2**62, so that polarization sums fit int64"
+    return None
 
 
 def _odd(v):
@@ -144,8 +148,6 @@ _PROTOCOL_FIELDS = {
     "delta": _Field("float", 0.0, check=_nonnegative),
     "epsilon": _Field("float", 1.0 / 6.0, check=_epsilon_range),
     "K": _Field("int", None, allow_none=True, check=_clock_size),
-    "h_norm": _Field("float", None, allow_none=True, check=_positive),
-    "t_max": _Field("float", None, allow_none=True, check=_positive),
     "trials": _TRIALS,
     "seed": _SEED,
 }
@@ -174,9 +176,6 @@ SCHEMAS = {
         **_PROTOCOL_FIELDS,
         "t": _Field("float", None, allow_none=True, check=_nonnegative),
         "n_bits": _Field("int", 101, check=_positive_odd),
-        "deterministic_clock": _Field("bool", False),
-        "code_rate_r": _Field("float", None, allow_none=True,
-                              check=_nonnegative),
     },
     "lifetime-scan": {
         **_PROTOCOL_FIELDS,
@@ -479,15 +478,11 @@ def _run_bp_curve(cfg: ExperimentConfig) -> ExperimentResult:
         plot_columns=plot)
 
 
-def _protocol_params(v: dict, sub: str) -> ProtocolParams:
-    if v["h_norm"] is not None and v["t_dec"] is not None \
-            and v["h_norm"] > TWO_PI / v["t_dec"] * (1.0 + 1e-12):
-        raise ConfigError(f"{sub}.h_norm: exceeds the drive bound 2*pi/t_dec")
+def _protocol_params(v: dict) -> ProtocolParams:
     return ProtocolParams(rate_r=v["r"], levels=v["levels"],
                           p_star=v["p_star"], t_prot=v["t_prot"],
                           t_dec=v["t_dec"], delta=v["delta"],
-                          epsilon=v["epsilon"], clock_bits=v["K"],
-                          t_max=v["t_max"], h_norm=v["h_norm"])
+                          epsilon=v["epsilon"], clock_bits=v["K"])
 
 
 def _require(v, sub, key, strategy):
@@ -532,7 +527,7 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
         row = (strategy, v["n_bits"], 0, v["t"], est.trials,
                1.0 - f, f, 0.0, 0.0, 1.0 - f, (hi - lo) / 2.0, 0, 0)
     else:
-        params = _protocol_params(v, "memory-sim")
+        params = _protocol_params(v)
         if strategy == "unprotected":
             _require(v, "memory-sim", "t", strategy)
             est = simulate_unprotected(v["t"], params, v["trials"], rng)
@@ -543,10 +538,7 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
             t_span = params.levels * params.t_prot
         else:
             _require_decoded(v, "memory-sim", strategy)
-            est = simulate_clock_controlled(
-                params, v["trials"], rng,
-                deterministic_clock=v["deterministic_clock"],
-                code_rate_r=v["code_rate_r"])
+            est = simulate_clock_controlled(params, v["trials"], rng)
             n_clock = with_sized_clock(params).clock_bits
             t_span = params.schedule_end
         p = est.p_hat
@@ -573,7 +565,7 @@ def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     strategy = v["strategy"]
     if strategy in ("circuit", "clock"):
         _require_decoded(v, "lifetime-scan", strategy)
-    params = _protocol_params(v, "lifetime-scan")
+    params = _protocol_params(v)
     levels_list = tuple(v["levels_list"]) if v["levels_list"] else None
     n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
     scan = lifetime_scan(strategy, params, v["fidelity_floor"], v["trials"],

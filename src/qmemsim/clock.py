@@ -39,10 +39,9 @@ Sampling exploits exchangeability twice over:
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
 k_off = ceil(k_mean(t_l + t_dec)), t_l = l*t_prot + (l-1)*t_dec.
-window_passage, the leaves of sample_passages and deterministic_passage
-share one rule: a piece is inside when its value is in [k_off, k_on]
-(_inside), and the passage follows from the time-ordered inside segments
-(_passage).
+window_passage and the leaves of sample_passages share one rule: a piece
+is inside when its value is in [k_off, k_on] (_inside), and the passage
+follows from the time-ordered inside segments (_passage).
 
 Band exits: is_good, first_exit and the leaves of sample_passages share one
 rule, _band_exit, over the constant pieces that start by t_max.
@@ -76,6 +75,13 @@ class ScheduleInfeasibleError(ValueError):
     """Clock accuracy too poor for the requested schedule."""
 
 
+# the largest register size K the samplers take: they hold polarizations
+# in [-K, K] as int64 and form k +- 2 A (sample_passages, A <= K active
+# bits) and 2 n - K (checkpoints, n <= K 1-bits), whose 2 K terms fit int64
+# (up to 2**63 - 1) only for K < 2**62.  The closed-form bounds take any K.
+MAX_BITS = 2 ** 62 - 1
+
+
 @dataclass(frozen=True)
 class ClockParams:
     n_bits: int          # register size K
@@ -96,6 +102,12 @@ class ClockParams:
     @property
     def band_half_width(self) -> float:
         return float(self.n_bits) ** (0.5 + self.epsilon)
+
+
+def _require_countable(params: ClockParams):
+    if params.n_bits > MAX_BITS:
+        raise ValueError("n_bits must be below 2**62 to be sampled "
+                         "(int64 polarization sums)")
 
 
 def mean_polarization(t, params: ClockParams):
@@ -227,6 +239,7 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    _require_countable(params)
     gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
     times_parts, up_parts = [np.empty(0)], [np.empty(0)]
@@ -297,6 +310,7 @@ def sample_count_matrix(params: ClockParams, times: np.ndarray, trials: int,
     (1+e^{-rD})/2, each 0-bit turns 1 with probability (1-e^{-rD})/2, so
     n' = Binomial(n, keep) + Binomial(K-n, 1-keep).  Exact at the times.
     """
+    _require_countable(params)
     gen = np.random.default_rng(rng)
     times = np.asarray(times, dtype=float)
     out = np.empty((trials, times.size), dtype=np.int64)
@@ -475,14 +489,6 @@ def _passage(starts, ends, t_dec: float):
     return float(ends[-1]), total
 
 
-def deterministic_passage(window: LevelWindow, params: ClockParams, t_dec: float):
-    """Window passage of the noise-free path k(t) = k_mean(t) (mean-path
-    limit): the one inside segment [t_enter, t_exit]."""
-    t_enter = math.log(params.n_bits / window.k_on) / params.rate_r
-    t_exit = math.log(params.n_bits / window.k_off) / params.rate_r
-    return _passage(np.array([t_enter]), np.array([t_exit]), t_dec)
-
-
 # an undecided interval with at most this many active bits (bits that flip
 # in it) is resolved to flip events instead of being halved again
 LEAF_BITS = 2048
@@ -655,6 +661,7 @@ def sample_passages(params: ClockParams, horizon: float, schedule,
     """
     if horizon < params.t_max:
         raise ValueError("horizon must cover [0, t_max]")
+    _require_countable(params)
     gen = np.random.default_rng(rng)
     n_bits, rate_r, t_max = params.n_bits, params.rate_r, params.t_max
     band = params.band_half_width

@@ -48,9 +48,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import TWO_PI, clock_size_for
-from .clock import (ClockParams, ScheduleInfeasibleError, deterministic_passage,
-                    is_good, refinement_pays, sample_passages,
-                    sample_trajectory, window_passage, window_schedule)
+from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
+                    refinement_pays, sample_passages, sample_trajectory,
+                    window_passage, window_schedule)
 from .fivequbit import BLOCK, b_exact, decode_blocks
 from .pauli import _hits, sample_cumulative_frames
 from .stats import affine_fit, wilson_interval
@@ -63,10 +63,10 @@ class ProtocolParams:
     """Shared parameter record for all storage strategies.
 
     t_prot is the wait between decoding rounds, t_dec the duration of a
-    decode drive, delta the clock accuracy budget, h_norm the decode drive
-    norm (defaulting to min(2 pi / t_dec, p_star / (4 delta)), i.e. the
-    budget relation h_norm * delta <= p_star/4 capped by the drive bound).
-    clock_bits=None means "size the clock from delta and epsilon on demand".
+    decode drive, delta the clock accuracy budget.  clock_bits=None means
+    "size the clock from delta and epsilon on demand".  The decode drive
+    norm h_norm and the clock's trusted horizon (resolved_t_max) follow
+    from these and are not parameters.
     """
 
     rate_r: float
@@ -77,8 +77,6 @@ class ProtocolParams:
     delta: float = 0.0
     epsilon: float = 1.0 / 6.0
     clock_bits: int | None = None
-    t_max: float | None = None
-    h_norm: float | None = None
 
     def __post_init__(self):
         if self.rate_r <= 0:
@@ -95,13 +93,16 @@ class ProtocolParams:
             raise ValueError("delta must be nonnegative")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
-        if self.h_norm is None and self.t_dec is not None:
-            cap = TWO_PI / self.t_dec
-            h = cap if self.delta == 0 else min(cap, self.p_star / (4.0 * self.delta))
-            object.__setattr__(self, "h_norm", h)
-        if self.h_norm is not None and self.t_dec is not None:
-            if self.h_norm > TWO_PI / self.t_dec * (1.0 + 1e-12):
-                raise ValueError("h_norm exceeds the drive bound 2*pi/t_dec")
+
+    @property
+    def h_norm(self) -> float | None:
+        """Decode drive norm min(2 pi / t_dec, p_star / (4 delta)): the
+        budget relation h_norm * delta <= p_star/4 capped by the drive
+        bound, the cap alone when delta = 0; None without t_dec."""
+        if self.t_dec is None:
+            return None
+        cap = TWO_PI / self.t_dec
+        return cap if self.delta == 0 else min(cap, self.p_star / (4.0 * self.delta))
 
     @property
     def n_qubits(self) -> int:
@@ -117,17 +118,29 @@ class ProtocolParams:
         return self.level_time(self.levels) + self.t_dec
 
     def resolved_t_max(self) -> float:
-        return self.t_max if self.t_max is not None else self.schedule_end + self.delta / 2.0
+        """The clock's trusted horizon, schedule_end + delta/2."""
+        return self.schedule_end + self.delta / 2.0
 
 
 def with_sized_clock(params: ProtocolParams) -> ProtocolParams:
-    """Fill clock_bits from delta/epsilon if absent (readout error <= delta/2)."""
+    """Fill clock_bits from delta/epsilon if absent (readout error <= delta/2).
+
+    A clock larger than clock.MAX_BITS, the largest register whose
+    polarization sums fit int64, is a ScheduleInfeasibleError.
+    """
     if params.clock_bits is not None:
         return params
     if params.delta <= 0:
         raise ValueError("delta must be positive to size the clock")
-    bits = clock_size_for(params.resolved_t_max(), params.rate_r, params.delta,
-                          params.epsilon)
+    try:
+        bits = clock_size_for(params.resolved_t_max(), params.rate_r,
+                              params.delta, params.epsilon)
+    except OverflowError:  # the size overflows a float, so MAX_BITS too
+        bits = math.inf
+    if bits > MAX_BITS:
+        raise ScheduleInfeasibleError(
+            f"delta and epsilon size the clock at K = {bits:.3g} bits, "
+            f"above the int64 limit {MAX_BITS}")
     return replace(params, clock_bits=bits)
 
 
@@ -418,14 +431,9 @@ class ClockRunDiagnostics:
 
 
 def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
-                              deterministic_clock: bool = False,
-                              code_rate_r: float | None = None,
                               return_diagnostics: bool = False):
     """Concatenated storage with decode drives gated by the noisy clock.
 
-    deterministic_clock replaces every sampled trajectory by the mean path
-    (the zero-noise clock limit); code_rate_r overrides the noise rate on
-    the code qubits only, so clock noise can be studied in isolation.
     Returns a LogicalChannelEstimate, or with return_diagnostics a pair
     (estimate, ClockRunDiagnostics).
 
@@ -457,45 +465,34 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     schedule = window_schedule(params.levels, params.t_prot, params.t_dec, clock)
     gen = np.random.default_rng(rng)
     horizon = params.schedule_end + 10.0 * params.delta
-    levels = params.levels
-    r_code = params.rate_r if code_rate_r is None else code_rate_r
+    levels, h_norm = params.levels, params.h_norm
 
     taus = np.zeros((trials, levels))
     kick_probs = np.zeros((trials, levels))
     aborted = np.zeros(trials, dtype=bool)
     good = np.ones(trials, dtype=bool)
-
-    if deterministic_clock:
-        passages = [deterministic_passage(w, clock, params.t_dec) for w in schedule]
+    refine = refinement_pays(clock, horizon)
+    for i in range(trials):
+        if refine:
+            good[i], passages = sample_passages(clock, horizon, schedule,
+                                                params.t_dec, gen)
+        else:
+            traj = sample_trajectory(clock, horizon, gen)
+            good[i] = is_good(traj, clock)
+            passages = (window_passage(traj, w, params.t_dec) for w in schedule)
+        previous = -math.inf
         for j, (decode_time, total) in enumerate(passages):
-            taus[:, j] = decode_time
-            kick_probs[:, j] = _kick_probability(
-                params.h_norm * abs(total - params.t_dec))
-        if np.any(np.diff(taus[0]) <= 0):
-            raise ScheduleInfeasibleError("mean-path decode times not increasing")
-    else:
-        refine = refinement_pays(clock, horizon)
-        for i in range(trials):
-            if refine:
-                good[i], passages = sample_passages(clock, horizon, schedule,
-                                                    params.t_dec, gen)
-            else:
-                traj = sample_trajectory(clock, horizon, gen)
-                good[i] = is_good(traj, clock)
-                passages = (window_passage(traj, w, params.t_dec) for w in schedule)
-            previous = -math.inf
-            for j, (decode_time, total) in enumerate(passages):
-                if decode_time is None or decode_time <= previous:
-                    aborted[i] = True
-                    break
-                taus[i, j] = decode_time
-                kick_probs[i, j] = _kick_probability(
-                    params.h_norm * abs(total - params.t_dec))
-                previous = decode_time
+            if decode_time is None or decode_time <= previous:
+                aborted[i] = True
+                break
+            taus[i, j] = decode_time
+            kick_probs[i, j] = _kick_probability(
+                h_norm * abs(total - params.t_dec))
+            previous = decode_time
 
     # pass 2: noise on the code register between decode instants
     rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
-                     r_code, kick_probs)
+                     params.rate_r, kick_probs)
     residuals = rounds.sample(trials, gen)[~aborted]
     channels = _law(rounds.exact())
     channels[aborted] = (0.0, 0.0, 0.0, 1.0)  # a Y fault

@@ -24,6 +24,10 @@ wald_sigma and fidelity_sigma are the binomial (Wald) standard errors of a
 protocols.LogicalChannelEstimate, per class and of its average fidelity;
 they have zero width where a class frequency is 0 or 1.
 
+GATE_ALPHA is the level every gate p-value and exact-tail p-value of the
+tests must reach, and BELOW_CUT the largest weight that still takes
+pauli's sparse draw.
+
 This module is a helper, not a test file; tests/test_distribution_gate.py
 checks it on hand-computed cases.
 """
@@ -37,6 +41,10 @@ import numpy as np
 from qmemsim import pauli
 from qmemsim.clock import (is_good, sample_passages, sample_trajectory,
                            window_passage)
+
+# fixed before the first run; about 1e-3 false alarms per gate config
+GATE_ALPHA = 1e-4
+BELOW_CUT = float(np.nextafter(pauli.SPARSE_WEIGHT, 0.0))
 
 
 def ks_statistic(x, y) -> float:

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from distribution_gate import count_p_value, fidelity_sigma, wald_sigma
+from distribution_gate import (GATE_ALPHA, count_p_value, fidelity_sigma,
+                               wald_sigma)
 from qmemsim.bounds import (build_ledger, decode_budget, feasibility_search,
                             information_decay_time)
 from qmemsim.clock import (ClockParams, good_prob_bound, is_good,
@@ -23,10 +24,6 @@ from qmemsim.protocols import (ProtocolParams, exact_majority_failure,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock)
-
-
-# every exact-tail p-value must reach this; fixed before the first run
-GATE_ALPHA = 1e-4
 
 
 def report(criterion: int, ok: bool, detail: str):

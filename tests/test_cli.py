@@ -32,6 +32,10 @@ def test_minimal_config_defaults():
     assert cfg.values["seed"] == 0
 
 
+CLOCK_SMALL = {"strategy": "clock", "t_prot": 0.5, "t_dec": 0.3,
+               "delta": 0.02, "epsilon": 0.3, "K": 4096, "levels": 2}
+
+
 @pytest.mark.parametrize("data,fragment", [
     ({}, "config.subcommand: required"),
     ({"subcommand": "warp"}, "unknown subcommand"),
@@ -86,6 +90,22 @@ def test_minimal_config_defaults():
     # -1 is odd, but a repetition code needs bits
     ({"subcommand": "memory-sim", "strategy": "repetition", "t": 1.0,
       "n_bits": -1}, "memory-sim.n_bits: must be positive"),
+    # the drive norm and the clock horizon follow from the schedule and the
+    # budget, and the clock run has no ablation modes
+    *[({"subcommand": sub, **CLOCK_SMALL, key: value},
+       f"{sub}.{key}: unknown key")
+      for sub, key, value in [("memory-sim", "deterministic_clock", True),
+                              ("memory-sim", "code_rate_r", 0.0),
+                              ("memory-sim", "h_norm", 2.0),
+                              ("memory-sim", "t_max", 0.02),
+                              ("lifetime-scan", "h_norm", 2.0),
+                              ("lifetime-scan", "t_max", 0.02)]],
+    # a clock numpy cannot count: its k +- 2 A sums reach 2 K
+    *[({"subcommand": sub, **config, "K": k},
+       f"{sub}.K: must be below 2**62")
+      for sub, config in [("memory-sim", CLOCK_SMALL),
+                          ("lifetime-scan", CLOCK_SMALL), ("clock-verify", {})]
+      for k in (2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 19)],
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -174,16 +194,11 @@ def test_memory_sim_repetition_row():
     assert not any(key.startswith("exact_") for key in res.summary)
 
 
-CLOCK_SMALL = {"strategy": "clock", "t_prot": 0.5, "t_dec": 0.3,
-               "delta": 0.02, "epsilon": 0.3, "K": 4096, "levels": 2}
-
-
 @pytest.mark.parametrize("config", [
     {"strategy": "unprotected", "t": 0.7, "r": 1.5},
     {"strategy": "circuit", "t_prot": 0.05, "levels": 2},
     CLOCK_SMALL,
-    {**CLOCK_SMALL, "deterministic_clock": True},
-], ids=["unprotected", "circuit", "clock", "clock-deterministic"])
+], ids=["unprotected", "circuit", "clock"])
 def test_memory_sim_exact_channel(config):
     # the summary carries the exact law next to the sampled p_*; the CSV
     # row does not change
@@ -427,14 +442,6 @@ def test_main_bad_parameter_exit(tmp_path, capsys):
         code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
         assert code == EXIT_CONFIG, (sub, strategy, levels, stderr)
         assert f"{sub}.{next(iter(levels))}: " in stderr
-    # h_norm above the drive bound 2 pi / t_dec (12.57 here)
-    for sub, strategy in [("memory-sim", "circuit"), ("lifetime-scan", "clock")]:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"subcommand": sub, "strategy": strategy,
-                                    **base, "t_dec": 0.5, "h_norm": 13.0}))
-        code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
-        assert code == EXIT_CONFIG, (sub, strategy, stderr)
-        assert f"{sub}.h_norm: exceeds the drive bound" in stderr
 
 
 def test_main_rejects_non_finite_numbers(tmp_path, capsys):
@@ -574,6 +581,16 @@ def test_main_infeasible_schedule_exit(tmp_path, capsys):
     code, _, stderr = run_main(capsys, ["memory-sim", "--config", str(path)])
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in stderr
+    # so does a clock sized from delta and epsilon that int64 cannot count:
+    # the criterion-6 schedule at delta 1e-8 gives K = 3.4e41
+    for sub in ("memory-sim", "lifetime-scan"):
+        path.write_text(json.dumps({
+            "subcommand": sub, "strategy": "clock", "p_star": 0.03,
+            "levels": 2, "t_prot": 0.006, "t_dec": 0.0015, "delta": 1e-8,
+            "epsilon": 0.3, "trials": 1}))
+        code, stdout, stderr = run_main(capsys, [sub, "--config", str(path)])
+        assert code == EXIT_INFEASIBLE and not stdout, (sub, stderr)
+        assert "infeasible parameters:" in stderr and "int64" in stderr
 
 
 # SHA-256 of each seeded, CSV-emitting bundled config's CSV at --trials 40,

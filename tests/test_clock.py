@@ -10,15 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim.clock import (ClockCheckpoints, ClockParams, ClockTrajectory,
-                           DegenerateWindowError, LevelWindow, checkpoint_times,
-                           deterministic_passage, first_exit,
-                           good_prob_bound, is_good, max_time_error,
-                           mean_polarization, sample_count_matrix,
+from qmemsim.clock import (MAX_BITS, ClockCheckpoints, ClockParams,
+                           ClockTrajectory, DegenerateWindowError, LevelWindow,
+                           checkpoint_times, first_exit, good_prob_bound,
+                           is_good, max_time_error, mean_polarization,
+                           sample_count_matrix, sample_passages,
                            sample_trajectory, sample_trajectory_checkpointed,
                            time_error_bound, time_estimate,
                            vertical_exit_rate_bound, window_passage,
-                           window_schedule, _flip_steps)
+                           window_schedule, _flip_steps, _passage)
 from qmemsim.bounds import clock_size_for
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
@@ -65,6 +65,30 @@ def test_params_validation(kwargs):
 def test_minimum_register_size_allowed():
     p = ClockParams(n_bits=16, epsilon=0.25, t_max=1.0, rate_r=1.0)
     assert p.band_half_width == pytest.approx(16.0 ** 0.75)
+
+
+def test_samplers_bound_register_size_by_int64_sums():
+    # polarization sums reach 2 K, which int64 holds below K = 2**62.  Each
+    # sampler checks that before its first draw, so nothing is sampled
+    # here; the closed-form bounds still take any K
+    assert MAX_BITS == 2 ** 62 - 1
+    for n_bits in (2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 19, 10 ** 21):
+        params = ClockParams(n_bits=n_bits, epsilon=0.25, t_max=1.0,
+                             rate_r=1.0)
+        assert 0.0 < time_error_bound(params) < 1e-4
+        schedule = (LevelWindow(level=1, t_start=0.5, k_on=n_bits // 2,
+                                k_off=n_bits // 3),)
+        for draw in (lambda gen: sample_trajectory(params, 1.0, gen),
+                     lambda gen: sample_passages(params, 1.0, schedule,
+                                                 0.1, gen),
+                     lambda gen: sample_count_matrix(params, [0.5], 1, gen),
+                     lambda gen: sample_trajectory_checkpointed(
+                         params, 0.5, 1.0, gen)):
+            gen = np.random.default_rng(1)
+            with pytest.raises(ValueError, match="int64"):
+                draw(gen)
+            assert gen.bit_generator.state == np.random.default_rng(
+                1).bit_generator.state
 
 
 def test_band_half_width():
@@ -630,6 +654,14 @@ def test_window_passage_on_band_exiting_trajectory():
     assert n_bad > 0
 
 
+def mean_path_passage(window, params, t_dec):
+    """Window passage of the noise-free path k(t) = k_mean(t): its one
+    inside segment runs from k_mean = k_on to k_mean = k_off."""
+    t_enter = math.log(params.n_bits / window.k_on) / params.rate_r
+    t_exit = math.log(params.n_bits / window.k_off) / params.rate_r
+    return _passage(np.array([t_enter]), np.array([t_exit]), t_dec)
+
+
 def test_deterministic_passage():
     params = ClockParams(n_bits=1_000_000, epsilon=1.0 / 6.0, t_max=1.0,
                          rate_r=1.0)
@@ -637,7 +669,7 @@ def test_deterministic_passage():
     w = sched[0]
     t_enter = math.log(1_000_000 / w.k_on)
     t_exit = math.log(1_000_000 / w.k_off)
-    decode, total = deterministic_passage(w, params, t_dec=0.00125)
+    decode, total = mean_path_passage(w, params, t_dec=0.00125)
     assert total == pytest.approx(t_exit - t_enter, rel=1e-12)
     # integer windows round inward, so the mean path dwells slightly less
     # than t_dec and decodes at the window exit
@@ -646,7 +678,7 @@ def test_deterministic_passage():
     assert decode == pytest.approx(w.t_start + 0.00125, abs=3e-6)
     # a generous hand-made window dwells past t_dec and decodes mid-window
     wide = LevelWindow(level=1, t_start=0.5, k_on=630_000, k_off=440_000)
-    decode, total = deterministic_passage(wide, params, t_dec=0.3)
+    decode, total = mean_path_passage(wide, params, t_dec=0.3)
     assert total >= 0.3
     assert decode == pytest.approx(math.log(1e6 / 630_000) + 0.3, rel=1e-12)
 
@@ -656,7 +688,7 @@ def test_event_and_mean_passages_agree_for_large_registers():
                          rate_r=1.0)
     sched = window_schedule(1, t_prot=0.2, t_dec=0.05, params=params)
     w = sched[0]
-    det_decode, _ = deterministic_passage(w, params, t_dec=0.05)
+    det_decode, _ = mean_path_passage(w, params, t_dec=0.05)
     traj = sample_trajectory(
         ClockParams(n_bits=4096, epsilon=1.0 / 6.0, t_max=1.0, rate_r=1.0),
         1.0, np.random.default_rng(29))

@@ -11,14 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from distribution_gate import (compare_passages, passage_outcomes,
-                               passage_samplers)
+from distribution_gate import (GATE_ALPHA, compare_passages,
+                               passage_outcomes, passage_samplers)
 from qmemsim import clock
 from qmemsim.clock import (ClockParams, refinement_pays, sample_passages,
                            window_schedule)
-
-# every gate p-value must reach this; about 1e-3 false alarms per config
-GATE_ALPHA = 1e-4
 
 T_PROT, T_DEC = 0.5, 0.3
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qmemsim.pauli as pauli_module
-from distribution_gate import compare_frames, frame_draws
+from distribution_gate import (BELOW_CUT, GATE_ALPHA, compare_frames,
+                               frame_draws)
 from qmemsim.pauli import (CODE_LABELS, SPARSE_WEIGHT, anticommutes,
                            depolarize, frame_from_label, frame_to_label,
                            sample_cumulative_frames)
@@ -28,11 +29,6 @@ def weight(frame):
     """Number of non-identity sites."""
     return int(np.count_nonzero(np.asarray(frame)))
 
-
-# every gate p-value must reach this; fixed before the first run
-GATE_ALPHA = 1e-4
-# the largest weight that still takes the sparse draw
-BELOW_CUT = float(np.nextafter(SPARSE_WEIGHT, 0.0))
 
 pauli = st.integers(min_value=0, max_value=3)
 
