@@ -103,6 +103,18 @@ MUTANTS = {
         "MAX_BITS = 2 ** 62 - 1",
         "MAX_BITS = 2 ** 63 - 1",
         ["tests/test_clock.py::test_samplers_bound_register_size_by_int64_sums"]),
+    # a list field's entries go unchecked
+    "config_list_entries_unchecked": (
+        "cli.py",
+        "for x in value if entries else (value,):",
+        "for x in () if entries else (value,):",
+        ["tests/test_cli.py::test_config_rejections"]),
+    # every field takes null, as if each default were None
+    "config_null_everywhere": (
+        "cli.py",
+        "            if spec.default is not None:\n",
+        "            if False:\n",
+        ["tests/test_cli.py::test_config_rejections"]),
 }
 
 

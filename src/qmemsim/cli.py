@@ -3,11 +3,13 @@
 Subcommands: clock-verify, decode-table, bp-curve, memory-sim, lifetime-scan,
 ledger, oracle-check.  Each accepts --config PATH (a JSON object validated
 against a strict per-subcommand schema: unknown keys are rejected, defaults
-are filled) plus override flags --seed, --trials, --out, --format.
+are filled), --out and --plot-data.  The flags --seed, --trials and --search
+override the config only on subcommands whose schema has that key, and
+--format only where both csv and json are allowed.
 
-Exit codes: 0 success, 1 configuration error, 2 mathematically infeasible
-parameters (a scientific verdict scripts can branch on, distinct from
-misuse), 3 runtime failure.
+Exit codes: 0 success, 1 configuration error or command-line misuse, 2
+mathematically infeasible parameters (a scientific verdict scripts can
+branch on, distinct from misuse), 3 runtime failure.
 
 Determinism: re-running the same config reproduces byte-identical CSV files;
 JSON summaries add a timestamp field and are otherwise identical.
@@ -36,7 +38,7 @@ from .clock import (MAX_BITS, ClockParams, DegenerateWindowError,
                     vertical_exit_rate_bound)
 from .fivequbit import (N_STRINGS, b_exact, b_monte_carlo, default_table,
                         quadratic_bound_range, unpack)
-from .oracle import oracle_equivalence_check
+from .oracle import MAX_ORACLE_QUBITS, oracle_equivalence_check
 from .pauli import CODE_LABELS, frame_to_label
 from .protocols import (ProtocolParams, lifetime_scan,
                         simulate_circuit_model, simulate_classical_repetition,
@@ -65,10 +67,10 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str                 # int | float | bool | str | list_int | list_float
-    default: object = _REQUIRED
-    allow_none: bool = False
-    check: object = None      # fn(value) -> error message | None
+    kind: type                # int, float, bool, str, list[int] or list[float]
+    default: object = _REQUIRED   # a field is nullable iff this is None
+    check: object = None      # fn(value) -> error message | None; a list
+                              # field's check applies to each entry
 
 
 def _positive(v):
@@ -99,129 +101,121 @@ def _clock_size(v):
     return None
 
 
-def _odd(v):
-    return None if v % 2 == 1 else "must be odd (majority vote needs a tiebreak)"
-
-
 def _positive_odd(v):
-    return _positive(v) or _odd(v)
+    return _positive(v) or (None if v % 2 == 1 else
+                            "must be odd (majority vote needs a tiebreak)")
 
 
 def _strategy(v):
-    allowed = ("unprotected", "repetition", "circuit", "clock")
-    return None if v in allowed else f"must be one of {allowed}"
+    return None if v in _NEEDS else f"must be one of {tuple(_NEEDS)}"
 
 
 def _floor_range(v):
     return None if 1.0 / 3.0 < v < 1.0 else "must lie in (1/3, 1)"
 
 
-def _positive_list(v):
-    return None if all(x > 0 for x in v) else "entries must be positive"
+def _oracle_size(v):
+    return None if 1 <= v <= MAX_ORACLE_QUBITS else \
+        f"must lie in 1..{MAX_ORACLE_QUBITS}, the dense oracle's qubit counts"
 
 
-def _positive_odd_list(v):
-    return next((f"entry {x} {msg}" for x in v if (msg := _positive_odd(x))),
-                None)
-
-
-def _nonnegative_list(v):
-    return None if all(x >= 0 for x in v) else "entries must be nonnegative"
-
-
-def _oracle_sizes(v):
-    return None if all(1 <= n <= 3 for n in v) else \
-        "dense oracle supports 1..3 qubits"
-
-
-_SEED = _Field("int", 0, check=_seed_range)
-_TRIALS = _Field("int", 100_000, check=_positive)
-_RATE = _Field("float", 1.0, check=_positive)
+_SEED = _Field(int, 0, check=_seed_range)
+_TRIALS = _Field(int, 100_000, check=_positive)
+_RATE = _Field(float, 1.0, check=_positive)
 
 _PROTOCOL_FIELDS = {
-    "strategy": _Field("str", check=_strategy),
+    "strategy": _Field(str, check=_strategy),
     "r": _RATE,
-    "p_star": _Field("float", 0.01, check=_open_unit),
-    "levels": _Field("int", 1, check=_nonnegative),
-    "t_prot": _Field("float", None, allow_none=True, check=_positive),
-    "t_dec": _Field("float", None, allow_none=True, check=_positive),
-    "delta": _Field("float", 0.0, check=_nonnegative),
-    "epsilon": _Field("float", 1.0 / 6.0, check=_epsilon_range),
-    "K": _Field("int", None, allow_none=True, check=_clock_size),
+    "p_star": _Field(float, 0.01, check=_open_unit),
+    "levels": _Field(int, 1, check=_nonnegative),
+    "t_prot": _Field(float, None, check=_positive),
+    "t_dec": _Field(float, None, check=_positive),
+    "delta": _Field(float, 0.0, check=_nonnegative),
+    "epsilon": _Field(float, 1.0 / 6.0, check=_epsilon_range),
+    "K": _Field(int, None, check=_clock_size),
     "trials": _TRIALS,
     "seed": _SEED,
 }
 
 SCHEMAS = {
     "clock-verify": {
-        "K": _Field("int", check=_clock_size),
-        "epsilon": _Field("float", 1.0 / 6.0, check=_epsilon_range),
+        "K": _Field(int, check=_clock_size),
+        "epsilon": _Field(float, 1.0 / 6.0, check=_epsilon_range),
         "r": _RATE,
-        "t_max": _Field("float", 1.0, check=_positive),
+        "t_max": _Field(float, 1.0, check=_positive),
         "trials": _TRIALS,
         "seed": _SEED,
-        "checkpoint_spacing": _Field("float", None, allow_none=True,
-                                     check=_positive),
+        "checkpoint_spacing": _Field(float, None, check=_positive),
     },
     "decode-table": {},
     "bp-curve": {
-        "p_min": _Field("float", 0.001, check=_nonnegative),
-        "p_max": _Field("float", 0.05, check=_open_unit),
-        "p_count": _Field("int", 20,
+        "p_min": _Field(float, 0.001, check=_nonnegative),
+        "p_max": _Field(float, 0.05, check=_open_unit),
+        "p_count": _Field(int, 20,
                           check=lambda v: None if v >= 2 else "need >= 2 points"),
         "trials": _TRIALS,
         "seed": _SEED,
     },
     "memory-sim": {
         **_PROTOCOL_FIELDS,
-        "t": _Field("float", None, allow_none=True, check=_nonnegative),
-        "n_bits": _Field("int", 101, check=_positive_odd),
+        "t": _Field(float, None, check=_nonnegative),
+        "n_bits": _Field(int, 101, check=_positive_odd),
     },
     "lifetime-scan": {
         **_PROTOCOL_FIELDS,
-        "fidelity_floor": _Field("float", 2.0 / 3.0, check=_floor_range),
-        "levels_list": _Field("list_int", None, allow_none=True,
-                              check=_nonnegative_list),
-        "n_bits_list": _Field("list_int", None, allow_none=True,
-                              check=_positive_odd_list),
+        "fidelity_floor": _Field(float, 2.0 / 3.0, check=_floor_range),
+        "levels_list": _Field(list[int], None, check=_nonnegative),
+        "n_bits_list": _Field(list[int], None, check=_positive_odd),
     },
     "ledger": {
         "r": _RATE,
-        "p_star": _Field("float", 1.0 / 40.0, check=lambda v: None
+        "p_star": _Field(float, 1.0 / 40.0, check=lambda v: None
                          if 0.0 < v <= 1.0 / 40.0 else "must lie in (0, 1/40]"),
-        "tau": _Field("float", 1.0, check=_positive),
-        "search": _Field("bool", False),
-        "p_star_values": _Field("list_float", None, allow_none=True,
-                                check=_positive_list),
-        "c_prot_values": _Field("list_float", None, allow_none=True,
-                                check=_positive_list),
-        "c_dec_values": _Field("list_float", None, allow_none=True,
-                               check=_positive_list),
-        "c_delta_values": _Field("list_float", None, allow_none=True,
-                                 check=_positive_list),
-        "margin": _Field("float", 0.1, check=lambda v: None if 0 <= v < 1
+        "tau": _Field(float, 1.0, check=_positive),
+        "search": _Field(bool, False),
+        "p_star_values": _Field(list[float], None, check=_positive),
+        "c_prot_values": _Field(list[float], None, check=_positive),
+        "c_dec_values": _Field(list[float], None, check=_positive),
+        "c_delta_values": _Field(list[float], None, check=_positive),
+        "margin": _Field(float, 0.1, check=lambda v: None if 0 <= v < 1
                          else "must lie in [0, 1)"),
-        "levels": _Field("int", 4, check=_positive),
+        "levels": _Field(int, 4, check=_positive),
     },
     "oracle-check": {
-        "n_values": _Field("list_int", [1, 2, 3], check=_oracle_sizes),
-        "t_values": _Field("list_float", [0.5, 1.0, 2.0],
-                           check=_positive_list),
+        "n_values": _Field(list[int], [1, 2, 3], check=_oracle_size),
+        "t_values": _Field(list[float], [0.5, 1.0, 2.0], check=_positive),
         "r": _RATE,
         "trials": _TRIALS,
         "seed": _SEED,
-        "dt": _Field("float", 0.005, check=_positive),
-        "tolerance": _Field("float", 0.005, check=_positive),
+        "dt": _Field(float, 0.005, check=_positive),
+        "tolerance": _Field(float, 0.005, check=_positive),
     },
 }
 
 # subcommands whose natural output is a JSON report rather than CSV rows
 _JSON_ONLY = ("ledger", "oracle-check")
 
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
+             str: "a string"}
 
-def _to_float(path: str, value) -> float:
-    """float(value), rejecting a JSON number too large for a float (such as
-    1e999, which the JSON reader turns into inf)."""
+
+def _coerce(path: str, value, kind: type):
+    """value as kind, a list[entry] kind as a nonempty list of entries of
+    that kind; a bool is no number, and a float takes an integer."""
+    if getattr(kind, "__origin__", None) is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a nonempty array")
+        (entry,) = kind.__args__
+        return [_coerce(f"{path}[{i}]", item, entry)
+                for i, item in enumerate(value)]
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and kind is not bool):
+        raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
+    if kind is not float:
+        return value
+    # reject a JSON number too large for a float (such as 1e999, which the
+    # JSON reader turns into inf)
     try:
         value = float(value)
     except OverflowError:
@@ -231,46 +225,46 @@ def _to_float(path: str, value) -> float:
     return value
 
 
-def _coerce(sub: str, key: str, value, spec: _Field):
-    path = f"{sub}.{key}"
-    if value is None:
-        if spec.allow_none:
-            return None
-        raise ConfigError(f"{path}: null is not allowed")
-    kind = spec.kind
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return _to_float(path, value)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-        return value
-    if kind in ("list_int", "list_float"):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a nonempty array")
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool):
-                raise ConfigError(f"{path}[{i}]: expected a number")
-            if kind == "list_int":
-                if not isinstance(item, int):
-                    raise ConfigError(f"{path}[{i}]: expected an integer")
-                out.append(item)
-            else:
-                if not isinstance(item, (int, float)):
-                    raise ConfigError(f"{path}[{i}]: expected a number")
-                out.append(_to_float(f"{path}[{i}]", item))
-        return out
-    raise AssertionError(f"unknown schema kind {kind}")
+def _check(path: str, value, check) -> None:
+    """Raise ConfigError unless check passes value, or each entry of a list."""
+    entries = isinstance(value, list)
+    for x in value if entries else (value,):
+        msg = check(x)
+        if msg:
+            raise ConfigError(f"{path}: entry {x} {msg}" if entries
+                              else f"{path}: {msg}")
+
+
+# what each strategy needs that the schema leaves optional, checked in this
+# order: "t" (where the schema has it), "t_prot" and "t_dec" must be given;
+# "levels" means levels and every levels_list entry are >= 1 (the schema
+# admits 0 because unprotected uses it); "delta" must be positive to size
+# the clock unless K is given
+_NEEDS = {
+    "unprotected": ("t",),
+    "repetition": ("t",),
+    "circuit": ("t_prot", "levels"),
+    "clock": ("t_prot", "t_dec", "levels", "delta"),
+}
+
+
+def _check_needs(sub: str, v: dict) -> None:
+    """Reject a memory-sim or lifetime-scan config that lacks what its
+    strategy needs."""
+    strategy = v["strategy"]
+    for key in _NEEDS[strategy]:
+        if key == "levels":
+            def decoded(lev):
+                return None if lev >= 1 else \
+                    f"must be >= 1 for strategy '{strategy}'"
+            _check(f"{sub}.levels", v["levels"], decoded)
+            _check(f"{sub}.levels_list", v.get("levels_list") or [], decoded)
+        elif key == "delta" and v["K"] is None and v["delta"] <= 0:
+            raise ConfigError(f"{sub}.delta: must be positive to size the "
+                              "clock (or give K directly)")
+        elif key in v and v[key] is None:
+            raise ConfigError(f"{sub}.{key}: required for strategy "
+                              f"'{strategy}'")
 
 
 @dataclass
@@ -299,7 +293,7 @@ def _load_object(text: str) -> dict:
     have, are rejected."""
     try:
         data = json.loads(text, parse_constant=_not_json)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -338,16 +332,17 @@ def _config_from(data: dict) -> ExperimentConfig:
         raise ConfigError(f"{sub}.{unknown[0]}: unknown key")
     values = {}
     for key, spec in schema.items():
-        if key in data:
-            value = _coerce(sub, key, data[key], spec)
-        elif spec.default is _REQUIRED:
-            raise ConfigError(f"{sub}.{key}: required")
+        path = f"{sub}.{key}"
+        value = data.get(key, spec.default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}: required")
+        if value is None:
+            if spec.default is not None:
+                raise ConfigError(f"{path}: null is not allowed")
         else:
-            value = spec.default
-        if value is not None and spec.check is not None:
-            msg = spec.check(value)
-            if msg:
-                raise ConfigError(f"{sub}.{key}: {msg}")
+            value = _coerce(path, value, spec.kind)
+            if spec.check is not None:
+                _check(path, value, spec.check)
         values[key] = value
     return ExperimentConfig(subcommand=sub, values=values, out=out, format=fmt)
 
@@ -373,9 +368,7 @@ def _py(value):
 
 def _json_default(obj):
     """json.dumps hook for the numpy values a summary may hold."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -485,41 +478,12 @@ def _protocol_params(v: dict) -> ProtocolParams:
                           epsilon=v["epsilon"], clock_bits=v["K"])
 
 
-def _require(v, sub, key, strategy):
-    if v[key] is None:
-        raise ConfigError(f"{sub}.{key}: required for strategy '{strategy}'")
-
-
-def _require_levels(v, sub, strategy):
-    """circuit and clock decode at least one level; the schema admits
-    levels 0 because unprotected uses it."""
-    if v["levels"] < 1:
-        raise ConfigError(f"{sub}.levels: must be >= 1 for strategy "
-                          f"'{strategy}'")
-    if any(lev < 1 for lev in v.get("levels_list") or ()):
-        raise ConfigError(f"{sub}.levels_list: entries must be >= 1 for "
-                          f"strategy '{strategy}'")
-
-
-def _require_decoded(v, sub, strategy):
-    """The fields strategy 'circuit' or 'clock' needs, checked in order:
-    t_prot, t_dec (clock), the levels, and a way to size the clock."""
-    _require(v, sub, "t_prot", strategy)
-    if strategy == "clock":
-        _require(v, sub, "t_dec", strategy)
-    _require_levels(v, sub, strategy)
-    if strategy == "clock" and v["K"] is None and v["delta"] <= 0:
-        raise ConfigError(f"{sub}.delta: must be positive to size the clock "
-                          "(or give K directly)")
-
-
 def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
     strategy = v["strategy"]
     rng = np.random.default_rng(v["seed"])
     n_clock = 0
     if strategy == "repetition":
-        _require(v, "memory-sim", "t", strategy)
         est = simulate_classical_repetition(v["n_bits"], v["t"], v["trials"],
                                             rng, rate_r=v["r"])
         f = est.failure_rate
@@ -529,15 +493,12 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         params = _protocol_params(v)
         if strategy == "unprotected":
-            _require(v, "memory-sim", "t", strategy)
             est = simulate_unprotected(v["t"], params, v["trials"], rng)
             t_span = v["t"]
         elif strategy == "circuit":
-            _require_decoded(v, "memory-sim", strategy)
             est = simulate_circuit_model(params, v["trials"], rng)
             t_span = params.levels * params.t_prot
         else:
-            _require_decoded(v, "memory-sim", strategy)
             est = simulate_clock_controlled(params, v["trials"], rng)
             n_clock = with_sized_clock(params).clock_bits
             t_span = params.schedule_end
@@ -563,14 +524,11 @@ def _run_memory_sim(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_lifetime_scan(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
     strategy = v["strategy"]
-    if strategy in ("circuit", "clock"):
-        _require_decoded(v, "lifetime-scan", strategy)
     params = _protocol_params(v)
-    levels_list = tuple(v["levels_list"]) if v["levels_list"] else None
-    n_bits_list = tuple(v["n_bits_list"]) if v["n_bits_list"] else None
     scan = lifetime_scan(strategy, params, v["fidelity_floor"], v["trials"],
                          np.random.default_rng(v["seed"]),
-                         levels_list=levels_list, n_bits_list=n_bits_list)
+                         levels_list=v["levels_list"],
+                         n_bits_list=v["n_bits_list"])
     rows = [(n, life, scan.slope) for n, life in scan.points]
     summary = {
         "strategy": strategy, "fidelity_floor": v["fidelity_floor"],
@@ -606,8 +564,18 @@ def _run_ledger(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, (), [], summary, exit_code=exit_code)
 
 
+# RK4 steps lindblad_evolve may take per (n, t) entry: about 35-90 s at
+# n = 3 (35-87 us a step on a 2-core Xeon, numpy 2.4).  Past 2**53 steps
+# its t -= dt loop no longer shrinks t and never ends.
+_MAX_RK4_STEPS = 10 ** 6
+
+
 def _run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     v = cfg.values
+    for i, t in enumerate(v["t_values"]):
+        if t / v["dt"] > _MAX_RK4_STEPS:
+            raise ConfigError(f"oracle-check.t_values[{i}]: takes more than "
+                              f"{_MAX_RK4_STEPS} RK4 steps of dt")
     gen = np.random.default_rng(v["seed"])
     checks = []
     for n in v["n_values"]:
@@ -639,6 +607,8 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one validated config; raises rather than exiting."""
+    if "strategy" in config.values:
+        _check_needs(config.subcommand, config.values)
     return _RUNNERS[config.subcommand](config)
 
 
@@ -696,23 +666,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qmemsim",
         description="Quantum-memory lifetime simulations and analytic checks")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SCHEMAS:
+    for name, schema in SCHEMAS.items():
         sp = subparsers.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master RNG seed (overrides config)")
-        sp.add_argument("--trials", type=int, default=None,
-                        help="trial count (overrides config)")
-        sp.add_argument("--out", type=str, default=None,
-                        help="result file path")
-        sp.add_argument("--format", type=str, default=None,
-                        choices=("csv", "json"))
-        sp.add_argument("--plot-data", type=str, default=None,
-                        help="write gnuplot columns here")
-        if name == "ledger":
-            sp.add_argument("--search", action="store_true",
+        sp.add_argument("--config", help="JSON config file")
+        # an override flag only where the schema has its key
+        if "seed" in schema:
+            sp.add_argument("--seed", type=int,
+                            help="master RNG seed (overrides config)")
+        if "trials" in schema:
+            sp.add_argument("--trials", type=int,
+                            help="trial count (overrides config)")
+        if "search" in schema:
+            sp.add_argument("--search", action="store_true", default=None,
                             help="run the feasibility search")
+        sp.add_argument("--out", help="result file path")
+        if name not in _JSON_ONLY:
+            sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--plot-data", help="write gnuplot columns here")
     return parser
 
 
@@ -721,7 +691,7 @@ def _merge_cli(args) -> dict:
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}")
         data = _load_object(text)
         stated = data.get("subcommand")
@@ -730,23 +700,21 @@ def _merge_cli(args) -> dict:
                 f"config.subcommand: '{stated}' does not match "
                 f"'{args.subcommand}'")
     data["subcommand"] = args.subcommand
-    for key in ("seed", "trials", "out", "format"):
-        value = getattr(args, key)
+    for key in ("seed", "trials", "search", "out", "format"):
+        value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if getattr(args, "search", False):
-        data["search"] = True
     return data
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on misuse, which here means infeasible; -h exits 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = _config_from(_merge_cli(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         result = run_experiment(config)
         if config.out is not None:
             write_result(result, config.out)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,21 @@ CLOCK_SMALL = {"strategy": "clock", "t_prot": 0.5, "t_dec": 0.3,
       for sub, config in [("memory-sim", CLOCK_SMALL),
                           ("lifetime-scan", CLOCK_SMALL), ("clock-verify", {})]
       for k in (2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 19)],
+    # a list entry meets its field's check, and is named when it does not
+    ({"subcommand": "lifetime-scan", "strategy": "unprotected",
+      "levels_list": [-1]}, "lifetime-scan.levels_list: entry -1 must be "
+     "nonnegative"),
+    ({"subcommand": "oracle-check", "n_values": [0]},
+     "oracle-check.n_values: entry 0 must lie in 1..3"),
+    ({"subcommand": "oracle-check", "t_values": [0]},
+     "oracle-check.t_values: entry 0.0 must be positive"),
+    ({"subcommand": "ledger", "p_star_values": [0]},
+     "ledger.p_star_values: entry 0.0 must be positive"),
+    ({"subcommand": "ledger", "c_dec_values": [-1]},
+     "ledger.c_dec_values: entry -1.0 must be positive"),
+    ({"subcommand": "lifetime-scan", "strategy": "unprotected",
+      "levels_list": [True]}, "lifetime-scan.levels_list[0]: expected an "
+     "integer"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:
@@ -118,6 +134,8 @@ def test_invalid_json_and_shape():
         parse_config("{not json")
     with pytest.raises(ConfigError):
         parse_config("[1, 2]")
+    with pytest.raises(ConfigError, match="maximum recursion depth"):
+        parse_config("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ConfigError, match="p_max: number overflows a float"):
         parse_config('{"subcommand": "bp-curve", "p_max": 1e999}')
 
@@ -412,10 +430,16 @@ def test_main_config_subcommand_mismatch(tmp_path, capsys):
     assert "does not match" in stderr
 
 
-def test_main_missing_config_file(capsys):
+def test_main_missing_config_file(tmp_path, capsys):
     code, _, stderr = run_main(capsys, ["bp-curve", "--config", "/no/such.json"])
     assert code == EXIT_CONFIG
     assert "cannot read" in stderr
+    # a file that is not UTF-8 text is as unreadable, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, stdout, stderr = run_main(capsys, ["bp-curve", "--config", str(path)])
+    assert code == EXIT_CONFIG and not stdout
+    assert stderr.startswith("config error: config: cannot read ")
 
 
 def test_main_bad_parameter_exit(tmp_path, capsys):
@@ -442,6 +466,43 @@ def test_main_bad_parameter_exit(tmp_path, capsys):
         code, _, stderr = run_main(capsys, [sub, "--config", str(path)])
         assert code == EXIT_CONFIG, (sub, strategy, levels, stderr)
         assert f"{sub}.{next(iter(levels))}: " in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode-table", "--seed", "3"],   # flags only where the schema has the key
+    ["ledger", "--trials", "5"],
+    ["oracle-check", "--format", "csv"],   # --format only where csv is allowed
+    ["memory-sim", "--bogus"],
+    [],
+    ["bp-curve", "--seed", "abc"],
+])
+def test_main_usage_errors_exit_config(capsys, argv):
+    # argparse exits 2 on misuse, which would read as an infeasible verdict
+    code, stdout, stderr = run_main(capsys, argv)
+    assert code == EXIT_CONFIG and not stdout
+    assert "error: " in stderr
+
+
+def test_main_help_exits_ok(capsys):
+    code, stdout, _ = run_main(capsys, ["-h"])
+    assert code == EXIT_OK and stdout.startswith("usage: qmemsim")
+    code, stdout, _ = run_main(capsys, ["ledger", "-h"])
+    assert code == EXIT_OK and "--search" in stdout
+    assert "--seed" not in stdout and "--format" not in stdout
+
+
+def test_main_oracle_check_bounds_rk4_steps(tmp_path, capsys):
+    # at t / dt past 2**53 the integrator's loop never ends: the step bound
+    # rejects such a t before any entry runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "oracle-check", "n_values": [1],
+                                "t_values": [0.5, 1e300], "trials": 10}))
+    start = time.perf_counter()
+    code, stdout, stderr = run_main(capsys, ["oracle-check", "--config",
+                                             str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG and not stdout
+    assert "config error: oracle-check.t_values[1]: " in stderr
 
 
 def test_main_rejects_non_finite_numbers(tmp_path, capsys):
