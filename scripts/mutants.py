@@ -96,6 +96,17 @@ MUTANTS = {
         "(trials, width), self.kicks[:, j], gen)",
         "(trials, width * BLOCK), self.kicks[:, j], gen)",
         HIT_GATE),
+    # two weight-2 failing strings, of classes X and Z, trade residuals:
+    # every count, the 256-string classes and b_exact stay as they are
+    "decoder_residuals_swapped": (
+        "fivequbit.py",
+        "        counts = np.bincount(weights[residuals != I], minlength=6)\n",
+        "        a, b = (np.flatnonzero((weights == 2) & (residuals == c))[0]\n"
+        "                for c in (1, 2))\n"
+        "        residuals[[a, b]] = residuals[[b, a]]\n"
+        "        counts = np.bincount(weights[residuals != I], minlength=6)\n",
+        ["tests/test_fivequbit.py::test_decode_invariant_under_stabilizer",
+         "tests/test_fivequbit.py::test_decode_covariant_under_logicals"]),
     # the samplers take clocks up to the int64 limit itself, where the
     # 2 K polarization sums no longer fit
     "max_bits_int64_limit": (
@@ -114,6 +125,12 @@ MUTANTS = {
         "cli.py",
         "            if spec.default is not None:\n",
         "            if False:\n",
+        ["tests/test_cli.py::test_config_rejections"]),
+    # a subcommand that is not a string reaches the schema lookup
+    "config_subcommand_untyped": (
+        "cli.py",
+        "if not isinstance(sub, str) or sub not in SCHEMAS:",
+        "if sub not in SCHEMAS:",
         ["tests/test_cli.py::test_config_rejections"]),
 }
 

@@ -20,7 +20,7 @@ summary as the last line; it exits 1 if any check fails.
    acceptance criterion 5 checks for the circuit model, with SCALED_TRIALS
    trials per level and per scan point.
 3. The frame-sampler gate of tests/test_pauli.py at full size: the sparse
-   draw of pauli.depolarize against its dense draw over three seeds, at
+   draw of pauli._draw_frames against its dense draw over three seeds, at
    the weights of FRAME_WEIGHTS and at per-trial weights that mix them
    with 0, on each FRAME_SIZES entry: one level-1 round of the 625-qubit
    register at 1e4 trials, and ten times the tier-1 draws, where a bias of

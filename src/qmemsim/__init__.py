@@ -27,7 +27,7 @@ from .fivequbit import (BLOCK, DecoderTable, b_exact, b_monte_carlo,
 from .oracle import (ghz_state, information_content, information_flow,
                      lindblad_evolve, oracle_equivalence_check, plus_state,
                      trace_distance, von_neumann_entropy)
-from .pauli import (CODE_LABELS, anticommutes, depolarize, frame_from_label,
+from .pauli import (CODE_LABELS, anticommutes, frame_from_label,
                     frame_to_label, sample_cumulative_frames)
 from .protocols import (ClockRunDiagnostics, LifetimeScan,
                         LogicalChannelEstimate, ProtocolParams,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .fivequbit import BLOCK, b_exact
 
@@ -152,15 +152,11 @@ class RoundConstants:
         return None if fp is None else 1.0 - fp / self.p_star
 
     def to_dict(self) -> dict:
-        return {"p_star": self.p_star, "c_prot": self.c_prot,
-                "c_dec": self.c_dec, "c_delta": self.c_delta,
-                "rate_r": self.rate_r, "t_prot": self.t_prot,
-                "t_dec": self.t_dec, "delta": self.delta, "h_norm": self.h_norm,
-                "p_evol_bound": self.p_evol_bound,
-                "p_dec_bound": self.p_dec_bound, "levels": self.levels,
-                "iterates": list(self.trace.iterates),
-                "fixed_point": self.trace.fixed_point,
-                "margin": self.margin}
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "trace"}
+        out.update(iterates=list(self.trace.iterates),
+                   fixed_point=self.trace.fixed_point, margin=self.margin)
+        return out
 
 
 def _round_times(rate_r, p_star, c_prot, c_dec):

@@ -315,7 +315,7 @@ def _config_from(data: dict) -> ExperimentConfig:
     sub = data.pop("subcommand", None)
     if sub is None:
         raise ConfigError("config.subcommand: required")
-    if sub not in SCHEMAS:
+    if not isinstance(sub, str) or sub not in SCHEMAS:
         raise ConfigError(f"config.subcommand: unknown subcommand '{sub}'")
     out = data.pop("out", None)
     if out is not None and not isinstance(out, str):

@@ -390,14 +390,10 @@ def first_exit(traj: ClockTrajectory, params: ClockParams):
     solved in closed form, no time grid.
     """
     _require_coverage(traj, params)
-    edges = traj.edges
-    cut = int(np.searchsorted(edges[:-1], params.t_max, side="right"))
-    # one exp over the edges of the pieces that start by t_max; the last
-    # piece is cut at t_max, every earlier one ends before it
-    kbar = mean_polarization(edges[:cut + 1], params)
-    kbar[-1] = mean_polarization(params.t_max, params)
-    return _band_exit(edges[:cut], traj.values[:cut], kbar[:-1], kbar[1:],
-                      params)
+    edges, values = traj.piece_edges(params.t_max)
+    # one exp over the edges of the pieces that cover [0, t_max]
+    kbar = mean_polarization(edges, params)
+    return _band_exit(edges[:-1], values, kbar[:-1], kbar[1:], params)
 
 
 def max_time_error(traj, params: ClockParams) -> float:

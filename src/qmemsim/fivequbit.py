@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import I, anticommutes, depolarize, frame_from_label
+from .pauli import I, _draw_frames, anticommutes, frame_from_label
 from .stats import wilson_interval
 
 GENERATORS = np.array([frame_from_label(s)
@@ -141,11 +141,9 @@ def b_exact(p):
 
 @dataclass(frozen=True)
 class BlockErrorEstimate:
-    p: float
     estimate: float
     ci_low: float
     ci_high: float
-    trials: int
 
 
 def b_monte_carlo(p, trials, rng) -> BlockErrorEstimate:
@@ -160,13 +158,12 @@ def b_monte_carlo(p, trials, rng) -> BlockErrorEstimate:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if p == 0.0:
-        return BlockErrorEstimate(p=0.0, estimate=0.0, ci_low=0.0, ci_high=0.0,
-                                  trials=trials)
-    frames = depolarize(np.zeros((trials, BLOCK), dtype=np.uint8), p, rng)
+        return BlockErrorEstimate(estimate=0.0, ci_low=0.0, ci_high=0.0)
+    frames = _draw_frames((trials, BLOCK), p, rng)
     failures = int(np.count_nonzero(decode_blocks(frames)))
     lo, hi = wilson_interval(failures, trials)
-    return BlockErrorEstimate(p=p, estimate=failures / trials, ci_low=lo,
-                              ci_high=hi, trials=trials)
+    return BlockErrorEstimate(estimate=failures / trials, ci_low=lo,
+                              ci_high=hi)
 
 
 def quadratic_bound_range():

@@ -17,13 +17,13 @@ again uniform, so after time t a qubit's cumulative frame is uniform with
 probability 1 - e^{-rt} and the identity otherwise: channel probabilities
 p_I = (1 + 3 e^{-rt})/4 and p_X = p_Y = p_Z = (1 - e^{-rt})/4, retention
 lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
-`depolarize` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each with probability
-p/3); no event times or counts are sampled.
+`sample_cumulative_frames` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each
+with probability p/3); no event times or counts are sampled.
 
 Every frame draw goes through one hit draw, `_hits`, which returns the hit
 cells of a register in ascending flat order with one X, Y or Z code each;
-`depolarize` XORs them onto a dense array, and the concatenated runs of
-protocols carry them as hit lists.  The hit draw has two exact orders,
+`_draw_frames` writes them into new zero frames, and the concatenated runs
+of protocols carry them as hit lists.  The hit draw has two exact orders,
 chosen by the largest weight of the call.  Below SPARSE_WEIGHT (the
 low-noise regime the protection lives in, where a round's weight is a few
 1e-3) it draws only the hit cells: a Binomial(n, p_i) hit count per row,
@@ -50,7 +50,7 @@ CODE_LABELS = "IXZY"
 
 _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
 
-#: depolarize draws only the hit cells when every weight of a call is below
+#: _hits draws only the hit cells when every weight of a call is below
 #: this.  The sparse draw is faster than the dense one up to p of about
 #: 0.08-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125 cells; 1/32 leaves a
 #: margin for hosts where the crossover falls lower.
@@ -74,16 +74,15 @@ def frame_to_label(frame):
     return "".join(CODE_LABELS[c] for c in np.asarray(frame))
 
 
-def depolarize(frames, p, rng):
-    """XOR X, Y or Z, each with probability p/3, onto every cell, in place.
-
-    frames is a (trials, n) uint8 array; p is a scalar or a per-trial array
-    (trials,), each weight in [0, 1].  Returns frames.  The hits are one
-    `_hits` draw, in either of its two orders.
+def _draw_frames(shape, p, rng):
+    """New uint8 frames of shape (trials, n) with X, Y or Z, each with
+    probability p/3, at every cell: one `_hits` draw, in either of its two
+    orders.  p is a scalar or a per-trial array (trials,), each weight in
+    [0, 1].
     """
-    cells, codes = _hits(frames.shape, p, np.random.default_rng(rng))
-    if cells.size:
-        np.put(frames, cells, np.take(frames, cells) ^ codes)
+    frames = np.zeros(shape, dtype=np.uint8)
+    cells, codes = _hits(shape, p, np.random.default_rng(rng))
+    frames.flat[cells] = codes
     return frames
 
 
@@ -148,5 +147,5 @@ def sample_cumulative_frames(n_qubits, duration, rate_r, trials, rng):
     duration = np.asarray(duration, dtype=float)
     if np.any(duration < 0):
         raise ValueError("duration must be >= 0")
-    frames = np.zeros((trials, n_qubits), dtype=np.uint8)
-    return depolarize(frames, -0.75 * np.expm1(-rate_r * duration), rng)
+    return _draw_frames((trials, n_qubits),
+                        -0.75 * np.expm1(-rate_r * duration), rng)

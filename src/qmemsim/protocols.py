@@ -53,7 +53,7 @@ from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
                     window_passage, window_schedule)
 from .fivequbit import BLOCK, b_exact, decode_blocks
 from .pauli import _hits, sample_cumulative_frames
-from .stats import affine_fit, wilson_interval
+from .stats import affine_fit
 
 _LN2 = math.log(2.0)
 
@@ -251,7 +251,7 @@ class _Rounds:
         The trials x 5^levels register is held as its hit list: the
         ascending flat cells (trial * width + qubit) that carry a Pauli, and
         their codes.  Each round XORs in a pauli._hits draw (the draws of
-        sample_cumulative_frames and depolarize, in the same order), and
+        sample_cumulative_frames and _draw_frames, in the same order), and
         decodes only the blocks that hold a hit; the block of cell c is
         c // 5, which is also its decoded qubit's cell one level up.
         """
@@ -304,12 +304,8 @@ def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
 
 @dataclass(frozen=True)
 class RepetitionEstimate:
-    n_bits: int
-    t: float
     failures: int
     trials: int
-    ci_low: float
-    ci_high: float
 
     @property
     def failure_rate(self) -> float:
@@ -332,9 +328,7 @@ def simulate_classical_repetition(n_bits: int, t: float, trials: int, rng,
     q = (1.0 - math.exp(-rate_r * t)) / 2.0
     flipped = gen.binomial(n_bits, q, size=trials)
     failures = int((flipped > n_bits // 2).sum())
-    lo, hi = wilson_interval(failures, trials)
-    return RepetitionEstimate(n_bits=n_bits, t=t, failures=failures,
-                              trials=trials, ci_low=lo, ci_high=hi)
+    return RepetitionEstimate(failures=failures, trials=trials)
 
 
 def exact_majority_failure(n_bits: int, t: float, rate_r: float = 1.0) -> float:
@@ -510,8 +504,6 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
 
 @dataclass(frozen=True)
 class LifetimeScan:
-    strategy: str
-    fidelity_floor: float
     points: tuple            # ((n_qubits, lifetime), ...)
     slope: float             # vs level count (protected) or ln n (others)
     intercept: float
@@ -587,5 +579,4 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
         slope, intercept = affine_fit(xs, ys)
     else:
         slope, intercept = 0.0, float(ys[0])
-    return LifetimeScan(strategy=strategy, fidelity_floor=fidelity_floor,
-                        points=tuple(points), slope=slope, intercept=intercept)
+    return LifetimeScan(points=tuple(points), slope=slope, intercept=intercept)

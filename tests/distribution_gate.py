@@ -18,7 +18,7 @@ passage_samplers, passage_outcomes and compare_passages apply them to
 clock.sample_passages against the event trio sample_trajectory + is_good +
 window_passage.  frame_tables and compare_frames apply chi2_table to two
 depolarized frame arrays, such as the sparse and the dense draws of
-pauli.depolarize.
+pauli._draw_frames.
 
 wald_sigma and fidelity_sigma are the binomial (Wald) standard errors of a
 protocols.LogicalChannelEstimate, per class and of its average fidelity;
@@ -230,9 +230,9 @@ def _ks_p(x, y) -> float:
 
 
 def frame_draws(shape, p, seed, calls=1):
-    """(sparse, dense): pauli.depolarize on zero frames at weight p by its
-    sparse draw and by its dense draw (SPARSE_WEIGHT set to inf, then to 0),
-    from default_rng([seed, 0]) and default_rng([seed, 1]).  Each side makes
+    """(sparse, dense): pauli._draw_frames at weight p by its sparse draw
+    and by its dense draw (SPARSE_WEIGHT set to inf, then to 0), from
+    default_rng([seed, 0]) and default_rng([seed, 1]).  Each side makes
     `calls` calls on (rows, n) = shape and stacks their rows."""
     saved = pauli.SPARSE_WEIGHT
     sides = []
@@ -241,7 +241,7 @@ def frame_draws(shape, p, seed, calls=1):
             pauli.SPARSE_WEIGHT = cut
             gen = np.random.default_rng([seed, side])
             sides.append(np.concatenate([
-                pauli.depolarize(np.zeros(shape, np.uint8), p, gen)
+                pauli._draw_frames(shape, p, gen)
                 for _ in range(calls)]))
     finally:
         pauli.SPARSE_WEIGHT = saved

@@ -122,6 +122,9 @@ CLOCK_SMALL = {"strategy": "clock", "t_prot": 0.5, "t_dec": 0.3,
     ({"subcommand": "lifetime-scan", "strategy": "unprotected",
       "levels_list": [True]}, "lifetime-scan.levels_list[0]: expected an "
      "integer"),
+    # a subcommand that is not a string, not even a hashable one
+    ({"subcommand": [1]}, "config.subcommand: unknown subcommand"),
+    ({"subcommand": {}}, "config.subcommand: unknown subcommand"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError) as err:

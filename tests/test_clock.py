@@ -493,6 +493,52 @@ def test_crafted_vertical_exit():
     assert not is_good(traj, REF)
 
 
+# K = 4096 at epsilon 0.1: the band half-width 4096**0.6 is about 147, so
+# k = K stays inside it until t = ln(4096 / (4096 - 147)), about 0.037
+EDGE = dict(n_bits=4096, epsilon=0.1, rate_r=1.0)
+
+
+def horizontal_time(k, params):
+    """The instant at which the falling band's upper side reaches k."""
+    band = params.band_half_width
+    return math.log(params.n_bits / (k - band)) / params.rate_r
+
+
+def test_first_exit_at_a_flip_at_t_max():
+    # a flip at t_max itself lies in [0, t_max]: its jump 400 below the
+    # mean exits there, and a t_max one ulp earlier never sees it
+    traj = path([0.02], [-400], n_bits=4096, horizon=1.0)
+    at = ClockParams(t_max=0.02, **EDGE)
+    assert first_exit(traj, at) == (0.02, "vertical")
+    before = ClockParams(t_max=math.nextafter(0.02, 0.0), **EDGE)
+    assert first_exit(traj, before) is None
+
+
+@pytest.mark.parametrize("t_max", [1.0, 2.0])
+def test_first_exit_after_the_last_flip(t_max):
+    # the one flip at 0.02 lands at 4016, 1 above the mean; the falling
+    # band overtakes that constant k in the last piece, well before t_max
+    # and before the horizon 2.0
+    traj = path([0.02], [-80], n_bits=4096, horizon=2.0)
+    params = ClockParams(t_max=t_max, **EDGE)
+    assert first_exit(traj, params) == (
+        pytest.approx(horizontal_time(4016, params), rel=1e-12), "horizontal")
+
+
+@pytest.mark.parametrize("times, steps, k", [([], [], 4096),
+                                             ([0.02], [-80], 4016)],
+                         ids=["no flips", "one flip"])
+def test_first_exit_decided_by_the_cut_of_the_last_piece(times, steps, k):
+    # t_max just past or just short of the crossing in the last piece: only
+    # the mean at t_max, the end of the cut piece, tells the two apart
+    traj = path(times, steps, n_bits=4096, horizon=2.0)
+    t_star = horizontal_time(k, ClockParams(t_max=1.0, **EDGE))
+    after = ClockParams(t_max=t_star + 1e-9, **EDGE)
+    assert first_exit(traj, after) == (pytest.approx(t_star, rel=1e-12),
+                                       "horizontal")
+    assert first_exit(traj, ClockParams(t_max=t_star - 1e-9, **EDGE)) is None
+
+
 def test_good_trajectory_within_band():
     # follow the mean closely: stay good, no exit, small time error
     params = ClockParams(n_bits=4096, epsilon=0.4, t_max=0.5, rate_r=1.0)

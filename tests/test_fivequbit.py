@@ -9,7 +9,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qmemsim.fivequbit import (BLOCK, N_STRINGS, DecoderTable, b_exact,
                                b_monte_carlo, decode_blocks, default_table,
@@ -32,9 +31,6 @@ def pack(frames):
 
 def syndrome_bits(s):
     return tuple((s >> i) & 1 for i in range(4))
-
-frames_strategy = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
-    lambda codes: np.array(codes, dtype=np.uint8))
 
 
 def decode_one(frame) -> int:
@@ -140,20 +136,23 @@ def test_residuals_partition_evenly():
     assert counts.tolist() == [256, 256, 256, 256]
 
 
-@settings(max_examples=60)
-@given(frames_strategy, st.integers(0, 15))
-def test_decode_invariant_under_stabilizer(frame, pick):
-    element = stabilizer_elements()[pick]
-    assert decode_one(frame) == decode_one(frame ^ element)
+def test_decode_invariant_under_stabilizer():
+    # every string under each of the 16 stabilizer elements
+    codes = unpack(np.arange(N_STRINGS))
+    residuals = decode_blocks(codes)
+    for element in stabilizer_elements():
+        assert np.array_equal(decode_blocks(codes ^ element), residuals)
 
 
-@settings(max_examples=60)
-@given(frames_strategy, st.integers(0, 3))
-def test_decode_covariant_under_logicals(frame, logical):
+def test_decode_covariant_under_logicals():
+    # every string under each of the 4 logicals I, X, Z, Y (codes 0-3)
+    codes = unpack(np.arange(N_STRINGS))
+    residuals = decode_blocks(codes)
     x_l = frame_from_label("XXXXX")
     z_l = frame_from_label("ZZZZZ")
-    op = {0: np.zeros(BLOCK, dtype=np.uint8), 1: x_l, 2: z_l, 3: x_l ^ z_l}[logical]
-    assert decode_one(frame ^ op) == decode_one(frame) ^ logical
+    ops = (np.zeros(BLOCK, dtype=np.uint8), x_l, z_l, x_l ^ z_l)
+    for logical, op in enumerate(ops):
+        assert np.array_equal(decode_blocks(codes ^ op), residuals ^ logical)
 
 
 def test_decode_blocks_matches_scalar_decode():

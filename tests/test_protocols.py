@@ -30,7 +30,8 @@ from qmemsim import protocols
 from qmemsim.bounds import clock_size_for, feasibility_search
 from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
 from qmemsim.fivequbit import BLOCK, b_exact, decode_blocks
-from qmemsim.pauli import SPARSE_WEIGHT, depolarize, sample_cumulative_frames
+from qmemsim.pauli import (SPARSE_WEIGHT, _draw_frames,
+                           sample_cumulative_frames)
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -40,6 +41,7 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
                                _kick_probability, _Rounds)
+from qmemsim.stats import wilson_interval
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,7 +215,7 @@ def test_unprotected_exact_channel(t, rate_r):
 
 
 def test_unprotected_draws_only_the_stored_qubit():
-    # depolarize draws cells i.i.d., so the spectators carry no evidence
+    # the noise is drawn i.i.d. per cell, so the spectators carry no evidence
     # about qubit 0: one seed gives the same residuals at any register size,
     # and the spectators' frames are never drawn
     t = math.log(3.0)
@@ -298,7 +300,8 @@ def test_repetition_simulation_matches_exact():
     exact = exact_majority_failure(101, 2.0)
     sigma = math.sqrt(exact * (1.0 - exact) / est.trials)
     assert abs(est.failure_rate - exact) < 4.0 * sigma
-    assert est.ci_low <= exact <= est.ci_high
+    lo, hi = wilson_interval(est.failures, est.trials)
+    assert lo <= exact <= hi
 
 
 def test_repetition_lifetime_frozen():
@@ -428,7 +431,7 @@ def dense_rounds(rounds, trials, gen):
                                            rounds.rate_r, trials, gen)
         frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
         if rounds.kicks is not None:
-            depolarize(frames, rounds.kicks[:, j], gen)
+            frames ^= _draw_frames(frames.shape, rounds.kicks[:, j], gen)
     return frames[:, 0]
 
 
