@@ -36,19 +36,25 @@ KICK_CHECK = "tests/test_protocols.py::test_clock_sampled_faults_see_the_kicks"
 
 # name -> (file under src/qmemsim, text, replacement, tests that must fail)
 MUTANTS = {
-    # up flips before equal down flips, and every up slot one early
-    "flip_steps_left_side": (
+    # up flips before equal down flips: the up mark sorts first, and the
+    # steps read it back inverted
+    "sort_flips_up_first": (
         "clock.py",
-        'at = np.searchsorted(times, up, side="right")',
-        'at = np.searchsorted(times, up, side="left")',
+        "keys |= up\n"
+        "    keys.sort(axis=-1)\n"
+        "    steps = (keys & 1)",
+        "keys |= ~up\n"
+        "    keys.sort(axis=-1)\n"
+        "    steps = (1 - (keys & 1))",
         ["tests/test_clock.py::test_flip_steps_puts_up_flips_after_equal_down_flips",
          "tests/test_clock.py::test_sample_trajectory_matches_argsort_reference"]),
-    # every up flip lands after the downs up to its time, but at the same
-    # slot as the up flips before it
-    "flip_steps_no_rank_offset": (
+    # the steps keep the order the flips were drawn in while the times sort
+    "sort_flips_steps_unsorted": (
         "clock.py",
-        "at += np.arange(up.size)\n",
-        "\n",
+        "    keys.sort(axis=-1)\n"
+        "    steps = (keys & 1).astype(np.int8) * 4 - 2\n",
+        "    steps = (keys & 1).astype(np.int8) * 4 - 2\n"
+        "    keys.sort(axis=-1)\n",
         ["tests/test_clock.py::test_flip_steps_puts_up_flips_after_equal_down_flips",
          "tests/test_clock.py::test_sample_trajectory_matches_argsort_reference",
          "tests/test_passages.py::test_leaf_pieces_form_the_path"]),
@@ -56,9 +62,16 @@ MUTANTS = {
     # the order they were found, level by level
     "passages_sort_starts_only": (
         "clock.py",
-        "np.sort(ends[window == w])",
-        "ends[window == w]",
+        "_passage(starts[seg], ends[seg], t_dec)",
+        "_passage(starts[seg], ends[np.sort(seg)], t_dec)",
         ["tests/test_passages.py"]),
+    # one path's band exit in a leaf clears the band flag of every path of
+    # its batch
+    "band_exit_leaks_across_trials": (
+        "clock.py",
+        "in_band[p_path[np.nonzero(check)[0][exits]]] = False",
+        "in_band[:] &= not exits.any()",
+        ["tests/test_passages.py::test_passages_match_event_sampler"]),
     # the exact logical channel at 1.5 times the storage noise rate
     "rounds_exact_rate_1_5x": (
         "protocols.py",

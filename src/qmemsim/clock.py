@@ -24,17 +24,17 @@ Sampling exploits exchangeability twice over:
   checkpoints via two binomials (each bit keeps its value over a span D with
   probability (1+e^{-rD})/2), exact at the checkpoints, for K far beyond
   event-level reach.
-* sample_passages draws the band verdict and the window passages of one
-  path with the law of sample_trajectory + is_good + window_passage, but
+* sample_passages draws the band verdicts and the window passages of many
+  paths with the law of sample_trajectory + is_good + window_passage, but
   resolves flips only where they decide something: it halves [0, horizon]
-  with multinomial draws of per-interval flip classes until each interval's
-  polarization range settles the band and every window, and resolves to
-  events only undecided intervals of at most LEAF_BITS active bits.  Its
-  cost follows the number of intervals needed, not the K r horizon / 2
-  flips.  refinement_pays tells when the root would be halved at all;
-  simulate_clock_controlled uses sample_passages for pass 1 exactly then,
-  and the event trio below that, where one-thread timing loops found the
-  event trio faster; no benchmark workload runs pass 1 on that side.
+  with multinomial draws of per-interval flip classes, one batch over the
+  intervals of all paths per level, until each interval's polarization
+  range settles the band and every window, and resolves to events only
+  undecided intervals of at most LEAF_BITS active bits.  Its cost follows
+  the number of intervals needed, not the K r horizon / 2 flips.
+  simulate_clock_controlled uses it for pass 1 when refinement_pays, and
+  the event trio below that, where one-thread timing loops found the event
+  trio faster; no benchmark workload runs pass 1 on that side.
 
 Decoding windows: level l of the storage protocol is driven while
 k(t) lies in [k_off, k_on] with k_on = floor(k_mean(t_l)) and
@@ -44,11 +44,11 @@ is inside when its value is in [k_off, k_on] (_inside), and the passage
 follows from the time-ordered inside segments (_passage).
 
 Band exits: is_good, first_exit and the leaves of sample_passages share one
-rule, _band_exit, over the constant pieces that start by t_max.
+rule, _band_exits, over the constant pieces that start by t_max.
 
-Flip order: sample_trajectory and the leaves of sample_passages keep the
-up (+2) times beside all flip times (a bit's steps alternate, from -2 at 1
-or +2 at 0) and share one rule, _flip_steps: flips sort by time alone, a
+Flip order: sample_trajectory and the leaves of sample_passages mark the
+up (+2) flips beside all flip times (a bit's steps alternate, from -2 at 1
+or +2 at 0) and share one rule, _sort_flips: flips sort by time alone, a
 down before an up at equal times.
 
 A ClockTrajectory is two read-only arrays: its piece edges (0, flip
@@ -235,14 +235,14 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     bits with >= j flips by successive conditional binomials on the Poisson
     tail ratios and give each bit with exactly j flips j sorted uniform
     times (Poisson arrivals conditioned on their count).  A bit at 1 flips
-    down first, so _flip_steps gets its 2nd, 4th, ... times as up times.
+    down first, so its 2nd, 4th, ... times are up flips.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     _require_countable(params)
     gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
-    times_parts, up_parts = [np.empty(0)], [np.empty(0)]
+    times_parts, up_parts = [np.empty(0)], [np.empty(0, dtype=bool)]
     sf = -math.expm1(-mu)          # P(count >= 1)
     pmf = math.exp(-mu)            # P(count = 0)
     n_ge = int(gen.binomial(params.n_bits, sf))
@@ -257,8 +257,8 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
             t = gen.random((m, j))
             if j > 1:
                 t.sort(axis=1)
-                up_parts.append(t[:, 1::2].ravel())
             times_parts.append(t.ravel())
+            up_parts.append(np.tile(np.arange(j) % 2 == 1, m))
         n_ge, sf = n_ge_next, sf_next
         j += 1
     edges = np.empty(sum(t.size for t in times_parts) + 2)
@@ -267,23 +267,22 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     times *= horizon
     values = np.empty(edges.size - 1, dtype=np.int64)
     values[0] = params.n_bits
-    values[1:] = _flip_steps(times, np.concatenate(up_parts) * horizon)
+    values[1:] = _sort_flips(times, np.concatenate(up_parts))
     np.cumsum(values, out=values)
     return ClockTrajectory(edges, values)
 
 
-def _flip_steps(times, up):
-    """Steps (int8 -2 or +2) of the flips at times, given the +2 flips'
-    times up; sorts both in place.  Flips go by time alone, the -2 flips
-    first at equal times: the i-th smallest up time takes the slot after
-    every down time up to it and after the i up times before it."""
-    times.sort()
-    up.sort()
-    at = np.searchsorted(times, up, side="right")
-    at -= np.searchsorted(up, up, side="right")
-    at += np.arange(up.size)
-    steps = np.full(times.size, -2, dtype=np.int8)
-    steps[at] = 2
+def _sort_flips(times, up):
+    """Sorts flip times (>= 0, or inf) in place along the last axis by time
+    alone, the -2 flips first at equal times, and returns the int8 steps,
+    +2 where up marks the flip: a nonnegative float orders as its bit
+    pattern, so this is one sort of the uint64 keys (bits << 1) | up."""
+    keys = times.view(np.uint64)
+    keys <<= 1
+    keys |= up
+    keys.sort(axis=-1)
+    steps = (keys & 1).astype(np.int8) * 4 - 2
+    keys >>= 1
     return steps
 
 
@@ -357,16 +356,21 @@ def _band_exit(starts, values, kbar_start, kbar_end, params: ClockParams):
     """
     band = params.band_half_width
     exits = []
-    vertical = np.abs(values - kbar_start) >= band
+    vertical, upper = _band_exits(values, kbar_start, kbar_end, band)
     if vertical.any():
         i = int(np.argmax(vertical))
         exits.append((float(starts[i]), "vertical"))
-    upper = values - kbar_end >= band
     if upper.any():
         i = int(np.argmax(upper))
         t_cross = math.log(params.n_bits / (values[i] - band)) / params.rate_r
         exits.append((max(float(starts[i]), t_cross), "horizontal"))
     return min(exits, key=lambda e: e[0]) if exits else None
+
+
+def _band_exits(values, kbar_start, kbar_end, band):
+    """Masks (vertical, upper) of the pieces at values that leave the band
+    at their start or, upwards, by their end (see _band_exit)."""
+    return np.abs(values - kbar_start) >= band, values - kbar_end >= band
 
 
 def is_good(traj, params: ClockParams) -> bool:
@@ -493,14 +497,10 @@ LEAF_BITS = 2048
 def refinement_pays(params: ClockParams, horizon: float) -> bool:
     """True when sample_passages would halve its root interval [0, horizon]:
     the expected number of bits that flip at all, K (1 - e^{-r horizon/2}),
-    exceeds LEAF_BITS.
-
-    Below that, pass 1 keeps the event trio, which one-thread timing loops
-    found faster there (no benchmark workload covers that side).  The rule
-    does not weigh the band width: for a band tight enough that every
-    interval on [0, t_max] stays undecided, sample_passages resolves nearly
-    all flips in leaves and is slower than the event trio well above the
-    cut-off.
+    exceeds LEAF_BITS.  The rule does not weigh the band width: for a band
+    tight enough that every interval on [0, t_max] stays undecided,
+    sample_passages resolves nearly all flips in leaves and is slower than
+    the event trio well above the cut-off.
     """
     return params.n_bits * -math.expm1(-params.rate_r * horizon / 2.0) > LEAF_BITS
 
@@ -575,152 +575,178 @@ def _parity_tables(m: float):
 
 
 def _leaf_pieces(starts, ends, k_start, counts, gen, rate_r):
-    """Resolve intervals [starts[i], ends[i]] (all of one length, in time
-    order) to flip events; returns the constant pieces (starts, ends,
-    values) of all of them, in time order.
-
-    Each active bit draws its flip count from Poisson(r D / 2) conditioned on
-    its parity class (odd, or even >= 2), by inversion, then that many
-    sorted uniform times; its steps alternate, starting at -2 for a bit at 1
-    and at +2 for a bit at 0, and _flip_steps orders all of them.  Every
-    bit gets one uniform time up front; the few bits with two or more flips
-    replace it by the first of their sorted times.
+    """Resolve intervals [starts[i], ends[i]] (all of one length) to flip
+    events; row i of the three arrays returned holds leaf i's constant
+    pieces (starts, ends, values) in time order, then empty pieces
+    [ends[i], ends[i]] at its last value.  Each active bit draws its flip
+    count from Poisson(r D / 2) conditioned on its parity class (odd, or
+    even >= 2), by inversion, then that many sorted uniform times; its steps
+    alternate, from -2 for a bit at 1 and +2 at 0 (see _sort_flips).
     """
     n = starts.size
     width = float(ends[0] - starts[0])
     odd_cdf, even_cdf = _parity_tables(rate_r * width / 2.0)
-    per_class = counts.transpose(2, 0, 1).ravel()         # (c, leaf, s)
-    n_odd = int(per_class[:2 * n].sum())
-    owner = np.repeat(np.tile(np.arange(n).repeat(2), 2), per_class)
-    at_zero = np.repeat(np.tile([True, False], 2 * n), per_class)
-    u = gen.random(owner.size)
-    multi = np.concatenate([np.flatnonzero(u[:n_odd] >= odd_cdf[0]),
-                            np.arange(n_odd, owner.size)])
-    flips = np.concatenate([
-        1 + 2 * np.searchsorted(odd_cdf, u[multi[multi < n_odd]], side="right"),
-        2 + 2 * np.searchsorted(even_cdf, u[n_odd:], side="right")])
-    times = gen.random(owner.size)
+    bits = counts.reshape(n, 4)                           # (leaf, 2 s + c)
+    leaf = np.repeat(np.arange(n), bits.sum(axis=1))
+    cell = np.repeat(np.tile(np.arange(4, dtype=np.int8), n), bits.ravel())
+    u = gen.random(cell.size)
+    flips = 1 + (cell & 1)
+    more = np.flatnonzero(u >= np.where(cell & 1, even_cdf[0], odd_cdf[0]))
+    flips[more] += 2 * np.where(
+        cell[more] & 1, np.searchsorted(even_cdf, u[more], side="right"),
+        np.searchsorted(odd_cdf, u[more], side="right"))
+    # the flips of leaf i's bits, one bit after another, fill row i
+    before = np.concatenate(([0], np.cumsum(flips)))   # flips before bit b
+    last = before[np.cumsum(bits.sum(axis=1))]
+    per_leaf = np.diff(last, prepend=0)
+    p_starts = np.full((n, per_leaf.max(initial=0) + 1), np.inf)
+    up = np.zeros(p_starts.shape, dtype=bool)
+    # each bit's first flip, in the flattened rows after column 0
+    at = before[:-1] + (np.arange(n) * p_starts.shape[1] + 1 - last
+                        + per_leaf)[leaf]
+    p_starts.reshape(-1)[at] = gen.random(cell.size)
+    up.reshape(-1)[at] = cell < 2
+    multi = np.flatnonzero(flips > 1)
+    for j in np.flatnonzero(np.bincount(flips[multi])):
+        rows = multi[flips[multi] == j]
+        at_j = at[rows, None] + np.arange(j)
+        p_starts.reshape(-1)[at_j] = np.sort(gen.random((rows.size, j)), axis=1)
+        up.reshape(-1)[at_j] = (cell[rows, None] < 2) ^ (np.arange(j) % 2 == 1)
+    del leaf, before, at, u, multi    # the per-bit arrays, before the sort
+    times = p_starts[:, 1:]
     times *= width
-    times += starts[owner]
-    times_parts, up_parts, owner_parts = [times], [], [owner]
-    for j in np.flatnonzero(np.bincount(flips)):
-        rows = multi[flips == j]
-        t = np.sort(gen.random((rows.size, j)), axis=1)
-        t *= width
-        t += starts[owner[rows], None]
-        times[rows] = t[:, 0]
-        down_first = ~at_zero[rows]
-        up_parts += [t[down_first, 1::2].ravel(), t[~down_first, 2::2].ravel()]
-        times_parts.append(t[:, 1:].ravel())
-        owner_parts.append(np.repeat(owner[rows], j - 1))
-    up_parts.append(times[at_zero])
-    per_leaf = np.bincount(np.concatenate(owner_parts), minlength=n)
-    times = np.concatenate(times_parts)
-    steps = _flip_steps(times, np.concatenate(up_parts))
-    # the leaves are disjoint, so the sorted events come leaf by leaf
-    first_event = np.concatenate(([0], np.cumsum(per_leaf)[:-1]))
-    first_piece = first_event + np.arange(n)
-    at = np.arange(times.size) + np.repeat(np.arange(1, n + 1), per_leaf)
-    # |partial sums| <= 2 * events, far below 2^31
-    walk = np.concatenate(([0], np.cumsum(steps, dtype=np.int32)))
-    offset = k_start - walk[first_event]
-    p_starts = np.empty(times.size + n)
-    p_values = np.empty(times.size + n, dtype=np.int64)
-    p_starts[first_piece], p_starts[at] = starts, times
-    p_values[first_piece] = k_start
-    p_values[at] = walk[1:] + np.repeat(offset, per_leaf)
-    p_ends = np.empty_like(p_starts)
-    p_ends[:-1] = p_starts[1:]
-    p_ends[first_piece + per_leaf] = ends
-    return p_starts, p_ends, p_values
+    times += starts[:, None]
+    p_starts[:, 0] = starts
+    steps = _sort_flips(times, up[:, 1:])
+    pad = np.arange(times.shape[1]) >= per_leaf[:, None]
+    np.copyto(times, ends[:, None], where=pad)
+    np.copyto(steps, 0, where=pad)
+    values = np.zeros(p_starts.shape, dtype=np.int64)
+    np.cumsum(steps, axis=1, out=values[:, 1:])
+    values += k_start[:, None]
+    return p_starts, np.hstack([times, ends[:, None]]), values
+
+
+# the most live intervals (a leaf's flips counted as intervals) a batch of
+# sample_passages holds; a path needing more alone is infeasible
+LIVE_INTERVALS = 2 ** 17
+
+
+def _batch_size(params: ClockParams, windows: int) -> int:
+    """Paths per batch of sample_passages, predicted before any draw: the
+    band settles an interval of width D on [0, t_max] only once its range,
+    about K r D wide, fits inside it, so the deepest level holds about
+    K r t_max / band intervals (219 at acceptance criterion 6, K = 3.1e8,
+    where one path peaks at 236; past LIVE_INTERVALS from K = 1.5e14 on at
+    its schedule).  Leaves add about LEAF_BITS flips per window edge, or
+    all K r t_max / 2 flips for a band narrower than 2 LEAF_BITS."""
+    krt = params.n_bits * params.rate_r * params.t_max
+    band = params.band_half_width
+    intervals = krt / band
+    if intervals > LIVE_INTERVALS:
+        raise ScheduleInfeasibleError(
+            f"{intervals:.3g} live intervals per path exceed {LIVE_INTERVALS}")
+    events = krt / 2.0 if band < 2 * LEAF_BITS else 2.0 * windows * LEAF_BITS
+    return max(1, int(LIVE_INTERVALS // (intervals + events)))
 
 
 def sample_passages(params: ClockParams, horizon: float, schedule,
-                    t_dec: float, rng):
-    """(good, [(decode_time, active_time) per window]) without all flips.
+                    t_dec: float, trials: int, rng):
+    """(good, decode_time, active_time) of `trials` paths, of shapes
+    (trials,) and (trials, windows), decode_time nan for a window never
+    entered: per path the law of sample_trajectory over [0, horizon], then
+    is_good and window_passage for each window of schedule, but with flips
+    resolved only where the band verdict or a window passage needs them.
 
-    Same law as sample_trajectory over [0, horizon] followed by is_good and
-    window_passage for each window of schedule, but flips are resolved only
-    where the band verdict or a window passage depends on them.
-
-    An interval [a, b] is summarized by k(a) and, per start state s, the
-    numbers of bits flipping an odd or an even >= 2 number of times in it;
-    its A_s active bits starting in s keep k(t) within [k(a) - 2 A_1,
-    k(a) + 2 A_0] on [a, b].  The root [0, horizon] is one multinomial draw
+    An interval [a, b] of a path is summarized by k(a) and, per start state
+    s, the numbers of bits flipping an odd or an even >= 2 number of times
+    in it; its A_s active bits starting in s keep k(t) within [k(a) - 2 A_1,
+    k(a) + 2 A_0] on [a, b].  Each root [0, horizon] is one multinomial draw
     over the K bits.  An interval whose range settles the band on
     [a, min(b, t_max)] and the inside/outside of every window is done, and
-    an endpoint outside the band settles the verdict of the whole path.  An
+    an endpoint outside the band settles the verdict of its own path.  An
     undecided interval with at most LEAF_BITS active bits is resolved to
     flip events (_leaf_pieces), whose pieces get is_good's check
-    (_band_exit); any other one is halved (_halve).  Each level of halving
-    is one batch of multinomials and one batch of leaves.
+    (_band_exits) and whose inside runs are merged; any other one is halved
+    (_halve), one call each per level for all paths of a batch (_batch_size);
+    the inside segments go to _passage by (path, window) after one sort.
     """
     if horizon < params.t_max:
         raise ValueError("horizon must cover [0, t_max]")
     _require_countable(params)
+    size = _batch_size(params, len(schedule))
     gen = np.random.default_rng(rng)
+    if trials > size:
+        return tuple(np.concatenate(part) for part in zip(*(
+            sample_passages(params, horizon, schedule, t_dec,
+                            min(size, trials - first), gen)
+            for first in range(0, trials, size))))
     n_bits, rate_r, t_max = params.n_bits, params.rate_r, params.t_max
     band = params.band_half_width
-    k_off = np.array([w.k_off for w in schedule])
-    k_on = np.array([w.k_on for w in schedule])
-    found = []              # (window, starts, ends) of inside segments
-    in_band = True          # no band exit seen yet
-    counts = np.zeros((1, 2, 2), dtype=np.int64)
-    counts[0, 1] = gen.multinomial(n_bits, _root_pvals(rate_r * horizon / 2.0))[:2]
-    index = np.zeros(1, dtype=np.int64)
-    k_start = np.full(1, n_bits, dtype=np.int64)
+    k_off = np.array([[w.k_off] for w in schedule])      # (W, 1)
+    k_on = np.array([[w.k_on] for w in schedule])
+    found = []              # (path, window, starts, ends) of inside segments
+    in_band = np.ones(trials, dtype=bool)   # no band exit seen yet, per path
+    counts = np.zeros((trials, 2, 2), dtype=np.int64)
+    counts[:, 1] = gen.multinomial(n_bits, _root_pvals(rate_r * horizon / 2.0),
+                                   size=trials)[:, :2]
+    path, index = np.arange(trials), np.zeros(trials, dtype=np.int64)
+    k_start = np.full(trials, n_bits, dtype=np.int64)
     level = 0
     while True:
-        starts = np.ldexp(index.astype(float), -level) * horizon
-        ends = np.ldexp((index + 1).astype(float), -level) * horizon
+        width = math.ldexp(horizon, -level)
+        starts, ends = index * width, (index + 1) * width
         active = counts.sum(axis=2)                       # (M, s)
-        low = k_start - 2 * active[:, 1]
-        high = k_start + 2 * active[:, 0]
-        undecided = np.zeros(index.size, dtype=bool)
-        if in_band:
-            kbar_start = n_bits * np.exp(-rate_r * starts)
-            kbar_end = n_bits * np.exp(-rate_r * np.minimum(ends, t_max))
-            k_end = k_start + 2 * (counts[:, 0, 0] - counts[:, 1, 0])
-            exits = ((starts <= t_max) & (np.abs(k_start - kbar_start) >= band)) \
-                | ((ends <= t_max) & (np.abs(k_end - kbar_end) >= band))
-            if exits.any():
-                in_band = False
-            else:
-                undecided = (starts <= t_max) & ~(
-                    (high - kbar_end < band) & (kbar_start - low < band))
-        inside = (low[:, None] >= k_off) & (high[:, None] <= k_on)
-        undecided |= np.any(~inside & (high[:, None] >= k_off)
-                            & (low[:, None] <= k_on), axis=1)
-        rows, cols = np.nonzero(inside & ~undecided[:, None])
-        found.append((cols, starts[rows], ends[rows]))
+        low, high = k_start - 2 * active[:, 1], k_start + 2 * active[:, 0]
+        kbar_start = n_bits * np.exp(-rate_r * starts)
+        kbar_end = n_bits * np.exp(-rate_r * np.minimum(ends, t_max))
+        k_end = k_start + 2 * (counts[:, 0, 0] - counts[:, 1, 0])
+        # an interval starts at t = 0 (k = K) or where its sibling or its
+        # parent ends, so checking the ends checks every endpoint
+        exits = (ends <= t_max) & (np.abs(k_end - kbar_end) >= band)
+        in_band[path[exits]] = False
+        band_open = in_band[path] & (starts <= t_max) & ~(
+            (high - kbar_end < band) & (kbar_start - low < band))
+        inside = (low >= k_off) & (high <= k_on)          # (W, M)
+        undecided = band_open | np.any(
+            ~inside & (high >= k_off) & (low <= k_on), axis=0)
+        cols, rows = np.nonzero(inside & ~undecided)
+        found.append((path[rows], cols, starts[rows], ends[rows]))
         leaf = undecided & (active.sum(axis=1) <= LEAF_BITS)
         if leaf.any():
             p_starts, p_ends, values = _leaf_pieces(
                 starts[leaf], ends[leaf], k_start[leaf], counts[leaf], gen,
-                rate_r)
-            if in_band:
-                cut = int(np.searchsorted(p_starts, t_max, side="right"))
-                in_band = _band_exit(
-                    p_starts[:cut], values[:cut],
-                    mean_polarization(p_starts[:cut], params),
-                    mean_polarization(np.minimum(p_ends[:cut], t_max), params),
-                    params) is None
-            for w in range(k_off.size):
-                ins = _inside(values, k_off[w], k_on[w])
-                found.append((np.full(np.count_nonzero(ins), w),
-                              p_starts[ins], p_ends[ins]))
+                rate_r)                               # (L, C) each
+            p_path = path[leaf]
+            check = band_open[leaf][:, None] & (p_starts <= t_max)
+            if check.any():
+                kbar = mean_polarization(np.minimum(
+                    [p_starts[check], p_ends[check]], t_max), params)
+                exits = np.logical_or(*_band_exits(values[check], *kbar, band))
+                in_band[p_path[np.nonzero(check)[0][exits]]] = False
+            # a leaf's pieces touch, so its inside pieces merge into runs
+            ins = _inside(values, k_off[..., None], k_on[..., None])
+            edge = np.diff(ins, axis=2, prepend=False, append=False)
+            w_open, row, c_open = np.nonzero(edge[..., :-1] & ins)
+            c_close = np.nonzero(edge[..., 1:] & ins)[2]
+            found.append((p_path[row], w_open, p_starts[row, c_open],
+                          p_ends[row, c_close]))
         split = undecided & ~leaf
         if not split.any():
             break
         left, right, k_mid = _halve(counts[split], k_start[split],
-                                    rate_r * math.ldexp(horizon, -level) / 4.0, gen)
-        index = np.stack([2 * index[split], 2 * index[split] + 1], axis=1).ravel()
+                                    rate_r * width / 4.0, gen)
+        path = np.repeat(path[split], 2)
+        index = 2 * np.repeat(index[split], 2) + np.arange(path.size) % 2
         k_start = np.stack([k_start[split], k_mid], axis=1).ravel()
         counts = np.stack([left, right], axis=1).reshape(-1, 2, 2)
         level += 1
-    window, starts, ends = (np.concatenate(part) for part in zip(*found))
-    # one window's inside segments are disjoint, so sorting their starts
-    # and their ends apart keeps each pair together
-    return in_band, [_passage(np.sort(starts[window == w]),
-                              np.sort(ends[window == w]), t_dec)
-                     for w in range(k_off.size)]
+    path, window, starts, ends = (np.concatenate(part) for part in zip(*found))
+    # one path's inside segments of a window are disjoint: sorted by start,
+    # their ends are sorted too
+    group = path * k_off.size + window
+    order = np.lexsort((starts, group))
+    cuts = np.searchsorted(group[order], np.arange(1, trials * k_off.size))
+    passages = np.array([_passage(starts[seg], ends[seg], t_dec)
+                         for seg in np.split(order, cuts)], dtype=float)
+    return in_band, *passages.reshape(trials, -1, 2).transpose(2, 0, 1)

@@ -432,19 +432,16 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     (estimate, ClockRunDiagnostics).
 
     Both passes draw from one generator, np.random.default_rng(rng): pass 1
-    resolves the trials' clocks one after another, then pass 2 samples the
+    resolves the clocks of all trials, then pass 2 samples the
     code-register noise of all trials.  When the clock is large enough that
-    refinement_pays, pass 1 draws the band verdict and the window passages
-    with clock.sample_passages, which resolves flips only near the band
-    edges and the window thresholds (a few ms per trial at acceptance
-    criterion 6, K = 3.1e8).  Below that, where about LEAF_BITS bits or
-    fewer flip at all, it samples the event-level trajectory and analyses
-    it with is_good and window_passage.  So pass 1 holds one trial's clock
-    state at a time: an event-level trajectory takes about 18 bytes per
-    flip while it is sampled, and sample_passages about as much per
-    resolved flip plus one level of intervals (about 5000 flips at
-    criterion 6, against the 2.55 M flips, 45 MB, of its event-level
-    trajectory).
+    refinement_pays, pass 1 is one call of clock.sample_passages, which
+    resolves flips only near the band edges and the window thresholds, for
+    a batch of trials at a time: at acceptance criterion 6 (K = 3.1e8), 15
+    trials of about 240 intervals and 5000 resolved flips each, against the
+    2.55 M flips, 45 MB, of one event-level trajectory.  Below that, where
+    about LEAF_BITS bits or fewer flip at all, it samples each trial's
+    event-level trajectory in turn and analyses it with is_good and
+    window_passage.
     """
     if params.levels < 1:
         raise ValueError("clock strategy needs at least one level")
@@ -459,30 +456,27 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     schedule = window_schedule(params.levels, params.t_prot, params.t_dec, clock)
     gen = np.random.default_rng(rng)
     horizon = params.schedule_end + 10.0 * params.delta
-    levels, h_norm = params.levels, params.h_norm
 
-    taus = np.zeros((trials, levels))
-    kick_probs = np.zeros((trials, levels))
-    aborted = np.zeros(trials, dtype=bool)
-    good = np.ones(trials, dtype=bool)
-    refine = refinement_pays(clock, horizon)
-    for i in range(trials):
-        if refine:
-            good[i], passages = sample_passages(clock, horizon, schedule,
-                                                params.t_dec, gen)
-        else:
+    if refinement_pays(clock, horizon):
+        good, decode, active = sample_passages(clock, horizon, schedule,
+                                               params.t_dec, trials, gen)
+    else:
+        good, passages = np.ones(trials, dtype=bool), []
+        for i in range(trials):
             traj = sample_trajectory(clock, horizon, gen)
             good[i] = is_good(traj, clock)
-            passages = (window_passage(traj, w, params.t_dec) for w in schedule)
-        previous = -math.inf
-        for j, (decode_time, total) in enumerate(passages):
-            if decode_time is None or decode_time <= previous:
-                aborted[i] = True
-                break
-            taus[i, j] = decode_time
-            kick_probs[i, j] = _kick_probability(
-                h_norm * abs(total - params.t_dec))
-            previous = decode_time
+            passages.append([window_passage(traj, w, params.t_dec)
+                             for w in schedule])
+        decode, active = np.array(passages, dtype=float).transpose(2, 0, 1)
+    # a trial aborts at its first window never entered (nan) or out of order
+    bad = np.isnan(decode)
+    bad[:, 1:] |= decode[:, 1:] <= decode[:, :-1]
+    kept = np.cumsum(bad, axis=1) == 0
+    aborted = bad.any(axis=1)
+    taus = np.where(kept, decode, 0.0)
+    kick_probs = np.where(kept, [[_kick_probability(
+        params.h_norm * abs(a - params.t_dec)) for a in row]
+        for row in active], 0.0)
 
     # pass 2: noise on the code register between decode instants
     rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),

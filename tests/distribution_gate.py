@@ -15,10 +15,10 @@ before it lands.  The generic tests:
   small for a z-score or a chi-square.
 
 passage_samplers, passage_outcomes and compare_passages apply them to
-clock.sample_passages against the event trio sample_trajectory + is_good +
-window_passage.  frame_tables and compare_frames apply chi2_table to two
-depolarized frame arrays, such as the sparse and the dense draws of
-pauli._draw_frames.
+clock.sample_passages, PATHS_PER_CALL paths a call, against the event trio
+sample_trajectory + is_good + window_passage.  frame_tables and
+compare_frames apply chi2_table to two depolarized frame arrays, such as
+the sparse and the dense draws of pauli._draw_frames.
 
 wald_sigma and fidelity_sigma are the binomial (Wald) standard errors of a
 protocols.LogicalChannelEstimate, per class and of its average fidelity;
@@ -44,6 +44,8 @@ from qmemsim.clock import (is_good, sample_passages, sample_trajectory,
 
 # fixed before the first run; about 1e-3 false alarms per gate config
 GATE_ALPHA = 1e-4
+# clock paths per call of a passage sampler
+PATHS_PER_CALL = 10
 BELOW_CUT = float(np.nextafter(pauli.SPARSE_WEIGHT, 0.0))
 
 
@@ -165,22 +167,32 @@ def fidelity_sigma(est) -> float:
 
 
 def passage_samplers(params, horizon, schedule, t_dec):
-    """(refined, events): generator -> (good, passages), drawn by
-    clock.sample_passages and by the event trio respectively."""
-    def refined(gen):
-        return sample_passages(params, horizon, schedule, t_dec, gen)
+    """(refined, events): (generator, n) -> (good (n,), decode time (n, W),
+    active time (n, W)) of n clock paths, drawn by one call of
+    clock.sample_passages and by the event trio path after path; the
+    decode time of a window never entered is nan."""
+    def refined(gen, n):
+        return sample_passages(params, horizon, schedule, t_dec, n, gen)
 
-    def events(gen):
-        traj = sample_trajectory(params, horizon, gen)
-        return is_good(traj, params), [window_passage(traj, w, t_dec)
-                                       for w in schedule]
+    def events(gen, n):
+        decode = np.full((n, len(schedule)), math.nan)
+        active = np.zeros((n, len(schedule)))
+        good = np.ones(n, dtype=bool)
+        for i in range(n):
+            traj = sample_trajectory(params, horizon, gen)
+            good[i] = is_good(traj, params)
+            for j, w in enumerate(schedule):
+                d, active[i, j] = window_passage(traj, w, t_dec)
+                decode[i, j] = math.nan if d is None else d
+        return good, decode, active
     return refined, events
 
 
 def passage_outcomes(sample, n: int, rng):
-    """Outcomes of n clock paths drawn one after another by sample(gen) ->
-    (good, [(decode_time, active_time) per window]), where gen is
-    np.random.default_rng(rng).
+    """Outcomes of n clock paths drawn by sample(gen, PATHS_PER_CALL) (see
+    passage_samplers) until n are drawn, where gen is
+    np.random.default_rng(rng); several paths per call put a leak between
+    the paths of one call of sample_passages within the gate's reach.
 
     Returns good (n,), abort class (n,) (0 for none, else 1 + the first
     level whose window is never entered or whose decode time does not
@@ -189,22 +201,14 @@ def passage_outcomes(sample, n: int, rng):
     times per level.
     """
     gen = np.random.default_rng(rng)
-    good, aborted, decode, active = [], [], [], []
-    for _ in range(n):
-        ok, passages = sample(gen)
-        good.append(ok)
-        decode.append([math.nan if d is None else d for d, _ in passages])
-        active.append([a for _, a in passages])
-        cls, previous = 0, -math.inf
-        for level, (d, _) in enumerate(passages):
-            if d is None or d <= previous:
-                cls = level + 1
-                break
-            previous = d
-        aborted.append(cls)
-    decode, active = np.array(decode), np.array(active)
-    return (np.array(good), np.array(aborted),
-            [col[~np.isnan(col)] for col in decode.T], list(active.T))
+    good, decode, active = (np.concatenate(part) for part in zip(*(
+        sample(gen, min(PATHS_PER_CALL, n - first))
+        for first in range(0, n, PATHS_PER_CALL))))
+    bad = np.isnan(decode)
+    bad[:, 1:] |= decode[:, 1:] <= decode[:, :-1]
+    aborted = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, 0)
+    return (good, aborted, [col[~np.isnan(col)] for col in decode.T],
+            list(active.T))
 
 
 def compare_passages(a, b) -> dict:

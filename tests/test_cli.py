@@ -13,6 +13,7 @@ from qmemsim.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, ExperimentConfig, main, parse_config,
                          render_rows_csv, result_payload, run_experiment,
                          write_result)
+from qmemsim.clock import MAX_BITS
 from qmemsim.stats import wilson_interval
 
 
@@ -656,6 +657,23 @@ def test_main_infeasible_schedule_exit(tmp_path, capsys):
         assert code == EXIT_INFEASIBLE and not stdout, (sub, stderr)
         assert "infeasible parameters:" in stderr and "int64" in stderr
 
+
+
+def test_main_clock_past_live_interval_budget_exit(tmp_path, capsys):
+    # K just below MAX_BITS at the criterion-6 schedule: pass 1 predicts
+    # more live intervals per path than clock.LIVE_INTERVALS and exits 2
+    # before its first draw
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "subcommand": "memory-sim", "strategy": "clock", "p_star": 0.03,
+        "levels": 2, "t_prot": 0.006, "t_dec": 0.0015, "delta": 1.4e-4,
+        "epsilon": 0.01, "K": MAX_BITS - 1, "trials": 150, "seed": 5}))
+    start = time.perf_counter()
+    code, stdout, stderr = run_main(capsys, ["memory-sim", "--config",
+                                             str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INFEASIBLE and not stdout, stderr
+    assert "infeasible parameters:" in stderr and "live intervals" in stderr
 
 # SHA-256 of each seeded, CSV-emitting bundled config's CSV at --trials 40,
 # or at the trial count given here.  memory_circuit needs about 40 000

@@ -18,7 +18,7 @@ from qmemsim.clock import (MAX_BITS, ClockCheckpoints, ClockParams,
                            sample_trajectory, sample_trajectory_checkpointed,
                            time_error_bound, time_estimate,
                            vertical_exit_rate_bound, window_passage,
-                           window_schedule, _flip_steps, _passage)
+                           window_schedule, _passage, _sort_flips)
 from qmemsim.bounds import clock_size_for
 
 REF = ClockParams(n_bits=4096, epsilon=0.4, t_max=2.0, rate_r=1.0)
@@ -80,7 +80,7 @@ def test_samplers_bound_register_size_by_int64_sums():
                                 k_off=n_bits // 3),)
         for draw in (lambda gen: sample_trajectory(params, 1.0, gen),
                      lambda gen: sample_passages(params, 1.0, schedule,
-                                                 0.1, gen),
+                                                 0.1, 1, gen),
                      lambda gen: sample_count_matrix(params, [0.5], 1, gen),
                      lambda gen: sample_trajectory_checkpointed(
                          params, 0.5, 1.0, gen)):
@@ -237,7 +237,7 @@ def test_sample_trajectory_matches_argsort_reference(n_bits, mu):
 def test_flip_steps_puts_up_flips_after_equal_down_flips():
     # times drawn from a few values, so most up times tie with down times
     # and with each other; the steps must be those of a stable argsort of
-    # (downs, ups), whatever order the two inputs come in
+    # (downs, ups), whatever order the flips come in
     gen = np.random.default_rng(35)
     for n_down, n_up, n_values in [(0, 0, 8), (7, 0, 8), (0, 5, 8),
                                    (0, 30, 4), (40, 3, 8), (3, 6, 8),
@@ -248,11 +248,21 @@ def test_flip_steps_puts_up_flips_after_equal_down_flips():
         all_steps = np.concatenate((np.full(n_down, -2, dtype=np.int8),
                                     np.full(n_up, 2, dtype=np.int8)))
         order = np.argsort(all_times, kind="stable")
-        times = gen.permutation(all_times)
-        steps = _flip_steps(times, gen.permutation(up))
+        shuffle = gen.permutation(all_times.size)
+        times = all_times[shuffle]
+        steps = _sort_flips(times, all_steps[shuffle] > 0)
         assert times.tobytes() == all_times[order].tobytes()
         assert steps.dtype == np.int8
         assert steps.tobytes() == all_steps[order].tobytes()
+        # rows of a 2-D array sort one by one, with inf as padding
+        rows = np.stack([times[::-1], np.full(times.size, np.inf)])
+        rows[1, :n_up] = up
+        steps = _sort_flips(rows, np.stack([all_steps[order][::-1] > 0,
+                                            np.arange(times.size) < n_up]))
+        assert rows[0].tobytes() == times.tobytes()
+        assert steps[0].tobytes() == all_steps[order].tobytes()
+        assert np.array_equal(rows[1, :n_up], np.sort(up))
+        assert np.all(rows[1, n_up:] == np.inf) and np.all(steps[1, :n_up] == 2)
 
 
 def test_piece_view_matches_concatenation():

@@ -67,31 +67,32 @@ def test_refinement_pays_above_leaf_size():
 def test_passages_structure_and_reproducibility():
     params = ClockParams(n_bits=200_000, epsilon=0.1, t_max=1.6, rate_r=1.0)
     schedule = window_schedule(2, T_PROT, T_DEC, params)
-    first = sample_passages(params, 1.7, schedule, T_DEC,
+    first = sample_passages(params, 1.7, schedule, T_DEC, 3,
                             np.random.default_rng(73))
-    again = sample_passages(params, 1.7, schedule, T_DEC,
+    again = sample_passages(params, 1.7, schedule, T_DEC, 3,
                             np.random.default_rng(73))
-    assert first == again
-    good, passages = first
-    assert isinstance(good, bool) and len(passages) == 2
-    previous = 0.0
-    for window, (decode_time, active) in zip(schedule, passages):
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    good, decode, active = first
+    assert good.dtype == bool and good.shape == (3,)
+    assert decode.shape == active.shape == (3, 2)
+    for window, decode_times, actives in zip(schedule, decode.T, active.T):
         # the noise-free path enters window l at t_l and spends t_dec inside
-        assert abs(decode_time - (window.t_start + T_DEC)) < 0.02
-        assert abs(active - T_DEC) < 0.02
-        assert previous < decode_time <= 1.7
-        previous = decode_time
+        assert np.all(np.abs(decode_times - (window.t_start + T_DEC)) < 0.02)
+        assert np.all(np.abs(actives - T_DEC) < 0.02)
+    assert np.all(0.0 < decode[:, 0]) and np.all(decode[:, 0] < decode[:, 1])
+    assert np.all(decode[:, 1] <= 1.7)
     with pytest.raises(ValueError):
-        sample_passages(params, 1.5, schedule, T_DEC, np.random.default_rng(73))
+        sample_passages(params, 1.5, schedule, T_DEC, 3,
+                        np.random.default_rng(73))
 
 
 def test_passages_window_never_entered():
     # a window far below anything the path reaches within the horizon
     params = ClockParams(n_bits=100_000, epsilon=0.2, t_max=0.5, rate_r=1.0)
     late = clock.LevelWindow(level=1, t_start=5.0, k_on=700, k_off=600)
-    good, [(decode_time, active)] = sample_passages(
-        params, 0.6, [late], T_DEC, np.random.default_rng(74))
-    assert good and decode_time is None and active == 0.0
+    good, decode, active = sample_passages(params, 0.6, [late], T_DEC, 2,
+                                           np.random.default_rng(74))
+    assert good.all() and np.isnan(decode).all() and not active.any()
 
 
 def test_passages_band_exit_is_seen():
@@ -102,10 +103,9 @@ def test_passages_band_exit_is_seen():
     params = ClockParams(n_bits=1_000_000, epsilon=0.01, t_max=10.0,
                          rate_r=1.0)
     schedule = window_schedule(1, 0.2, 0.1, params)
-    bad = sum(not sample_passages(params, 10.0, schedule, 0.1,
-                                  np.random.default_rng([75, i]))[0]
-              for i in range(20))
-    assert bad == 20
+    good = sample_passages(params, 10.0, schedule, 0.1, 20,
+                           np.random.default_rng(75))[0]
+    assert good.shape == (20,) and not good.any()
 
 
 def test_parity_tables_sum_to_conditional_poisson():
@@ -153,20 +153,22 @@ def test_leaf_pieces_form_the_path():
     k_start = np.array([100, -20, 0])
     p_starts, p_ends, values = clock._leaf_pieces(
         starts, starts + 0.5, k_start, counts, gen, 1.0)
-    assert np.all(np.diff(p_starts) >= 0) and np.all(p_ends >= p_starts)
-    firsts = np.flatnonzero(np.isin(p_starts, starts))
-    assert np.array_equal(values[firsts], k_start)
-    lasts = np.flatnonzero(np.isin(p_ends, starts + 0.5))
-    assert np.array_equal(values[lasts],
+    # row i holds leaf i's pieces in time order, padded by empty pieces at
+    # the leaf end
+    assert p_starts.shape == p_ends.shape == values.shape
+    assert np.all(np.diff(p_starts, axis=1) >= 0)
+    assert np.array_equal(p_ends[:, :-1], p_starts[:, 1:])
+    assert np.all(p_ends >= p_starts) and np.all(p_ends[:, -1] == starts + 0.5)
+    assert np.array_equal(p_starts[:, 0], starts)
+    assert np.array_equal(values[:, 0], k_start)
+    assert np.array_equal(values[:, -1],
                           k_start + 2 * (counts[:, 0, 0] - counts[:, 1, 0]))
-    steps = np.diff(values)
-    inner = np.ones(steps.size, dtype=bool)
-    inner[firsts[1:] - 1] = False
-    assert np.all(np.abs(steps[inner]) == 2)
-    for i, (a, s) in enumerate(zip(starts, firsts)):
-        within = values[(p_starts >= a) & (p_starts < a + 0.5)]
-        assert within.min() >= k_start[i] - 2 * counts[i, 1].sum()
-        assert within.max() <= k_start[i] + 2 * counts[i, 0].sum()
+    steps = np.diff(values, axis=1)
+    assert np.all(np.isin(steps, (-2, 0, 2)))
+    assert np.all(p_starts[:, 1:][steps == 0] == (starts + 0.5)[
+        np.nonzero(steps == 0)[0]])
+    assert np.all(values.min(axis=1) >= k_start - 2 * counts[:, 1].sum(axis=1))
+    assert np.all(values.max(axis=1) <= k_start + 2 * counts[:, 0].sum(axis=1))
 
 
 def test_leaf_flip_total_is_poisson():
@@ -177,9 +179,9 @@ def test_leaf_flip_total_is_poisson():
     for _ in range(400):
         counts = np.zeros((1, 2, 2), dtype=np.int64)
         counts[0, 1] = gen.multinomial(n_bits, clock._root_pvals(mu))[:2]
-        p_starts, _, _ = clock._leaf_pieces(np.array([0.0]), np.array([2 * mu]),
-                                            np.array([n_bits]), counts, gen, 1.0)
-        totals.append(p_starts.size - 1)
+        _, _, values = clock._leaf_pieces(np.array([0.0]), np.array([2 * mu]),
+                                          np.array([n_bits]), counts, gen, 1.0)
+        totals.append(np.count_nonzero(np.diff(values)))
     mean = n_bits * mu
     assert abs(np.mean(totals) - mean) < 4.0 * math.sqrt(mean / 400)
     assert 0.75 < np.var(totals) / mean < 1.25

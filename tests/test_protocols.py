@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -26,9 +27,10 @@ import pytest
 from distribution_gate import (BELOW_CUT, GATE_ALPHA, count_p_value,
                                fidelity_sigma, wald_sigma)
 from test_fivequbit import N_W, block_residual_probs
-from qmemsim import protocols
+from qmemsim import clock, protocols
 from qmemsim.bounds import clock_size_for, feasibility_search
-from qmemsim.clock import ScheduleInfeasibleError, sample_trajectory
+from qmemsim.clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError,
+                           sample_trajectory)
 from qmemsim.fivequbit import BLOCK, b_exact, decode_blocks
 from qmemsim.pauli import (SPARSE_WEIGHT, _draw_frames,
                            sample_cumulative_frames)
@@ -657,11 +659,37 @@ REFINED = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.1, t_dec=0.05,
 def test_clock_controlled_refined_pinned_digest():
     _, diag = simulate_clock_controlled(REFINED, 48, np.random.default_rng(63),
                                         return_diagnostics=True)
-    assert int(diag.aborted.sum()) == 0 and int((~diag.good).sum()) == 9
+    assert int(diag.aborted.sum()) == 0 and int((~diag.good).sum()) == 6
     digest = hashlib.sha256()
     for part in (diag.good, diag.aborted, diag.decode_times, diag.kick_probs):
         digest.update(np.ascontiguousarray(part).tobytes())
-    assert digest.hexdigest()[:32] == "3dc9707dd0ce914338bb7fec46e659e7"
+    assert digest.hexdigest()[:32] == "5ccb43ced2f5f739479f9547b1fa740f"
+
+
+def test_clock_past_live_interval_budget_is_infeasible():
+    # a clock just below MAX_BITS at the criterion-6 schedule would need
+    # about 2e7 live intervals per path, far above clock.LIVE_INTERVALS; the
+    # verdict comes from the schedule, before any draw and any large array
+    params = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
+                            t_dec=0.0015, delta=1.4e-4, epsilon=0.01,
+                            clock_bits=MAX_BITS - 1)
+    gen = np.random.default_rng(64)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScheduleInfeasibleError, match="live intervals"):
+            simulate_clock_controlled(params, 4, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 1e6
+    assert gen.bit_generator.state == np.random.default_rng(
+        64).bit_generator.state
+    # the criterion-6 clock itself fits 15 paths in one batch
+    sized = with_sized_clock(replace(params, clock_bits=None))
+    assert clock._batch_size(ClockParams(
+        n_bits=sized.clock_bits, epsilon=0.01, t_max=sized.resolved_t_max(),
+        rate_r=1.0), 2) == 15
 
 
 def clock_run_bytes(rng):
