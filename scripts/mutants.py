@@ -103,6 +103,24 @@ MUTANTS = {
         "frames[np.cumsum(first) - 1, cells % BLOCK] = codes",
         "frames[np.cumsum(first) - 1, blocks % BLOCK] = codes",
         HIT_GATE),
+    # a block's last hit left out of the decode, so a block of two hits
+    # decodes as a block of one
+    "rounds_shared_drops_last_hit": (
+        "protocols.py",
+        "shared = ~(first & np.append(first[1:], True))",
+        "shared = np.append(~first[1:], False)",
+        HIT_GATE),
+    # a one-row draw redraws its collisions within their row of the
+    # register, not anywhere in it.  The (100_000, 25) cases at the cut and
+    # at 0.3 see it; at 10_000 x 625 and p = 0.0037 it moves the hits per
+    # row by O(p) and about 43 collisions a call, too little to see
+    "hit_cells_redraw_in_row": (
+        "pauli.py",
+        "        redo -= redo % n\n"
+        "        redo += gen.integers(0, n, redo.size)\n",
+        "        redo -= redo % shape[-1]\n"
+        "        redo += gen.integers(0, shape[-1], redo.size)\n",
+        ["tests/test_pauli.py::test_sparse_draw_matches_dense_draw"]),
     # the kick drawn on the register before the decode, five times wider
     "hits_kick_pre_decode_width": (
         "protocols.py",

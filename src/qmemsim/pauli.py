@@ -26,11 +26,12 @@ cells of a register in ascending flat order with one X, Y or Z code each;
 of protocols carry them as hit lists.  The hit draw has two exact orders,
 chosen by the largest weight of the call.  Below SPARSE_WEIGHT (the
 low-noise regime the protection lives in, where a round's weight is a few
-1e-3) it draws only the hit cells: a Binomial(n, p_i) hit count per row,
-that many uniform columns with the collisions of a row redrawn until
-distinct, and one uniform X, Y or Z per hit.  At or above it, it draws one
-uniform per cell and one Pauli per hit cell in row-major order.  The two
-have the same law but not the same random stream.
+1e-3) it draws only the hit cells: a Binomial(n, p_i) hit count per row
+(a scalar weight makes the register one row), that many uniform cells of
+the row with the collisions redrawn until distinct, and one uniform X, Y
+or Z per hit.  At or above it, it draws one uniform per cell and one Pauli
+per hit cell in row-major order.  The two have the same law but not the
+same random stream.
 
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
@@ -51,9 +52,9 @@ CODE_LABELS = "IXZY"
 _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
 
 #: _hits draws only the hit cells when every weight of a call is below
-#: this.  The sparse draw is faster than the dense one up to p of about
-#: 0.08-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125 cells; 1/32 leaves a
-#: margin for hosts where the crossover falls lower.
+#: this.  The sparse draw (one row under a scalar weight) beats the dense
+#: one up to p of about 0.085-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125
+#: cells; 1/32 leaves a margin for hosts where the crossover falls lower.
 SPARSE_WEIGHT = 1 / 32
 
 
@@ -92,11 +93,12 @@ def _hits(shape, p, gen):
     code (uint8) per hit in that order.
 
     When every weight is below SPARSE_WEIGHT, row i gets a hit count
-    k_i ~ Binomial(n, p_i), then k_i uniform columns (columns that collide
-    within a row are redrawn until distinct, which leaves a uniform k_i-subset
-    since every step treats the columns alike).  Otherwise it draws one
-    uniform per cell.  Either way the codes come last, one uniform X, Y or Z
-    per hit.
+    k_i ~ Binomial(n, p_i), then k_i uniform cells (cells that collide
+    within a row are redrawn until distinct, which leaves a uniform
+    k_i-subset since every step treats the cells alike); a scalar p makes
+    the register one row, whose uniform k-subset has the law of independent
+    cells.  Otherwise it draws one uniform per cell.  Either way the codes
+    come last, one uniform X, Y or Z per hit.
     """
     p = np.asarray(p, dtype=float)
     top = p.max(initial=0.0)
@@ -112,10 +114,13 @@ def _hits(shape, p, gen):
 
 def _hit_cells(shape, p, gen):
     """Ascending flat indices of the hit cells of a (rows, n) array, each
-    cell hit independently at its row's weight p.  Rows with one hit or none
-    are in order as drawn, so the sort runs only when a row has two."""
+    cell hit independently at its row's weight p (a scalar p: one row of
+    rows * n cells).  Rows with one hit or none are in order as drawn, so
+    the sort runs only when a row has two."""
     n = shape[-1]
     rows = math.prod(shape[:-1])
+    if not p.ndim:
+        n, rows = rows * n, 1
     counts = gen.binomial(n, p, size=rows)
     cells = np.repeat(np.arange(0, rows * n, n), counts)
     if not cells.size:
@@ -126,12 +131,13 @@ def _hit_cells(shape, p, gen):
     cells.sort()
     repeat = cells[1:] == cells[:-1]
     while repeat.any():
-        # keep one copy of each cell; redraw the others within their row
+        # keep one copy of each cell and redraw the others within their row;
+        # the kept cells stay in order, so a stable sort merges in the rest
         redo = cells[1:][repeat]
         redo -= redo % n
         redo += gen.integers(0, n, redo.size)
         cells = np.concatenate((cells[:1], cells[1:][~repeat], redo))
-        cells.sort()
+        cells.sort(kind="stable")
         repeat = cells[1:] == cells[:-1]
     return cells
 

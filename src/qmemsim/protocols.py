@@ -18,8 +18,8 @@ represented, only the cumulative Pauli error per qubit, which is exact for
 stabilizer codes under Pauli noise and Clifford decoding.  The concatenated
 strategies hold each register as a hit list, the qubits that carry a
 non-identity Pauli and their codes: each round merges in the new noise
-hits and decodes only the blocks that hold one, since a block with no hit
-decodes to the identity and is never read.
+hits and decodes only the blocks that hold two or more, since a block
+with one hit or none decodes to the identity and is never read.
 
 Clock-controlled timing model.  Pass 1 resolves the clock: the trajectory is
 sampled, each level's decode time is the instant its window has been
@@ -237,8 +237,8 @@ class _Rounds:
     Round j depolarizes every qubit of the register for durations[..., j]
     at rate_r, decodes one level, then depolarizes each decoded qubit at
     weight kicks[:, j] (no kicks when None).  A leading trial axis gives
-    each trial its own rounds.  sample carries the register as a hit list,
-    so a block with no hit is never read; exact gives the residual's law.
+    each trial its own rounds.  sample decodes only the blocks of its hit
+    list with two hits or more; exact gives the residual's law.
     """
 
     durations: np.ndarray    # (levels,) or (trials, levels)
@@ -252,8 +252,9 @@ class _Rounds:
         ascending flat cells (trial * width + qubit) that carry a Pauli, and
         their codes.  Each round XORs in a pauli._hits draw (the draws of
         sample_cumulative_frames and _draw_frames, in the same order), and
-        decodes only the blocks that hold a hit; the block of cell c is
-        c // 5, which is also its decoded qubit's cell one level up.
+        decodes only the blocks of two hits or more, since a frame of
+        weight 1 decodes to I; the block of cell c is c // 5, which is also
+        its decoded qubit's cell one level up.
         """
         levels = self.durations.shape[-1]
         width = BLOCK ** levels
@@ -262,8 +263,11 @@ class _Rounds:
         for j in range(levels):
             p = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
             cells, codes = _merge(cells, codes, *_hits((trials, width), p, gen))
+            first = _firsts(cells // BLOCK)
+            # a block with one hit decodes to I: keep the shared blocks only
+            shared = ~(first & np.append(first[1:], True))
+            cells, codes, first = cells[shared], codes[shared], first[shared]
             blocks = cells // BLOCK
-            first = _firsts(blocks)
             frames = np.zeros((np.count_nonzero(first), BLOCK), dtype=np.uint8)
             frames[np.cumsum(first) - 1, cells % BLOCK] = codes
             residuals = decode_blocks(frames)
@@ -398,6 +402,8 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
         raise ValueError("circuit model needs at least one level")
     if params.t_prot is None:
         raise ValueError("t_prot is required")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
                      params.rate_r)
     return estimate_logical_channel(
@@ -447,6 +453,8 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         raise ValueError("clock strategy needs at least one level")
     if params.t_prot is None or params.t_dec is None:
         raise ValueError("t_prot and t_dec are required")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if params.delta >= min(params.t_prot, params.t_dec) / 10.0:
         raise ScheduleInfeasibleError(
             "clock accuracy delta must stay below min(t_prot, t_dec)/10")

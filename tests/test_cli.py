@@ -685,7 +685,7 @@ BUNDLED_CSV_TRIALS = 40
 BUNDLED_CSV_TRIALS_OF = {"memory_circuit": 40_000}
 BUNDLED_CSV_SHA256 = {
     "bp_curve":
-        "0c77f831f8c602949c71aebd1a3756ced9bad053a1be2376394472788e494cc5",
+        "d2ec3e182199ce46feb04102fc747ce0077c99d7e1dee08e8095c1954e14dc63",
     "clock_verify_small":
         "a9f068f273de30917d4a85d2ec594bf3fc8bbfaef184d46ccdd1e1d2467ace47",
     "lifetime_repetition":
@@ -693,7 +693,7 @@ BUNDLED_CSV_SHA256 = {
     "lifetime_unprotected":
         "85fc2d654bec4e5b2411a4cf0534313e3af862dd860b77200a829b37947e78bc",
     "memory_circuit":
-        "0c664854ace111d0f629d33618140ca98972e95d32ef91f9dcf4eef1eb47fd63",
+        "a41f7318b350477dbecad5ce0722a26b38b6e5771c529ac2d51655fff2284708",
     "memory_clock_scaled":
         "1a9ae58b455398c5779119f8f5810487f64b307e1a4ee87c4c6b22ef20090615",
     "memory_repetition":

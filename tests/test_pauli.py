@@ -141,11 +141,16 @@ def test_depolarize_draw_follows_largest_weight(p, monkeypatch):
     assert np.array_equal(default, sparse if p < SPARSE_WEIGHT else dense)
 
 
-@pytest.mark.parametrize("p", [1e-3, 0.0037, BELOW_CUT, 0.3])
-def test_sparse_draw_matches_dense_draw(p):
+@pytest.mark.parametrize("shape, p", [
+    *(pytest.param((100_000, 25), p, id=str(p))
+      for p in (1e-3, 0.0037, BELOW_CUT, 0.3)),
+    pytest.param((10_000, 625), 0.0037, id="10000x625-0.0037")])
+def test_sparse_draw_matches_dense_draw(shape, p):
     # hits per row, column of each hit and Pauli class, sparse against
-    # dense; at 0.3 the sparse draw is forced, where most rows collide
-    sparse, dense = frame_draws((100_000, 25), p, 81)
+    # dense; at 0.3 the sparse draw is forced, where most rows collide.
+    # 10000 x 625 at 0.0037 is one circuit round: a one-row draw of about
+    # 23 000 hits, about 43 of them collisions to redraw
+    sparse, dense = frame_draws(shape, p, 81)
     p_values = compare_frames(sparse, dense)
     assert min(p_values.values()) >= GATE_ALPHA, p_values
 

@@ -666,13 +666,30 @@ def test_clock_controlled_refined_pinned_digest():
     assert digest.hexdigest()[:32] == "5ccb43ced2f5f739479f9547b1fa740f"
 
 
+# the criterion-6 point: its clock (K = 3.1e8) runs clock.sample_passages
+CRITERION_6 = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
+                             t_dec=0.0015, delta=1.4e-4, epsilon=0.01)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("params, simulate", [
+    (CRITERION_6, simulate_clock_controlled),
+    (PINNED, simulate_clock_controlled),
+    (CRITERION_6, simulate_circuit_model)],
+    ids=["refined_clock", "event_clock", "circuit"])
+def test_trials_below_one_rejected_before_any_draw(params, simulate, trials):
+    gen = np.random.default_rng(65)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        simulate(params, trials, gen)
+    assert gen.bit_generator.state == np.random.default_rng(
+        65).bit_generator.state
+
+
 def test_clock_past_live_interval_budget_is_infeasible():
     # a clock just below MAX_BITS at the criterion-6 schedule would need
     # about 2e7 live intervals per path, far above clock.LIVE_INTERVALS; the
     # verdict comes from the schedule, before any draw and any large array
-    params = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
-                            t_dec=0.0015, delta=1.4e-4, epsilon=0.01,
-                            clock_bits=MAX_BITS - 1)
+    params = replace(CRITERION_6, clock_bits=MAX_BITS - 1)
     gen = np.random.default_rng(64)
     start = time.perf_counter()
     tracemalloc.start()
