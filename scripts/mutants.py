@@ -24,11 +24,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the hit-list rounds against the dense register, byte for byte
+# the hit-list rounds' residual classes against the exact law and against
+# the dense register, in distribution
 HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
+
+# the XOR of two hit lists, on cells in both
+MERGE_CHECK = "tests/test_protocols.py::test_merge_xors_hit_lists"
+
+# the frames of fresh blocks against Binomial(5, p) given >= 2 hits
+FRESH_CHECK = ("tests/test_protocols.py::"
+               "test_fresh_frames_follow_binomial_given_two_hits")
 
 # the sampled clock faults against the exact channels, at power >= 0.99
 # against both mutations of _Rounds.exact below
@@ -96,24 +104,50 @@ MUTANTS = {
         "protocols.py",
         "codes = np.bitwise_xor.reduceat(codes, starts)",
         "codes = codes[np.append(starts[1:], codes.size) - 1]",
-        HIT_GATE),
-    # a hit's site read from the block's digit instead of the cell's
+        [*HIT_GATE, MERGE_CHECK]),
+    # a residual's site read from the block's digit instead of the cell's,
+    # so two residuals of one touched block land on one site
     "hits_site_wrong_digit": (
         "protocols.py",
-        "frames[np.cumsum(first) - 1, cells % BLOCK] = codes",
-        "frames[np.cumsum(first) - 1, blocks % BLOCK] = codes",
+        "frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes",
+        "frames[np.cumsum(first) - 1, blocks % BLOCK] ^= codes",
         HIT_GATE),
-    # a block's last hit left out of the decode, so a block of two hits
-    # decodes as a block of one
+    # a fresh block's last hit left out of its frame, so a block of two
+    # hits decodes as a block of one
     "rounds_shared_drops_last_hit": (
         "protocols.py",
-        "shared = ~(first & np.append(first[1:], True))",
-        "shared = np.append(~first[1:], False)",
+        "axis=-1) < count[:, None]",
+        "axis=-1) < count[:, None] - 1",
+        [*HIT_GATE, FRESH_CHECK]),
+    # a fresh block's hit count drawn given >= 1 hit, while the fresh
+    # blocks are still chosen at P(>= 2 hits)
+    "fresh_count_given_one": (
+        "protocols.py",
+        "v = gen.random((size, 1)) * tails[..., 1, None]",
+        "v = gen.random((size, 1)) * tails[..., 0, None]",
+        [*HIT_GATE, FRESH_CHECK]),
+    # a touched block's noise drawn like a fresh block's, given >= 2 hits
+    "touched_drawn_given_two": (
+        "protocols.py",
+        "                frames = _draw_frames((touched.size, BLOCK), p if not p.ndim\n"
+        "                                      else p[touched // width], gen)\n",
+        "                frames = _fresh_frames(tails if not p.ndim else\n"
+        "                                       tails[touched // width],\n"
+        "                                       touched.size, gen)\n",
+        HIT_GATE),
+    # a touched block also kept in the fresh choice, so it can take a
+    # fresh frame on top of its own
+    "touched_kept_fresh": (
+        "protocols.py",
+        'mode="clip") != fresh]',
+        'mode="clip") >= 0]',
         HIT_GATE),
     # a one-row draw redraws its collisions within their row of the
     # register, not anywhere in it.  The (100_000, 25) cases at the cut and
-    # at 0.3 see it; at 10_000 x 625 and p = 0.0037 it moves the hits per
-    # row by O(p) and about 43 collisions a call, too little to see
+    # at 0.3 see it, and the (200_000, 5) case below the cut, where it
+    # adds a quarter to the rows of two hits; at 10_000 x 625 and
+    # p = 0.0037 it moves the hits per row by O(p) and about 43 collisions
+    # a call, too little to see
     "hit_cells_redraw_in_row": (
         "pauli.py",
         "        redo -= redo % n\n"

@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/slow_lane.py
 
 pytest collects only tests/, so nothing here runs with the tier-1 suite.
-The script runs three checks and prints one line per result, then a JSON
+The script runs four checks and prints one line per result, then a JSON
 summary as the last line; it exits 1 if any check fails.
 
 1. The exactness gate of tests/test_passages.py at full size:
@@ -26,6 +26,12 @@ summary as the last line; it exits 1 if any check fails.
    register at 1e4 trials, and ten times the tier-1 draws, where a bias of
    1/n in the hit rate (n = 25 columns) shows.  Every chi-square p-value
    (hits per row, column of each hit, Pauli class) must reach GATE_ALPHA.
+4. The circuit rounds at the benchmark's circuit_frames point (the searched
+   t_prot, CIRCUIT_LEVELS levels, CIRCUIT_TRIALS trials a call): over three
+   seeds, CIRCUIT_CALLS calls of simulate_circuit_model each, the pooled
+   fault count and each of the X, Z and Y counts against the exact law of
+   _Rounds.exact (count_p_value, about 1500 expected faults a seed), each
+   p-value at least GATE_ALPHA.
 
 Every run checks the same sample sizes on every host.
 """
@@ -45,10 +51,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from distribution_gate import (BELOW_CUT, GATE_ALPHA,  # noqa: E402
                                compare_frames, compare_passages,
-                               frame_draws, passage_outcomes,
+                               count_p_value, frame_draws, passage_outcomes,
                                passage_samplers)
+from qmemsim.bounds import feasibility_search  # noqa: E402
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
 from qmemsim.protocols import (ProtocolParams, lifetime_scan,  # noqa: E402
+                               simulate_circuit_model,
                                simulate_clock_controlled, with_sized_clock)
 
 GATE_TRIALS = 10_000       # trajectories a side per gate point and seed
@@ -62,6 +70,12 @@ FRAME_SIZES = (((10_000, 625), 1), ((100_000, 25), 10))
 # the tier-1 weights: below, at and just below the criterion-5 round weight
 # 0.0037 and the cut, and 0.3 with the sparse draw forced
 FRAME_WEIGHTS = (1e-3, 0.0037, BELOW_CUT, 0.3)
+
+# the circuit_frames point: 625 qubits and 1e4 trials a call; 1000 calls a
+# seed expect about 1500 faults at its exact fault weight 1.5e-4
+CIRCUIT_LEVELS = 4
+CIRCUIT_TRIALS = 10_000
+CIRCUIT_CALLS = 1_000
 
 # (K, epsilon, t_prot, t_dec): two windows each, and bands 1.5 to 2.2
 # sigma wide at t_max = 2 (t_prot + t_dec), so that 7% to 60% of the
@@ -183,17 +197,51 @@ def run_frames():
     return results
 
 
+def run_circuit():
+    found = feasibility_search(rate_r=1.0)
+    params = ProtocolParams(rate_r=1.0, levels=CIRCUIT_LEVELS,
+                            p_star=found.p_star, t_prot=found.t_prot)
+    trials = CIRCUIT_TRIALS * CIRCUIT_CALLS
+    results = []
+    for seed in (1, 2, 3):
+        start = time.perf_counter()
+        gen = np.random.default_rng([seed, 5])
+        counts, weight = np.zeros(4, dtype=np.int64), 0.0
+        for _ in range(CIRCUIT_CALLS):
+            est = simulate_circuit_model(params, CIRCUIT_TRIALS, gen)
+            counts += est.counts
+            weight = float(est.exact[1:].sum())
+        p_values = {"faults": count_p_value(int(trials - counts[0]),
+                                            [(trials, weight)])}
+        for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+            p_values[label] = count_p_value(int(counts[code]),
+                                            [(trials, weight / 3.0)])
+        ok = min(p_values.values()) >= GATE_ALPHA
+        seconds = time.perf_counter() - start
+        print(f"{'PASS' if ok else 'FAIL'} circuit rounds "
+              f"t_prot={found.t_prot} seed={seed}: {trials - counts[0]} "
+              f"faults vs {trials * weight:.1f} exact, min p "
+              f"{min(p_values.values()):.3g} "
+              f"({min(p_values, key=p_values.get)}), {seconds:.1f} s",
+              flush=True)
+        results.append({"seed": seed, "ok": ok, "counts": counts.tolist(),
+                        "expected_faults": trials * weight, "p": p_values,
+                        "seconds": seconds})
+    return results
+
+
 def main() -> int:
     start = time.perf_counter()
     gate = run_gate()
     scaled = run_scaled()
     frames = run_frames()
-    ok = (all(g["ok"] for g in gate + frames) and scaled["boundary_ok"]
-          and scaled["slope_ok"])
+    circuit = run_circuit()
+    ok = (all(g["ok"] for g in gate + frames + circuit)
+          and scaled["boundary_ok"] and scaled["slope_ok"])
     print(f"{'PASS' if ok else 'FAIL'} slow lane in "
           f"{time.perf_counter() - start:.0f} s", flush=True)
     print(json.dumps({"ok": ok, "gate": gate, "scaled": scaled,
-                      "frames": frames},
+                      "frames": frames, "circuit": circuit},
                      default=lambda value: value.item()))
     return 0 if ok else 1
 

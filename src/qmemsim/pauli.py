@@ -21,17 +21,18 @@ lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
 with probability p/3); no event times or counts are sampled.
 
 Every frame draw goes through one hit draw, `_hits`, which returns the hit
-cells of a register in ascending flat order with one X, Y or Z code each;
-`_draw_frames` writes them into new zero frames, and the concatenated runs
-of protocols carry them as hit lists.  The hit draw has two exact orders,
-chosen by the largest weight of the call.  Below SPARSE_WEIGHT (the
-low-noise regime the protection lives in, where a round's weight is a few
-1e-3) it draws only the hit cells: a Binomial(n, p_i) hit count per row
-(a scalar weight makes the register one row), that many uniform cells of
-the row with the collisions redrawn until distinct, and one uniform X, Y
-or Z per hit.  At or above it, it draws one uniform per cell and one Pauli
-per hit cell in row-major order.  The two have the same law but not the
-same random stream.
+cells of a register in ascending flat order (`_hit_cells`) with one X, Y or
+Z code each; `_draw_frames` writes them into new zero frames, and the
+concatenated runs of protocols carry them as hit lists and choose with
+`_hit_cells` the blocks that take two hits or more.  The cell draw has two
+exact orders, chosen by the largest weight of the call.  Below
+SPARSE_WEIGHT (the low-noise regime the protection lives in, where a
+round's weight is a few 1e-3) it draws only the hit cells: a
+Binomial(n, p_i) hit count per row (a scalar weight makes the register one
+row), and that many uniform cells of the row with the collisions redrawn
+until distinct.  At or above it, it draws one uniform per cell.  Either way
+`_hits` then draws one uniform X, Y or Z per hit cell in ascending order.
+The two have the same law but not the same random stream.
 
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
@@ -89,34 +90,38 @@ def _draw_frames(shape, p, rng):
 
 def _hits(shape, p, gen):
     """The hit cells of a (rows, n) register under depolarizing weight p (a
-    scalar or one per row): their ascending flat indices, and one X, Y or Z
-    code (uint8) per hit in that order.
+    scalar or one per row): their ascending flat indices (`_hit_cells`),
+    then one uniform X, Y or Z code (uint8) per hit in that order."""
+    cells = _hit_cells(shape, p, gen)
+    return cells, gen.integers(1, 4, cells.size, dtype=np.uint8)
+
+
+def _hit_cells(shape, p, gen):
+    """Ascending flat indices of the hit cells of a (rows, n) register, each
+    cell hit independently at its row's weight p (a scalar or one per row,
+    each in [0, 1]).
 
     When every weight is below SPARSE_WEIGHT, row i gets a hit count
     k_i ~ Binomial(n, p_i), then k_i uniform cells (cells that collide
     within a row are redrawn until distinct, which leaves a uniform
     k_i-subset since every step treats the cells alike); a scalar p makes
     the register one row, whose uniform k-subset has the law of independent
-    cells.  Otherwise it draws one uniform per cell.  Either way the codes
-    come last, one uniform X, Y or Z per hit.
+    cells.  Otherwise it draws one uniform per cell.
     """
     p = np.asarray(p, dtype=float)
     top = p.max(initial=0.0)
     if not (p.min(initial=0.0) >= 0.0 and top <= 1.0):
         raise ValueError("depolarizing weight p must lie in [0, 1]")
     if top < SPARSE_WEIGHT:
-        cells = _hit_cells(shape, p, gen)
-    else:
-        cells = np.flatnonzero(gen.random(shape)
-                               < (p[:, None] if p.ndim == 1 else p))
-    return cells, gen.integers(1, 4, cells.size, dtype=np.uint8)
+        return _sparse_cells(shape, p, gen)
+    return np.flatnonzero(gen.random(shape)
+                          < (p[:, None] if p.ndim == 1 else p))
 
 
-def _hit_cells(shape, p, gen):
-    """Ascending flat indices of the hit cells of a (rows, n) array, each
-    cell hit independently at its row's weight p (a scalar p: one row of
-    rows * n cells).  Rows with one hit or none are in order as drawn, so
-    the sort runs only when a row has two."""
+def _sparse_cells(shape, p, gen):
+    """The sparse order of _hit_cells, for a float array p below
+    SPARSE_WEIGHT.  Rows with one hit or none are in order as drawn, so the
+    sort runs only when a row has two."""
     n = shape[-1]
     rows = math.prod(shape[:-1])
     if not p.ndim:

@@ -17,9 +17,11 @@ All strategies are simulated in the Pauli frame: the state is never
 represented, only the cumulative Pauli error per qubit, which is exact for
 stabilizer codes under Pauli noise and Clifford decoding.  The concatenated
 strategies hold each register as a hit list, the qubits that carry a
-non-identity Pauli and their codes: each round merges in the new noise
-hits and decodes only the blocks that hold two or more, since a block
-with one hit or none decodes to the identity and is never read.
+non-identity Pauli and their codes.  A block with one hit or none decodes
+to the identity, so each round draws only the blocks that can decode to a
+fault: every block that carries a residual, cell by cell, and the other
+blocks that take two hits or more, chosen at P(>= 2 hits of 5) with their
+hits drawn from Binomial(5, p) given >= 2.
 
 Clock-controlled timing model.  Pass 1 resolves the clock: the trajectory is
 sampled, each level's decode time is the instant its window has been
@@ -52,7 +54,8 @@ from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
                     refinement_pays, sample_passages, sample_trajectory,
                     window_passage, window_schedule)
 from .fivequbit import BLOCK, b_exact, decode_blocks
-from .pauli import _hits, sample_cumulative_frames
+from .pauli import (_draw_frames, _hit_cells, _hits,
+                    sample_cumulative_frames)
 from .stats import affine_fit
 
 _LN2 = math.log(2.0)
@@ -230,6 +233,28 @@ def _merge(cells, codes, new_cells, new_codes):
     return cells[starts][keep], codes[keep]
 
 
+def _tails(p):
+    """P(at least k of a block's five cells are hit) at weight p, for
+    k = 1..5 along a new last axis; each is summed from five hits down, so
+    a small tail keeps its relative precision."""
+    p = np.asarray(p, dtype=float)[..., None]
+    k = np.arange(1, BLOCK + 1)
+    pmf = np.array((5, 10, 10, 5, 1)) * p ** k * (1.0 - p) ** (BLOCK - k)
+    return np.cumsum(pmf[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _fresh_frames(tails, size, gen):
+    """(size, 5) frames of blocks known to hold two hits or more, at the
+    weights whose _tails are tails (one row, or one per block): a hit count
+    from Binomial(5, p) given >= 2 by inversion, a uniform subset of that
+    many sites (those a uniform permutation sends below the count), and a
+    uniform X, Y or Z on each."""
+    v = gen.random((size, 1)) * tails[..., 1, None]
+    count = np.count_nonzero(v < tails, axis=-1)
+    sites = np.argsort(gen.random((size, BLOCK)), axis=-1) < count[:, None]
+    return gen.integers(1, 4, (size, BLOCK), dtype=np.uint8) * sites
+
+
 @dataclass(frozen=True)
 class _Rounds:
     """The noise of a concatenated run, round by round.
@@ -237,8 +262,8 @@ class _Rounds:
     Round j depolarizes every qubit of the register for durations[..., j]
     at rate_r, decodes one level, then depolarizes each decoded qubit at
     weight kicks[:, j] (no kicks when None).  A leading trial axis gives
-    each trial its own rounds.  sample decodes only the blocks of its hit
-    list with two hits or more; exact gives the residual's law.
+    each trial its own rounds.  sample draws and decodes only the blocks
+    that can decode to a fault; exact gives the residual's law.
     """
 
     durations: np.ndarray    # (levels,) or (trials, levels)
@@ -250,11 +275,21 @@ class _Rounds:
 
         The trials x 5^levels register is held as its hit list: the
         ascending flat cells (trial * width + qubit) that carry a Pauli, and
-        their codes.  Each round XORs in a pauli._hits draw (the draws of
-        sample_cumulative_frames and _draw_frames, in the same order), and
-        decodes only the blocks of two hits or more, since a frame of
-        weight 1 decodes to I; the block of cell c is c // 5, which is also
-        its decoded qubit's cell one level up.
+        their codes.  The block of cell c is c // 5, which is also its
+        decoded qubit's cell one level up.  A frame of weight 1 or 0
+        decodes to I, so each round draws only two kinds of block, whose
+        noises are independent:
+
+        * a touched block, one that carries a residual: its five cells
+          take the round's noise (pauli._draw_frames at its trial's
+          weight) and the residual is XORed in;
+        * a fresh block, one that does not, with two hits or more: the
+          fresh blocks are the hit cells (pauli._hit_cells) of the block
+          register at weight P(>= 2 hits of 5), less the touched ones, and
+          each gets its frame from _fresh_frames.
+
+        Both are decoded with decode_blocks, and the kicks are merged into
+        the decoded hit list.
         """
         levels = self.durations.shape[-1]
         width = BLOCK ** levels
@@ -262,18 +297,30 @@ class _Rounds:
         codes = np.zeros(0, dtype=np.uint8)
         for j in range(levels):
             p = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
-            cells, codes = _merge(cells, codes, *_hits((trials, width), p, gen))
-            first = _firsts(cells // BLOCK)
-            # a block with one hit decodes to I: keep the shared blocks only
-            shared = ~(first & np.append(first[1:], True))
-            cells, codes, first = cells[shared], codes[shared], first[shared]
-            blocks = cells // BLOCK
-            frames = np.zeros((np.count_nonzero(first), BLOCK), dtype=np.uint8)
-            frames[np.cumsum(first) - 1, cells % BLOCK] = codes
+            tails = _tails(p)
+            width //= BLOCK
+            fresh = _hit_cells((trials, width), tails[..., 1], gen)
+            touched = cells
+            frames = np.zeros((0, BLOCK), dtype=np.uint8)
+            if cells.size:
+                blocks = cells // BLOCK
+                first = _firsts(blocks)
+                touched = blocks[first]
+                # a touched block takes its noise cell by cell, not fresh
+                fresh = fresh[touched.take(np.searchsorted(touched, fresh),
+                                           mode="clip") != fresh]
+                frames = _draw_frames((touched.size, BLOCK), p if not p.ndim
+                                      else p[touched // width], gen)
+                frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes
+            if fresh.size:
+                frames = np.concatenate((frames, _fresh_frames(
+                    tails if not p.ndim else tails[fresh // width],
+                    fresh.size, gen)))
             residuals = decode_blocks(frames)
             keep = residuals != 0
-            cells, codes = blocks[first][keep], residuals[keep]
-            width //= BLOCK
+            cells = np.concatenate((touched, fresh))[keep]
+            order = np.argsort(cells)
+            cells, codes = cells[order], residuals[keep][order]
             if self.kicks is not None:
                 cells, codes = _merge(cells, codes, *_hits(
                     (trials, width), self.kicks[:, j], gen))
@@ -301,6 +348,8 @@ def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
     drawn: the result, and its random stream, do not depend on levels."""
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     frames = sample_cumulative_frames(1, t, params.rate_r, trials, rng)
     weight = -0.75 * math.expm1(-params.rate_r * t)
     return estimate_logical_channel(frames[:, 0], exact=_law(weight))
@@ -529,6 +578,8 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     """
     if not 1.0 / 3.0 < fidelity_floor < 1.0:
         raise ValueError("fidelity_floor must lie in (1/3, 1)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     gen = np.random.default_rng(rng)
     points = []
     if strategy == "unprotected":

@@ -693,7 +693,7 @@ BUNDLED_CSV_SHA256 = {
     "lifetime_unprotected":
         "85fc2d654bec4e5b2411a4cf0534313e3af862dd860b77200a829b37947e78bc",
     "memory_circuit":
-        "a41f7318b350477dbecad5ce0722a26b38b6e5771c529ac2d51655fff2284708",
+        "7c9507a6b91a3bfe65ededc4fb3ca980fea4cbc0cb5ffdca334722dfc58165e5",
     "memory_clock_scaled":
         "1a9ae58b455398c5779119f8f5810487f64b307e1a4ee87c4c6b22ef20090615",
     "memory_repetition":

@@ -144,12 +144,17 @@ def test_depolarize_draw_follows_largest_weight(p, monkeypatch):
 @pytest.mark.parametrize("shape, p", [
     *(pytest.param((100_000, 25), p, id=str(p))
       for p in (1e-3, 0.0037, BELOW_CUT, 0.3)),
-    pytest.param((10_000, 625), 0.0037, id="10000x625-0.0037")])
+    pytest.param((10_000, 625), 0.0037, id="10000x625-0.0037"),
+    pytest.param((200_000, 5), BELOW_CUT, id="200000x5-below_cut")])
 def test_sparse_draw_matches_dense_draw(shape, p):
     # hits per row, column of each hit and Pauli class, sparse against
     # dense; at 0.3 the sparse draw is forced, where most rows collide.
     # 10000 x 625 at 0.0037 is one circuit round: a one-row draw of about
-    # 23 000 hits, about 43 of them collisions to redraw
+    # 23 000 hits, about 43 of them collisions to redraw.  200000 x 5 below
+    # the cut is a one-row draw of about 31 000 hits with about 490
+    # collisions, against about 1950 rows of two hits: a collision redrawn
+    # within its 5-cell row, not anywhere in the register, adds a quarter
+    # to those rows
     sparse, dense = frame_draws(shape, p, 81)
     p_values = compare_frames(sparse, dense)
     assert min(p_values.values()) >= GATE_ALPHA, p_values

@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distribution_gate import (BELOW_CUT, GATE_ALPHA, count_p_value,
-                               fidelity_sigma, wald_sigma)
+from distribution_gate import (BELOW_CUT, GATE_ALPHA, chi2_sf, chi2_table,
+                               count_p_value, fidelity_sigma, wald_sigma)
 from test_fivequbit import N_W, block_residual_probs
 from qmemsim import clock, protocols
 from qmemsim.bounds import clock_size_for, feasibility_search
@@ -42,7 +42,8 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
-                               _kick_probability, _Rounds)
+                               _fresh_frames, _kick_probability, _merge,
+                               _Rounds, _tails)
 from qmemsim.stats import wilson_interval
 
 TWO_PI = 2.0 * math.pi
@@ -420,7 +421,7 @@ def test_circuit_storage_levels_override():
     assert est.exact[1:].sum() == pytest.approx(b_exact(q), rel=1e-12)
 
 
-# --- hit-list rounds against the dense register ------------------------------
+# --- hit-list rounds against the exact law and the dense register ------------
 
 def dense_rounds(rounds, trials, gen):
     """Reference for _Rounds.sample: the whole trials x 5^levels register,
@@ -437,17 +438,68 @@ def dense_rounds(rounds, trials, gen):
     return frames[:, 0]
 
 
-def faults_if_dense_equal(rounds, trials, seeds=(1, 2, 3)):
-    """Assert _Rounds.sample gives the reference's residuals byte for byte
-    on each seed; returns the pooled fault count."""
-    faults = 0
-    for seed in seeds:
-        got = rounds.sample(trials, np.random.default_rng(seed))
-        want = dense_rounds(rounds, trials, np.random.default_rng(seed))
-        assert got.dtype == np.uint8 and got.shape == (trials,)
-        assert got.tobytes() == want.tobytes(), seed
-        faults += int(np.count_nonzero(want))
-    return faults
+# a gate point runs at least GATE_TRIALS trials, and more where the exact
+# law expects fewer than GATE_FAULTS faults.  With 30 expected faults the
+# exact count check at GATE_ALPHA fails with probability 0.9 when the fault
+# rate is 2.2 times too high or 0.22 times too low; where faults are common,
+# 2000 trials put a fault rate off by 0.1 about 9 sigma away
+GATE_FAULTS = 30
+GATE_TRIALS = 2000
+# trials per dense_rounds call, which bounds its register to 12.5 MB at 625
+# qubits
+DENSE_CHUNK = 20_000
+
+
+def per_trial(rounds, f):
+    """rounds with f applied to each array of it that has a trial axis."""
+    return _Rounds(*(a if a is None or np.ndim(a) < 2 else f(a) for a in (
+        rounds.durations, rounds.rate_r, rounds.kicks)))
+
+
+def class_counts(residuals):
+    return np.bincount(residuals, minlength=4)
+
+
+def dense_counts(rounds, trials, gen):
+    """Residual class counts of dense_rounds on `trials` trials, drawn
+    DENSE_CHUNK trials at a time (the trials are independent)."""
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, trials, DENSE_CHUNK):
+        rows = slice(start, min(trials, start + DENSE_CHUNK))
+        part = per_trial(rounds, lambda a: a[rows])
+        counts += class_counts(dense_rounds(part, rows.stop - start, gen))
+    return counts
+
+
+def gate_p_values(rounds, reps, seed):
+    """p-values of _Rounds.sample's residual classes, with each trial of
+    rounds (one, when it has no trial axis) repeated reps times: the fault
+    count and each of the X, Z and Y counts against the exact law
+    (count_p_value), and the four class counts against dense_rounds on as
+    many trials (chi2_table)."""
+    weights = np.atleast_1d(rounds.exact())
+    if rounds.durations.ndim == 2:
+        rounds = per_trial(rounds, lambda a: np.tile(a, (reps, 1)))
+    trials = weights.size * reps
+    got = rounds.sample(trials, np.random.default_rng([seed, 0]))
+    assert got.dtype == np.uint8 and got.shape == (trials,)
+    counts = class_counts(got)
+    want = dense_counts(rounds, trials, np.random.default_rng([seed, 1]))
+    out = {"dense": chi2_table([counts, want])[2],
+           "faults": count_p_value(int(trials - counts[0]),
+                                   [(reps, w) for w in weights])}
+    for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+        out[label] = count_p_value(int(counts[code]),
+                                   [(reps, w / 3.0) for w in weights])
+    return out
+
+
+def reps_for(rounds):
+    """Repeats of rounds' trials that make at least GATE_TRIALS trials and
+    expect at least GATE_FAULTS faults."""
+    weights = np.atleast_1d(rounds.exact())
+    return max(math.ceil(GATE_TRIALS / weights.size),
+               math.ceil(GATE_FAULTS / float(weights.sum())))
 
 
 # durations at rate 1 whose storage weight -0.75 expm1(-t) is the cut
@@ -463,18 +515,21 @@ def test_cut_durations_straddle_the_cut():
     assert BELOW_CUT - 2 * np.spacing(BELOW_CUT) < below < SPARSE_WEIGHT
 
 
-# storage weights 0.0037 (the circuit point), two below the cut, the cut,
-# and 0.3
+# storage weights 0.0037 (the circuit point: about 2e5 trials for
+# GATE_FAULTS), two below the cut, the cut, and 0.3 (where the fresh blocks,
+# at P(>= 2 hits) = 0.47, take the dense draw)
 @pytest.mark.parametrize("t", [0.005, T_BELOW_CUT, T_CUT, -math.log1p(-0.4)],
                          ids=["circuit", "below_cut", "cut", "dense"])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_rounds_sample_matches_dense_register(levels, t):
-    faults = faults_if_dense_equal(_Rounds(np.full(levels, t), 1.0), 400)
-    assert faults > 0 or t == 0.005
+    rounds = _Rounds(np.full(levels, t), 1.0)
+    p_values = gate_p_values(rounds, reps_for(rounds), 90 + levels)
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
 
 
-# per-trial storage durations, and kicks whose largest weight (trial 0's)
-# is 0, below the cut, the float below it, the cut, and 0.5
+# 300 trials of per-trial storage durations and kicks, each repeated as
+# reps_for says; the kicks' largest weight (trial 0's) is 0, below the cut,
+# the float below it, the cut, and 0.5
 @pytest.mark.parametrize("kick", [0.0, 0.02, BELOW_CUT, SPARSE_WEIGHT, 0.5])
 @pytest.mark.parametrize("longest", [0.02, 0.5])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -484,22 +539,109 @@ def test_rounds_sample_with_kicks_matches_dense_register(levels, longest,
     durations = gen.uniform(0.0, longest, (300, levels))
     kicks = gen.uniform(0.0, kick, (300, levels))
     kicks[0] = kick
-    faults = faults_if_dense_equal(_Rounds(durations, 1.0, kicks), 300)
-    assert faults > 0 or (kick < 0.1 and longest < 0.1)
+    rounds = _Rounds(durations, 1.0, kicks)
+    p_values = gate_p_values(rounds, reps_for(rounds), 100 + levels)
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
+
+
+# one-trial calls, SINGLE_CALLS a configuration: the storage weights of
+# test_rounds_sample_matches_dense_register (0.5 for the dense one), and
+# kicks below the cut, at it and at 0.5 over storage at 0.02
+SINGLE_CALLS = 60
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_rounds_sample_single_trial_matches_dense_register(levels):
-    seeds = range(30)
-    faults = 0
-    for t in (0.005, T_BELOW_CUT, T_CUT, 0.5):
-        faults += faults_if_dense_equal(_Rounds(np.full(levels, t), 1.0), 1,
-                                        seeds)
-    for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5):
-        rounds = _Rounds(np.full((1, levels), 0.02), 1.0,
-                         np.full((1, levels), kick))
-        faults += faults_if_dense_equal(rounds, 1, seeds)
-    assert faults > 0
+    configs = [_Rounds(np.full(levels, t), 1.0)
+               for t in (0.005, T_BELOW_CUT, T_CUT, 0.5)]
+    configs += [_Rounds(np.full((1, levels), 0.02), 1.0,
+                        np.full((1, levels), kick))
+                for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5)]
+    gen = np.random.default_rng([110 + levels, 0])
+    dense_gen = np.random.default_rng([110 + levels, 1])
+    got, want = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    for rounds in configs:
+        for _ in range(SINGLE_CALLS):
+            residual = rounds.sample(1, gen)
+            assert residual.dtype == np.uint8 and residual.shape == (1,)
+            got += class_counts(residual)
+        want += dense_counts(rounds, SINGLE_CALLS, dense_gen)
+    weights = [float(np.sum(rounds.exact())) for rounds in configs]
+    assert SINGLE_CALLS * sum(weights) > GATE_FAULTS
+    p_values = {"dense": chi2_table([got, want])[2],
+                "faults": count_p_value(int(got[1:].sum()), [
+                    (SINGLE_CALLS, w) for w in weights])}
+    for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+        p_values[label] = count_p_value(int(got[code]), [
+            (SINGLE_CALLS, w / 3.0) for w in weights])
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
+
+
+def fit_p_value(counts, probs):
+    """Chi-square goodness-of-fit p-value of class counts against class
+    probabilities.  Classes expected fewer than 5 times are pooled into one
+    class, and a class of probability 0 must be empty."""
+    counts = np.asarray(counts, dtype=float)
+    expected = np.asarray(probs, dtype=float) * counts.sum()
+    if np.any(counts[expected == 0.0]):
+        return 0.0
+    rare = expected < 5.0
+    counts = np.append(counts[~rare], counts[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    counts, expected = counts[expected > 0.0], expected[expected > 0.0]
+    if counts.size < 2:
+        return 1.0
+    return chi2_sf(float(((counts - expected) ** 2 / expected).sum()),
+                   counts.size - 1)
+
+
+def test_merge_xors_hit_lists():
+    # a cell in both lists takes the XOR of its codes, and leaves the list
+    # when they cancel
+    X, Z, Y = 1, 2, 3
+    codes = np.array([X, Z, Y], dtype=np.uint8)
+    new_codes = np.array([Y, Y, Y, X], dtype=np.uint8)
+    cells, merged = _merge(np.array([1, 3, 7]), codes,
+                           np.array([0, 3, 7, 9]), new_codes)
+    assert cells.tolist() == [0, 1, 3, 9]
+    assert merged.tolist() == [Y, X, Z ^ Y, X]
+    empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8)
+    for one, other in ((empty, (cells, merged)), ((cells, merged), empty)):
+        got = _merge(*one, *other)
+        assert got[0].tolist() == cells.tolist()
+        assert got[1].tolist() == merged.tolist()
+
+
+def test_fresh_frames_follow_binomial_given_two_hits():
+    # the frames of fresh blocks: hit counts from Binomial(5, p) given >= 2,
+    # every subset of sites of a count equally likely, and each hit an
+    # X, Z or Y alike; at one weight for the call, and at one per block
+    gen = np.random.default_rng(74)
+    cases = [(0.0037, _fresh_frames(_tails(0.0037), 40_000, gen))]
+    weights = np.tile([0.05, 0.3, 1.0], 20_000)
+    frames = _fresh_frames(_tails(weights), weights.size, gen)
+    assert frames.dtype == np.uint8 and frames.shape == (weights.size, BLOCK)
+    cases += [(p, frames[weights == p]) for p in (0.05, 0.3, 1.0)]
+    masks = np.arange(2 ** BLOCK)
+    sizes = np.array([bin(m).count("1") for m in masks])
+    for p, frames in cases:
+        hits = frames != 0
+        count = hits.sum(axis=1)
+        assert count.min() >= 2
+        law = np.array([math.comb(BLOCK, k) * p ** k * (1 - p) ** (BLOCK - k)
+                        for k in range(BLOCK + 1)])
+        law[:2] = 0.0
+        p_values = {
+            "count": fit_p_value(np.bincount(count, minlength=BLOCK + 1),
+                                 law / law.sum()),
+            "code": fit_p_value(np.bincount(frames[hits], minlength=4)[1:],
+                                [1 / 3] * 3)}
+        subsets = np.bincount(hits @ (1 << np.arange(BLOCK)), minlength=32)
+        for k in range(2, BLOCK):
+            p_values[f"sites_{k}"] = fit_p_value(
+                subsets[sizes == k], np.full(math.comb(BLOCK, k),
+                                             1 / math.comb(BLOCK, k)))
+        assert min(p_values.values()) >= GATE_ALPHA, (p, p_values)
 
 
 def test_circuit_six_levels_in_hit_lists():
@@ -625,12 +767,15 @@ def test_clock_controlled_pinned_digest():
 
 
 def test_clock_controlled_pinned_counts():
-    # pass 2 (code-qubit noise), recorded from the one-shot frame sampler:
-    # dense draws for the storage noise (weight about 0.19) and the level-2
-    # kicks (largest weight 0.046), sparse ones for the level-1 kicks
-    # (largest weight 0.0295, below pauli.SPARSE_WEIGHT)
+    # pass 2 (code-qubit noise), recorded from the rounds that draw only the
+    # blocks that can fail: dense draws for the fresh blocks (storage weight
+    # about 0.19, so P(>= 2 hits of 5) about 0.25) and the level-2 kicks
+    # (largest weight 0.046), sparse ones for the level-1 kicks (largest
+    # weight 0.0295, below pauli.SPARSE_WEIGHT).  The 34 faults of the 57
+    # decoded trials sit at a two-sided exact tail of 0.89 against the 35.0
+    # their exact channels expect
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
-    assert est.counts.tolist() == [21, 15, 11, 17]
+    assert est.counts.tolist() == [23, 13, 9, 19]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
@@ -683,6 +828,24 @@ def test_trials_below_one_rejected_before_any_draw(params, simulate, trials):
         simulate(params, trials, gen)
     assert gen.bit_generator.state == np.random.default_rng(
         65).bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("strategy", [None, "unprotected", "circuit"],
+                         ids=["simulate_unprotected", "scan_unprotected",
+                              "scan_circuit"])
+def test_unprotected_and_scans_reject_trials_below_one(strategy, trials):
+    # checked before any draw, which would otherwise end in an IndexError
+    # (0 trials) or a negative dimension (-1)
+    params = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.02)
+    gen = np.random.default_rng(67)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        if strategy is None:
+            simulate_unprotected(0.5, params, trials, gen)
+        else:
+            lifetime_scan(strategy, params, 0.9, trials, gen)
+    assert gen.bit_generator.state == np.random.default_rng(
+        67).bit_generator.state
 
 
 def test_clock_past_live_interval_budget_is_infeasible():
