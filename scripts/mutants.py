@@ -31,12 +31,13 @@ HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
 
-# the XOR of two hit lists, on cells in both
-MERGE_CHECK = "tests/test_protocols.py::test_merge_xors_hit_lists"
-
 # the frames of fresh blocks against Binomial(5, p) given >= 2 hits
 FRESH_CHECK = ("tests/test_protocols.py::"
                "test_fresh_frames_follow_binomial_given_two_hits")
+
+# the exact law against the kicks composed in the order they act in
+COMPOSE_CHECK = ("tests/test_protocols.py::"
+                 "test_rounds_exact_composes_each_kick_into_the_next_round")
 
 # the sampled clock faults against the exact channels, at power >= 0.99
 # against both mutations of _Rounds.exact below
@@ -83,8 +84,10 @@ MUTANTS = {
     # the exact logical channel at 1.5 times the storage noise rate
     "rounds_exact_rate_1_5x": (
         "protocols.py",
-        "q = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])",
-        "q = -0.75 * np.expm1(-1.5 * self.rate_r * self.durations[..., j])",
+        "        weights, last = self._noise()\n"
+        "        w = 0.0\n",
+        "        weights, last = replace(self, rate_r=1.5 * self.rate_r)._noise()\n"
+        "        w = 0.0\n",
         ["tests/test_protocols.py",
          KICK_CHECK,
          "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
@@ -92,19 +95,28 @@ MUTANTS = {
     # the exact logical channel without the clock's decode kicks
     "rounds_exact_no_kicks": (
         "protocols.py",
-        "            if self.kicks is not None:\n"
-        "                w = _depolarized(w, self.kicks[:, j])",
-        "            if False:\n"
-        "                w = _depolarized(w, self.kicks[:, j])",
+        "        weights, last = self._noise()\n"
+        "        w = 0.0\n",
+        "        weights, last = replace(self, kicks=None)._noise()\n"
+        "        w = 0.0\n",
         ["tests/test_protocols.py",
          KICK_CHECK,
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
-    # a cell hit twice keeps its newer code instead of the XOR of both
-    "hits_merge_keeps_newer": (
+    # each kick composed into the noise of its own round, before its
+    # decode, in the sampler and the exact law alike
+    "rounds_kick_before_its_decode": (
         "protocols.py",
-        "codes = np.bitwise_xor.reduceat(codes, starts)",
-        "codes = codes[np.append(starts[1:], codes.size) - 1]",
-        [*HIT_GATE, MERGE_CHECK]),
+        "np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))",
+        "self.kicks",
+        [*HIT_GATE, COMPOSE_CHECK,
+         "tests/test_protocols.py::test_clock_exact_channel_composes_kicks"]),
+    # the last kick left out, in the sampler and the exact law alike
+    "rounds_last_kick_dropped": (
+        "protocols.py",
+        "self.kicks[:, -1])",
+        "None)",
+        [*HIT_GATE, COMPOSE_CHECK,
+         "tests/test_protocols.py::test_clock_exact_channel_composes_kicks"]),
     # a residual's site read from the block's digit instead of the cell's,
     # so two residuals of one touched block land on one site
     "hits_site_wrong_digit": (
@@ -155,12 +167,6 @@ MUTANTS = {
         "        redo -= redo % shape[-1]\n"
         "        redo += gen.integers(0, shape[-1], redo.size)\n",
         ["tests/test_pauli.py::test_sparse_draw_matches_dense_draw"]),
-    # the kick drawn on the register before the decode, five times wider
-    "hits_kick_pre_decode_width": (
-        "protocols.py",
-        "(trials, width), self.kicks[:, j], gen)",
-        "(trials, width * BLOCK), self.kicks[:, j], gen)",
-        HIT_GATE),
     # two weight-2 failing strings, of classes X and Z, trade residuals:
     # every count, the 256-string classes and b_exact stay as they are
     "decoder_residuals_swapped": (

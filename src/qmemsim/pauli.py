@@ -20,19 +20,18 @@ lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
 `sample_cumulative_frames` at weight p = 3(1 - e^{-rt})/4 (X, Y, Z each
 with probability p/3); no event times or counts are sampled.
 
-Every frame draw goes through one hit draw, `_hits`, which returns the hit
-cells of a register in ascending flat order (`_hit_cells`) with one X, Y or
-Z code each; `_draw_frames` writes them into new zero frames, and the
-concatenated runs of protocols carry them as hit lists and choose with
-`_hit_cells` the blocks that take two hits or more.  The cell draw has two
-exact orders, chosen by the largest weight of the call.  Below
-SPARSE_WEIGHT (the low-noise regime the protection lives in, where a
-round's weight is a few 1e-3) it draws only the hit cells: a
+Every frame draw goes through one cell draw, `_hit_cells`, which returns
+the hit cells of a register in ascending flat order; `_draw_frames` gives
+each one X, Y or Z code in new zero frames, and the concatenated runs of
+protocols choose with `_hit_cells` the blocks that take two hits or more.
+The cell draw has two exact orders, chosen by the largest weight of the
+call.  Below SPARSE_WEIGHT (the low-noise regime the protection lives in,
+where a round's weight is a few 1e-3) it draws only the hit cells: a
 Binomial(n, p_i) hit count per row (a scalar weight makes the register one
 row), and that many uniform cells of the row with the collisions redrawn
 until distinct.  At or above it, it draws one uniform per cell.  Either way
-`_hits` then draws one uniform X, Y or Z per hit cell in ascending order.
-The two have the same law but not the same random stream.
+`_draw_frames` then draws one uniform X, Y or Z per hit cell in ascending
+order.  The two have the same law but not the same random stream.
 
 Classical bits under the same noise flip at rate r/2 (the X/Y half of the
 events), so a bit's value after time t is flipped with probability
@@ -52,7 +51,7 @@ CODE_LABELS = "IXZY"
 
 _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
 
-#: _hits draws only the hit cells when every weight of a call is below
+#: _hit_cells draws only the hit cells when every weight of a call is below
 #: this.  The sparse draw (one row under a scalar weight) beats the dense
 #: one up to p of about 0.085-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125
 #: cells; 1/32 leaves a margin for hosts where the crossover falls lower.
@@ -78,22 +77,16 @@ def frame_to_label(frame):
 
 def _draw_frames(shape, p, rng):
     """New uint8 frames of shape (trials, n) with X, Y or Z, each with
-    probability p/3, at every cell: one `_hits` draw, in either of its two
-    orders.  p is a scalar or a per-trial array (trials,), each weight in
+    probability p/3, at every cell: the hit cells (`_hit_cells`, in either
+    of its two orders), then one uniform X, Y or Z per hit in ascending
+    order.  p is a scalar or a per-trial array (trials,), each weight in
     [0, 1].
     """
+    gen = np.random.default_rng(rng)
     frames = np.zeros(shape, dtype=np.uint8)
-    cells, codes = _hits(shape, p, np.random.default_rng(rng))
-    frames.flat[cells] = codes
-    return frames
-
-
-def _hits(shape, p, gen):
-    """The hit cells of a (rows, n) register under depolarizing weight p (a
-    scalar or one per row): their ascending flat indices (`_hit_cells`),
-    then one uniform X, Y or Z code (uint8) per hit in that order."""
     cells = _hit_cells(shape, p, gen)
-    return cells, gen.integers(1, 4, cells.size, dtype=np.uint8)
+    frames.flat[cells] = gen.integers(1, 4, cells.size, dtype=np.uint8)
+    return frames
 
 
 def _hit_cells(shape, p, gen):

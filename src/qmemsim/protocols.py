@@ -29,17 +29,21 @@ occupied for a total of t_dec (or the final window exit, if total occupancy
 T_l falls short), and the drive mistiming |T_l - t_dec| converts into an
 independent depolarizing kick of probability min(1, e^{h_norm |T_l - t_dec|} - 1)
 on each decoded qubit.  Pass 2 replays noise on the code qubits between
-decode instants; decoded-away qubits stop being tracked.  A level whose
-window is never entered at all, or whose decode instants come out of order
-(possible only on non-good trajectories), aborts the trial: it is tallied as
+decode instants; decoded-away qubits stop being tracked.  A kick and the
+next round's storage noise act on the same qubits and are both
+depolarizing, so pass 2 draws them as one noise of the composed weight,
+and the last kick on the last qubit.  A level whose window is never
+entered at all, or whose decode instants come out of order (possible only
+on non-good trajectories), aborts the trial: it is tallied as
 decode_failure and counted as a full logical fault.
 
 Exact channel.  Blocks are disjoint, their noise is i.i.d. depolarizing,
 and decoding a depolarized block gives a depolarized logical qubit (see
 fivequbit).  So the logical channel is one fault weight w, exact round by
-round: the round's noise of weight q takes w to w + q (1 - 4w/3), the
-decode applies b_exact, and the kick composes like the noise.  A
-clock-controlled run has one such weight per trial, given its pass-1 record.
+round: the round's noise of weight q (its kick included) takes w to
+w + q (1 - 4w/3), the decode applies b_exact, and the last kick composes
+like the noise.  A clock-controlled run has one such weight per trial,
+given its pass-1 record.
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
                     refinement_pays, sample_passages, sample_trajectory,
                     window_passage, window_schedule)
 from .fivequbit import BLOCK, b_exact, decode_blocks
-from .pauli import (_draw_frames, _hit_cells, _hits,
-                    sample_cumulative_frames)
+from .pauli import _draw_frames, _hit_cells, sample_cumulative_frames
 from .stats import affine_fit
 
 _LN2 = math.log(2.0)
@@ -216,23 +219,6 @@ def _firsts(values):
     return first
 
 
-def _merge(cells, codes, new_cells, new_codes):
-    """XOR of two hit lists (ascending flat cells, nonzero codes, each cell
-    at most once per list): one hit list, without the cells that cancel."""
-    if not new_cells.size:
-        return cells, codes
-    if not cells.size:
-        return new_cells, new_codes
-    cells = np.concatenate((cells, new_cells))
-    codes = np.concatenate((codes, new_codes))
-    order = np.argsort(cells, kind="stable")
-    cells, codes = cells[order], codes[order]
-    starts = np.flatnonzero(_firsts(cells))
-    codes = np.bitwise_xor.reduceat(codes, starts)
-    keep = codes != 0
-    return cells[starts][keep], codes[keep]
-
-
 def _tails(p):
     """P(at least k of a block's five cells are hit) at weight p, for
     k = 1..5 along a new last axis; each is summed from five hits down, so
@@ -270,6 +256,17 @@ class _Rounds:
     rate_r: float
     kicks: np.ndarray | None = None  # (trials, levels)
 
+    def _noise(self):
+        """Each round's noise weight (..., levels) and the last kick
+        ((trials,), None without kicks).  The kick after round j's decode
+        and round j + 1's storage noise depolarize the same register, so
+        they are one depolarizing noise, of the composed weight."""
+        q = -0.75 * np.expm1(-self.rate_r * self.durations)
+        if self.kicks is None:
+            return q, None
+        return (_depolarized(q, np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))),
+                self.kicks[:, -1])
+
     def sample(self, trials: int, gen) -> np.ndarray:
         """Residual code (trials,) of the last qubit, from Pauli frames.
 
@@ -278,7 +275,7 @@ class _Rounds:
         their codes.  The block of cell c is c // 5, which is also its
         decoded qubit's cell one level up.  A frame of weight 1 or 0
         decodes to I, so each round draws only two kinds of block, whose
-        noises are independent:
+        noises (_noise, a kick included) are independent:
 
         * a touched block, one that carries a residual: its five cells
           take the round's noise (pauli._draw_frames at its trial's
@@ -288,15 +285,15 @@ class _Rounds:
           register at weight P(>= 2 hits of 5), less the touched ones, and
           each gets its frame from _fresh_frames.
 
-        Both are decoded with decode_blocks, and the kicks are merged into
-        the decoded hit list.
+        Both are decoded with decode_blocks.  The last kick is drawn on the
+        last qubit alone.
         """
-        levels = self.durations.shape[-1]
-        width = BLOCK ** levels
+        weights, last = self._noise()
+        width = BLOCK ** weights.shape[-1]
         cells = np.zeros(0, dtype=np.intp)
         codes = np.zeros(0, dtype=np.uint8)
-        for j in range(levels):
-            p = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
+        for j in range(weights.shape[-1]):
+            p = weights[..., j]
             tails = _tails(p)
             width //= BLOCK
             fresh = _hit_cells((trials, width), tails[..., 1], gen)
@@ -321,23 +318,32 @@ class _Rounds:
             cells = np.concatenate((touched, fresh))[keep]
             order = np.argsort(cells)
             cells, codes = cells[order], residuals[keep][order]
-            if self.kicks is not None:
-                cells, codes = _merge(cells, codes, *_hits(
-                    (trials, width), self.kicks[:, j], gen))
         out = np.zeros(trials, dtype=np.uint8)
         out[cells] = codes
+        if last is not None:
+            out ^= _draw_frames((trials, 1), last, gen)[:, 0]
         return out
 
     def exact(self):
         """Exact fault weight of that residual, one entry per trial axis;
         the residual is depolarizing, so this is its whole law."""
+        weights, last = self._noise()
         w = 0.0
-        for j in range(self.durations.shape[-1]):
-            q = -0.75 * np.expm1(-self.rate_r * self.durations[..., j])
+        for q in weights.T:
             w = b_exact(_depolarized(w, q))
-            if self.kicks is not None:
-                w = _depolarized(w, self.kicks[:, j])
-        return w
+        return w if last is None else _depolarized(w, last)
+
+
+def _check_trials(trials: int, levels: int) -> None:
+    """Refuse, before any draw, fewer than one trial or a trials x 5^levels
+    register with more cells than int64 can index."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cells = trials * BLOCK ** levels
+    if cells >= 2 ** 63:
+        raise ScheduleInfeasibleError(
+            f"trials x 5^levels = {cells} register cells, at or above the "
+            "int64 limit 2^63")
 
 
 def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
@@ -348,8 +354,7 @@ def simulate_unprotected(t: float, params: ProtocolParams, trials: int,
     drawn: the result, and its random stream, do not depend on levels."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, 0)
     frames = sample_cumulative_frames(1, t, params.rate_r, trials, rng)
     weight = -0.75 * math.expm1(-params.rate_r * t)
     return estimate_logical_channel(frames[:, 0], exact=_law(weight))
@@ -451,8 +456,7 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
         raise ValueError("circuit model needs at least one level")
     if params.t_prot is None:
         raise ValueError("t_prot is required")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, params.levels)
     rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
                      params.rate_r)
     return estimate_logical_channel(
@@ -502,8 +506,7 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         raise ValueError("clock strategy needs at least one level")
     if params.t_prot is None or params.t_dec is None:
         raise ValueError("t_prot and t_dec are required")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, params.levels)
     if params.delta >= min(params.t_prot, params.t_dec) / 10.0:
         raise ScheduleInfeasibleError(
             "clock accuracy delta must stay below min(t_prot, t_dec)/10")
@@ -578,8 +581,7 @@ def lifetime_scan(strategy: str, params: ProtocolParams, fidelity_floor: float,
     """
     if not 1.0 / 3.0 < fidelity_floor < 1.0:
         raise ValueError("fidelity_floor must lie in (1/3, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, 0)
     gen = np.random.default_rng(rng)
     points = []
     if strategy == "unprotected":

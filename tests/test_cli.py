@@ -659,6 +659,21 @@ def test_main_infeasible_schedule_exit(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("sub, levels, cells", [
+    ("memory-sim", {"levels": 40}, 10 * 5 ** 40),
+    ("lifetime-scan", {"levels_list": [1, 30]}, 10 * 5 ** 30)])
+def test_main_register_past_int64_exit(tmp_path, capsys, sub, levels, cells):
+    # trials x 5^levels register cells at or past 2^63, which int64 cell
+    # indices cannot reach, exit 2 with the product named
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": sub, "strategy": "circuit",
+                                "t_prot": 0.005, "trials": 10, **levels}))
+    code, stdout, stderr = run_main(capsys, [sub, "--config", str(path)])
+    assert code == EXIT_INFEASIBLE and not stdout, stderr
+    assert stderr.startswith("infeasible parameters: ")
+    assert f"= {cells} register cells" in stderr
+
+
 def test_main_clock_past_live_interval_budget_exit(tmp_path, capsys):
     # K just below MAX_BITS at the criterion-6 schedule: pass 1 predicts
     # more live intervals per path than clock.LIVE_INTERVALS and exits 2

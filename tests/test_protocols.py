@@ -42,7 +42,7 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
-                               _fresh_frames, _kick_probability, _merge,
+                               _fresh_frames, _kick_probability,
                                _Rounds, _tails)
 from qmemsim.stats import wilson_interval
 
@@ -595,23 +595,6 @@ def fit_p_value(counts, probs):
                    counts.size - 1)
 
 
-def test_merge_xors_hit_lists():
-    # a cell in both lists takes the XOR of its codes, and leaves the list
-    # when they cancel
-    X, Z, Y = 1, 2, 3
-    codes = np.array([X, Z, Y], dtype=np.uint8)
-    new_codes = np.array([Y, Y, Y, X], dtype=np.uint8)
-    cells, merged = _merge(np.array([1, 3, 7]), codes,
-                           np.array([0, 3, 7, 9]), new_codes)
-    assert cells.tolist() == [0, 1, 3, 9]
-    assert merged.tolist() == [Y, X, Z ^ Y, X]
-    empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8)
-    for one, other in ((empty, (cells, merged)), ((cells, merged), empty)):
-        got = _merge(*one, *other)
-        assert got[0].tolist() == cells.tolist()
-        assert got[1].tolist() == merged.tolist()
-
-
 def test_fresh_frames_follow_binomial_given_two_hits():
     # the frames of fresh blocks: hit counts from Binomial(5, p) given >= 2,
     # every subset of sites of a count equally likely, and each hit an
@@ -726,6 +709,36 @@ def test_clock_exact_channel_composes_kicks():
     assert np.array_equal(diag.channels[ok], channels[ok])
 
 
+def kicked_after_decode(rounds):
+    """Exact fault weight in the order the noise acts: storage, decode,
+    then the kick, round by round, each composition written out as
+    w + q (1 - 4w/3)."""
+    w = 0.0
+    for j in range(rounds.durations.shape[-1]):
+        q = -0.75 * np.expm1(-rounds.rate_r * rounds.durations[:, j])
+        w = b_exact(w + q * (1.0 - 4.0 * w / 3.0))
+        k = rounds.kicks[:, j]
+        w = w + k * (1.0 - 4.0 * w / 3.0)
+    return w
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_rounds_exact_composes_each_kick_into_the_next_round(levels):
+    # _Rounds takes each kick as part of the next round's noise; the law is
+    # the one of a kick after its own decode, at nonzero storage, with a
+    # saturated kick (1.0) and a noiseless trial among the random ones
+    gen = np.random.default_rng(75 + levels)
+    durations = gen.uniform(0.0, 0.05, (200, levels))
+    kicks = gen.uniform(0.0, 0.05, (200, levels))
+    kicks[0] = 1.0
+    durations[1], kicks[1] = 0.0, 0.0
+    rounds = _Rounds(durations, 1.0, kicks)
+    got = rounds.exact()
+    assert got.shape == (200,) and got[1] == 0.0
+    np.testing.assert_allclose(got, kicked_after_decode(rounds), rtol=1e-13,
+                               atol=0.0)
+
+
 def test_clock_controlled_two_levels_ordered():
     params = ProtocolParams(rate_r=1.0, levels=2, t_prot=0.5, t_dec=0.3,
                             delta=0.02, epsilon=0.3, clock_bits=4096)
@@ -768,14 +781,14 @@ def test_clock_controlled_pinned_digest():
 
 def test_clock_controlled_pinned_counts():
     # pass 2 (code-qubit noise), recorded from the rounds that draw only the
-    # blocks that can fail: dense draws for the fresh blocks (storage weight
-    # about 0.19, so P(>= 2 hits of 5) about 0.25) and the level-2 kicks
-    # (largest weight 0.046), sparse ones for the level-1 kicks (largest
-    # weight 0.0295, below pauli.SPARSE_WEIGHT).  The 34 faults of the 57
-    # decoded trials sit at a two-sided exact tail of 0.89 against the 35.0
-    # their exact channels expect
+    # blocks that can fail, with each level-1 kick composed into round 2's
+    # noise.  Every draw is dense: the round weights are 0.17-0.26, so
+    # P(>= 2 hits of 5) 0.19-0.39, and the last kicks, drawn on the last
+    # qubit, reach 0.046, above pauli.SPARSE_WEIGHT.  The 40 faults of the
+    # 57 decoded trials sit at a two-sided exact tail of 0.21 against the
+    # 35.0 their exact channels expect
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
-    assert est.counts.tolist() == [23, 13, 9, 19]
+    assert est.counts.tolist() == [17, 14, 14, 19]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
@@ -846,6 +859,18 @@ def test_unprotected_and_scans_reject_trials_below_one(strategy, trials):
             lifetime_scan(strategy, params, 0.9, trials, gen)
     assert gen.bit_generator.state == np.random.default_rng(
         67).bit_generator.state
+
+
+@pytest.mark.parametrize("simulate", [simulate_circuit_model,
+                                      simulate_clock_controlled])
+def test_register_past_int64_rejected_before_any_draw(simulate):
+    # 2 x 5^27 = 1.49e19 register cells, just past 2^63 = 9.22e18, which
+    # int64 cell indices cannot reach
+    gen = np.random.default_rng(68)
+    with pytest.raises(ScheduleInfeasibleError, match=f"= {2 * 5 ** 27} "):
+        simulate(replace(PINNED, levels=27), 2, gen)
+    assert gen.bit_generator.state == np.random.default_rng(
+        68).bit_generator.state
 
 
 def test_clock_past_live_interval_budget_is_infeasible():
