@@ -31,6 +31,11 @@ HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
 
+# the circuit model above threshold (t_prot 0.08, 3 levels), where many
+# touched blocks also draw fresh ones, against the exact law
+ABOVE_GATE = ("tests/test_protocols.py::"
+              "test_circuit_above_threshold_matches_exact_law")
+
 # the frames of fresh blocks against Binomial(5, p) given >= 2 hits
 FRESH_CHECK = ("tests/test_protocols.py::"
                "test_fresh_frames_follow_binomial_given_two_hits")
@@ -91,6 +96,7 @@ MUTANTS = {
         ["tests/test_protocols.py",
          KICK_CHECK,
          "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
+         "tests/test_acceptance.py::test_criterion_5_exact_count_with_power",
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
     # the exact logical channel without the clock's decode kicks
     "rounds_exact_no_kicks": (
@@ -124,12 +130,12 @@ MUTANTS = {
         "frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes",
         "frames[np.cumsum(first) - 1, blocks % BLOCK] ^= codes",
         HIT_GATE),
-    # a fresh block's last hit left out of its frame, so a block of two
-    # hits decodes as a block of one
+    # a fresh block's frame drawn with one hit fewer than its count, so a
+    # block of two hits decodes as a block of one
     "rounds_shared_drops_last_hit": (
         "protocols.py",
-        "axis=-1) < count[:, None]",
-        "axis=-1) < count[:, None] - 1",
+        "lo, hi = starts[count], starts[count + 1]",
+        "lo, hi = starts[count - 1], starts[count]",
         [*HIT_GATE, FRESH_CHECK]),
     # a fresh block's hit count drawn given >= 1 hit, while the fresh
     # blocks are still chosen at P(>= 2 hits)
@@ -143,17 +149,28 @@ MUTANTS = {
         "protocols.py",
         "                frames = _draw_frames((touched.size, BLOCK), p if not p.ndim\n"
         "                                      else p[touched // width], gen)\n",
-        "                frames = _fresh_frames(tails if not p.ndim else\n"
-        "                                       tails[touched // width],\n"
+        "                frames = _fresh_frames(tails[..., j, :] if not p.ndim\n"
+        "                                       else tails[touched // width, j],\n"
         "                                       touched.size, gen)\n",
         HIT_GATE),
     # a touched block also kept in the fresh choice, so it can take a
     # fresh frame on top of its own
     "touched_kept_fresh": (
         "protocols.py",
-        'mode="clip") != fresh]',
-        'mode="clip") >= 0]',
-        HIT_GATE),
+        'mode="clip") != new',
+        'mode="clip") >= 0',
+        [*HIT_GATE, ABOVE_GATE]),
+    # the exclusion of touched blocks from the fresh list dropped: the
+    # fresh blocks are looked up among the residual cells, one level down,
+    # instead of the touched blocks, so a touched block keeps its fresh
+    # frame and some other fresh blocks are lost.  Of a 1e4-trial call,
+    # about 270 blocks are both fresh and touched at t_prot 0.08, and about
+    # 0.04 at the circuit point, too few to see there
+    "fresh_excluded_by_cells": (
+        "protocols.py",
+        "free = touched.take(np.searchsorted(touched, new),",
+        "free = cells.take(np.searchsorted(cells, new),",
+        [ABOVE_GATE]),
     # a one-row draw redraws its collisions within their row of the
     # register, not anywhere in it.  The (100_000, 25) cases at the cut and
     # at 0.3 see it, and the (200_000, 5) case below the cut, where it

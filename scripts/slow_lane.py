@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/slow_lane.py
 
 pytest collects only tests/, so nothing here runs with the tier-1 suite.
-The script runs four checks and prints one line per result, then a JSON
+The script runs five checks and prints one line per result, then a JSON
 summary as the last line; it exits 1 if any check fails.
 
 1. The exactness gate of tests/test_passages.py at full size:
@@ -32,6 +32,13 @@ summary as the last line; it exits 1 if any check fails.
    fault count and each of the X, Z and Y counts against the exact law of
    _Rounds.exact (count_p_value, about 1500 expected faults a seed), each
    p-value at least GATE_ALPHA.
+5. The circuit rounds on both sides of the threshold t_prot* ~ 0.0408:
+   at each (t_prot, trials) of THRESHOLD_POINTS, levels 1 to 6 (5 to
+   15 625 qubits), the fault count and each of the X, Z and Y counts of
+   one simulate_circuit_model call against that level's exact law
+   (count_p_value), each p-value at least GATE_ALPHA.  Below the
+   threshold (0.02) the fault weight settles near 0.003; above it (0.08)
+   it climbs from 0.029 to 0.41.
 
 Every run checks the same sample sizes on every host.
 """
@@ -55,8 +62,8 @@ from distribution_gate import (BELOW_CUT, GATE_ALPHA,  # noqa: E402
                                passage_samplers)
 from qmemsim.bounds import feasibility_search  # noqa: E402
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
-from qmemsim.protocols import (ProtocolParams, lifetime_scan,  # noqa: E402
-                               simulate_circuit_model,
+from qmemsim.protocols import (ProtocolParams, _Rounds,  # noqa: E402
+                               lifetime_scan, simulate_circuit_model,
                                simulate_clock_controlled, with_sized_clock)
 
 GATE_TRIALS = 10_000       # trajectories a side per gate point and seed
@@ -76,6 +83,14 @@ FRAME_WEIGHTS = (1e-3, 0.0037, BELOW_CUT, 0.3)
 CIRCUIT_LEVELS = 4
 CIRCUIT_TRIALS = 10_000
 CIRCUIT_CALLS = 1_000
+
+# (t_prot, trials per level) on each side of the threshold, sized for tens
+# of faults at the smallest fault weight: 63 at 0.02 (0.0021 at level 1)
+# and 87 at 0.08 (0.029 at level 1).  At level 6 the 0.08 point's draw is
+# predicted at 104 MB, the largest circuit run here (a tenth of
+# protocols.MAX_DRAW_BYTES)
+THRESHOLD_POINTS = ((0.02, 30_000), (0.08, 3_000))
+THRESHOLD_LEVELS = (1, 2, 3, 4, 5, 6)
 
 # (K, epsilon, t_prot, t_dec): two windows each, and bands 1.5 to 2.2
 # sigma wide at t_max = 2 (t_prot + t_dec), so that 7% to 60% of the
@@ -230,18 +245,50 @@ def run_circuit():
     return results
 
 
+def run_threshold():
+    results = []
+    for t_prot, trials in THRESHOLD_POINTS:
+        gen = np.random.default_rng([6, round(t_prot * 1000)])
+        for level in THRESHOLD_LEVELS:
+            start = time.perf_counter()
+            est = simulate_circuit_model(
+                ProtocolParams(rate_r=1.0, levels=level, t_prot=t_prot),
+                trials, gen)
+            weight = float(_Rounds(np.full(level, t_prot), 1.0).exact())
+            faults = trials - int(est.counts[0])
+            p_values = {"faults": count_p_value(faults, [(trials, weight)])}
+            for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+                p_values[label] = count_p_value(int(est.counts[code]),
+                                                [(trials, weight / 3.0)])
+            ok = min(p_values.values()) >= GATE_ALPHA
+            seconds = time.perf_counter() - start
+            print(f"{'PASS' if ok else 'FAIL'} threshold t_prot={t_prot} "
+                  f"levels={level}: {faults} faults vs {trials * weight:.1f} "
+                  f"exact (weight {weight:.4g}), min p "
+                  f"{min(p_values.values()):.3g} "
+                  f"({min(p_values, key=p_values.get)}), {seconds:.2f} s",
+                  flush=True)
+            results.append({"t_prot": t_prot, "levels": level, "ok": ok,
+                            "trials": trials, "counts": est.counts.tolist(),
+                            "weight": weight, "p": p_values,
+                            "seconds": seconds})
+    return results
+
+
 def main() -> int:
     start = time.perf_counter()
     gate = run_gate()
     scaled = run_scaled()
     frames = run_frames()
     circuit = run_circuit()
-    ok = (all(g["ok"] for g in gate + frames + circuit)
+    threshold = run_threshold()
+    ok = (all(g["ok"] for g in gate + frames + circuit + threshold)
           and scaled["boundary_ok"] and scaled["slope_ok"])
     print(f"{'PASS' if ok else 'FAIL'} slow lane in "
           f"{time.perf_counter() - start:.0f} s", flush=True)
     print(json.dumps({"ok": ok, "gate": gate, "scaled": scaled,
-                      "frames": frames, "circuit": circuit},
+                      "frames": frames, "circuit": circuit,
+                      "threshold": threshold},
                      default=lambda value: value.item()))
     return 0 if ok else 1
 

@@ -127,8 +127,18 @@ def b_exact(p):
     the 90 weight-2 errors fail at second order.
 
     p may be an array with every entry in [0, 1]; each entry of the result
-    equals the scalar call at that entry bit for bit.
+    equals the scalar call at that entry bit for bit.  A scalar p (a Python
+    float, a numpy scalar or a 0-d array) takes the same sum, left to right,
+    in Python floats, and gives a float.
     """
+    if np.ndim(p) == 0:
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        total = 0.0
+        for w, n in enumerate(default_table().failing_weight_counts.tolist()):
+            total += n * (p / 3.0) ** w * (1.0 - p) ** (BLOCK - w)
+        return total
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must be in [0, 1]")

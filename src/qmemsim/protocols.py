@@ -18,10 +18,11 @@ represented, only the cumulative Pauli error per qubit, which is exact for
 stabilizer codes under Pauli noise and Clifford decoding.  The concatenated
 strategies hold each register as a hit list, the qubits that carry a
 non-identity Pauli and their codes.  A block with one hit or none decodes
-to the identity, so each round draws only the blocks that can decode to a
-fault: every block that carries a residual, cell by cell, and the other
-blocks that take two hits or more, chosen at P(>= 2 hits of 5) with their
-hits drawn from Binomial(5, p) given >= 2.
+to the identity, so a run draws only the blocks that can decode to a
+fault: the blocks without a residual that take two hits or more, chosen
+for every round at once at P(>= 2 hits of 5) with their hits drawn from
+Binomial(5, p) given >= 2, and, round by round, every block that carries a
+residual, cell by cell.
 
 Clock-controlled timing model.  Pass 1 resolves the clock: the trajectory is
 sampled, each level's decode time is the instant its window has been
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .bounds import TWO_PI, clock_size_for
 from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
                     refinement_pays, sample_passages, sample_trajectory,
                     window_passage, window_schedule)
-from .fivequbit import BLOCK, b_exact, decode_blocks
+from .fivequbit import BLOCK, N_STRINGS, b_exact, decode_blocks, unpack
 from .pauli import _draw_frames, _hit_cells, sample_cumulative_frames
 from .stats import affine_fit
 
@@ -229,16 +231,37 @@ def _tails(p):
     return np.cumsum(pmf[..., ::-1], axis=-1)[..., ::-1]
 
 
+@lru_cache(maxsize=1)
+def _strings_by_weight():
+    """The 1024 five-site Pauli strings as (1024, 5) codes in ascending
+    weight, and where each weight 0..5 starts (with the end last)."""
+    codes = unpack(np.arange(N_STRINGS))
+    weight = np.count_nonzero(codes, axis=1)
+    order = np.argsort(weight, kind="stable")
+    return codes[order], np.searchsorted(weight[order], np.arange(BLOCK + 2))
+
+
 def _fresh_frames(tails, size, gen):
     """(size, 5) frames of blocks known to hold two hits or more, at the
     weights whose _tails are tails (one row, or one per block): a hit count
-    from Binomial(5, p) given >= 2 by inversion, a uniform subset of that
-    many sites (those a uniform permutation sends below the count), and a
-    uniform X, Y or Z on each."""
+    from Binomial(5, p) given >= 2 by inversion, then a uniform string of
+    that weight, since every string of a weight is as likely as another."""
     v = gen.random((size, 1)) * tails[..., 1, None]
     count = np.count_nonzero(v < tails, axis=-1)
-    sites = np.argsort(gen.random((size, BLOCK)), axis=-1) < count[:, None]
-    return gen.integers(1, 4, (size, BLOCK), dtype=np.uint8) * sites
+    strings, starts = _strings_by_weight()
+    lo, hi = starts[count], starts[count + 1]
+    return strings[lo + (gen.random(size) * (hi - lo)).astype(np.intp)]
+
+
+# the most bytes _Rounds.sample may be predicted to allocate at its peak; a
+# sample predicted past it is infeasible, before its first draw
+MAX_DRAW_BYTES = 2 ** 30
+
+# bytes per cell that _Rounds.sample's fresh-block draw is expected to hit,
+# at the peak of the call: tracemalloc reads 169 at every weight below
+# pauli.SPARSE_WEIGHT, and the draw of one uniform per cell at or above it
+# (P(>= 2 hits of 5) >= 1/32) peaks at 9 bytes a cell, at most 288 a hit
+FRESH_HIT_BYTES = 300
 
 
 @dataclass(frozen=True)
@@ -267,62 +290,98 @@ class _Rounds:
         return (_depolarized(q, np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))),
                 self.kicks[:, -1])
 
-    def sample(self, trials: int, gen) -> np.ndarray:
-        """Residual code (trials,) of the last qubit, from Pauli frames.
+    def sample(self, trials: int, gen):
+        """Hit list (cells, codes) of the last qubit: the ascending trials
+        whose residual is not I, and their residual codes.
 
         The trials x 5^levels register is held as its hit list: the
         ascending flat cells (trial * width + qubit) that carry a Pauli, and
         their codes.  The block of cell c is c // 5, which is also its
         decoded qubit's cell one level up.  A frame of weight 1 or 0
-        decodes to I, so each round draws only two kinds of block, whose
+        decodes to I, so each round decodes only two kinds of block, whose
         noises (_noise, a kick included) are independent:
 
-        * a touched block, one that carries a residual: its five cells
-          take the round's noise (pauli._draw_frames at its trial's
-          weight) and the residual is XORed in;
-        * a fresh block, one that does not, with two hits or more: the
-          fresh blocks are the hit cells (pauli._hit_cells) of the block
-          register at weight P(>= 2 hits of 5), less the touched ones, and
-          each gets its frame from _fresh_frames.
+        * a fresh block, one that carries no residual, with two hits or
+          more.  The fresh blocks of every round are drawn before the first
+          decode, from one register that holds the block registers of all
+          rounds side by side, (trials, (5^levels - 1)/4): its hit cells
+          (pauli._hit_cells) at each row's largest P(>= 2 hits of 5) over
+          the rounds, each kept at the ratio of its round's own tail to
+          that largest one (every hit, where the rounds share one weight).
+          One _fresh_frames call gives them their frames and one
+          decode_blocks call their residuals.
+        * a touched block, one that carries a residual: its five cells take
+          the round's noise (pauli._draw_frames at its trial's weight), the
+          residual is XORed in, and it is decoded.  A fresh block drawn for
+          a touched block is dropped, since the touched block's own noise
+          stands for it.
 
-        Both are decoded with decode_blocks.  The last kick is drawn on the
-        last qubit alone.
+        The last kick is drawn on the last qubit alone.  A fresh-block draw
+        predicted to allocate more than MAX_DRAW_BYTES at its peak
+        (FRESH_HIT_BYTES for each cell it is expected to hit) raises
+        ScheduleInfeasibleError before the first draw.
         """
         weights, last = self._noise()
-        width = BLOCK ** weights.shape[-1]
+        levels = weights.shape[-1]
+        tails = _tails(weights)
+        top = tails[..., 1].max(axis=-1)
+        span = (BLOCK ** levels - 1) // 4
+        predicted = FRESH_HIT_BYTES * span * float(
+            top.sum() if top.ndim else trials * top)
+        if predicted > MAX_DRAW_BYTES:
+            raise ScheduleInfeasibleError(
+                f"{trials} trials at {levels} levels are predicted to "
+                f"allocate {predicted:.3g} bytes, above the budget "
+                f"MAX_DRAW_BYTES = {MAX_DRAW_BYTES}")
+        widths = BLOCK ** np.arange(levels - 1, -1, -1)
+        starts = np.cumsum(widths) - widths
+        found = _hit_cells((trials, span), top, gen)
+        trial, column = np.divmod(found, span)
+        level = np.searchsorted(starts, column, side="right") - 1
+        found_tails = tails[level if not top.ndim else (trial, level)]
+        kept = (gen.random(found.size) * (top if not top.ndim else top[trial])
+                < found_tails[:, 1])
+        level = level[kept]
+        fresh = trial[kept] * widths[level] + column[kept] - starts[level]
+        fresh_codes = decode_blocks(_fresh_frames(found_tails[kept],
+                                                  fresh.size, gen))
+        # the fresh blocks that decode to a fault, round by round
+        fault = fresh_codes != 0
+        level, fresh, fresh_codes = level[fault], fresh[fault], fresh_codes[fault]
+        order = np.argsort(level, kind="stable")
+        fresh, fresh_codes = fresh[order], fresh_codes[order]
+        edges = np.searchsorted(level[order], np.arange(levels + 1))
+        width = BLOCK ** levels
         cells = np.zeros(0, dtype=np.intp)
         codes = np.zeros(0, dtype=np.uint8)
-        for j in range(weights.shape[-1]):
-            p = weights[..., j]
-            tails = _tails(p)
+        for j in range(levels):
             width //= BLOCK
-            fresh = _hit_cells((trials, width), tails[..., 1], gen)
-            touched = cells
-            frames = np.zeros((0, BLOCK), dtype=np.uint8)
+            new = fresh[edges[j]:edges[j + 1]]
+            new_codes = fresh_codes[edges[j]:edges[j + 1]]
             if cells.size:
                 blocks = cells // BLOCK
                 first = _firsts(blocks)
                 touched = blocks[first]
                 # a touched block takes its noise cell by cell, not fresh
-                fresh = fresh[touched.take(np.searchsorted(touched, fresh),
-                                           mode="clip") != fresh]
+                free = touched.take(np.searchsorted(touched, new),
+                                    mode="clip") != new
+                p = weights[..., j]
                 frames = _draw_frames((touched.size, BLOCK), p if not p.ndim
                                       else p[touched // width], gen)
                 frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes
-            if fresh.size:
-                frames = np.concatenate((frames, _fresh_frames(
-                    tails if not p.ndim else tails[fresh // width],
-                    fresh.size, gen)))
-            residuals = decode_blocks(frames)
-            keep = residuals != 0
-            cells = np.concatenate((touched, fresh))[keep]
-            order = np.argsort(cells)
-            cells, codes = cells[order], residuals[keep][order]
-        out = np.zeros(trials, dtype=np.uint8)
-        out[cells] = codes
+                residuals = decode_blocks(frames)
+                hit = residuals != 0
+                new = np.concatenate((touched[hit], new[free]))
+                new_codes = np.concatenate((residuals[hit], new_codes[free]))
+                order = np.argsort(new)
+                new, new_codes = new[order], new_codes[order]
+            cells, codes = new, new_codes
         if last is not None:
-            out ^= _draw_frames((trials, 1), last, gen)[:, 0]
-        return out
+            out = _draw_frames((trials, 1), last, gen)[:, 0]
+            out[cells] ^= codes
+            cells = np.flatnonzero(out)
+            codes = out[cells]
+        return cells, codes
 
     def exact(self):
         """Exact fault weight of that residual, one entry per trial axis;
@@ -459,9 +518,11 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
     _check_trials(trials, params.levels)
     rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
                      params.rate_r)
-    return estimate_logical_channel(
-        rounds.sample(trials, np.random.default_rng(rng)),
-        exact=_law(rounds.exact()))
+    _, codes = rounds.sample(trials, np.random.default_rng(rng))
+    counts = np.bincount(codes, minlength=4)
+    counts[0] = trials - codes.size
+    return LogicalChannelEstimate(counts=counts, trials=trials,
+                                  exact=_law(rounds.exact()))
 
 
 def _kick_probability(exponent: float) -> float:
@@ -541,10 +602,12 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     # pass 2: noise on the code register between decode instants
     rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
                      params.rate_r, kick_probs)
-    residuals = rounds.sample(trials, gen)[~aborted]
+    cells, codes = rounds.sample(trials, gen)
+    residuals = np.zeros(trials, dtype=np.uint8)
+    residuals[cells] = codes
     channels = _law(rounds.exact())
     channels[aborted] = (0.0, 0.0, 0.0, 1.0)  # a Y fault
-    estimate = estimate_logical_channel(residuals,
+    estimate = estimate_logical_channel(residuals[~aborted],
                                         decode_failures=int(aborted.sum()),
                                         bad_trajectories=int((~good).sum()),
                                         exact=channels.mean(axis=0))

@@ -146,6 +146,23 @@ def test_criterion_5_circuit_log_scaling():
            f"{scan.slope:.5f} vs t_prot={found.t_prot} (10% allowed)")
 
 
+def test_criterion_5_exact_count_with_power():
+    # criterion 5's exact count expects about 6 faults; this point, at the
+    # same searched constants and 4 levels, expects 150.0 faults in 1e6
+    # trials, against 349.4 under the exact law at 1.5 times the noise
+    # rate (about 16 sigma away)
+    found = feasibility_search(rate_r=1.0)
+    params = ProtocolParams(rate_r=1.0, levels=4, t_prot=found.t_prot,
+                            p_star=found.p_star)
+    est = simulate_circuit_model(params, 1_000_000, np.random.default_rng(112))
+    faults = est.trials - int(est.counts[0])
+    weight = float(est.exact[1:].sum())
+    exact_p = count_p_value(faults, [(est.trials, weight)])
+    report(5, exact_p >= GATE_ALPHA,
+           f"{faults} faults in {est.trials} trials against "
+           f"{est.trials * weight:.1f} exact (two-sided tail {exact_p:.2g})")
+
+
 SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
                         t_dec=0.0015, delta=1.4e-4, epsilon=0.01)
 

@@ -13,6 +13,7 @@ from qmemsim.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, ExperimentConfig, main, parse_config,
                          render_rows_csv, result_payload, run_experiment,
                          write_result)
+from qmemsim import protocols
 from qmemsim.clock import MAX_BITS
 from qmemsim.stats import wilson_interval
 
@@ -674,6 +675,24 @@ def test_main_register_past_int64_exit(tmp_path, capsys, sub, levels, cells):
     assert f"= {cells} register cells" in stderr
 
 
+def test_main_circuit_past_draw_budget_exit(tmp_path, capsys, monkeypatch):
+    # memory_circuit at 1e12 trials: the fresh-block draw is predicted at
+    # 1.29e12 bytes, past protocols.MAX_DRAW_BYTES, so the run exits 2
+    # with the prediction named and samples nothing
+    def no_draw(*args):
+        raise AssertionError("the budget check must come before any draw")
+    monkeypatch.setattr(protocols, "_hit_cells", no_draw)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "memory_circuit.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "trials": 10 ** 12}))
+    code, stdout, stderr = run_main(capsys, ["memory-sim", "--config",
+                                             str(path)])
+    assert code == EXIT_INFEASIBLE and not stdout, stderr
+    assert stderr.startswith("infeasible parameters: ")
+    assert "1.29e+12 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
+
+
 def test_main_clock_past_live_interval_budget_exit(tmp_path, capsys):
     # K just below MAX_BITS at the criterion-6 schedule: pass 1 predicts
     # more live intervals per path than clock.LIVE_INTERVALS and exits 2
@@ -708,7 +727,7 @@ BUNDLED_CSV_SHA256 = {
     "lifetime_unprotected":
         "85fc2d654bec4e5b2411a4cf0534313e3af862dd860b77200a829b37947e78bc",
     "memory_circuit":
-        "7c9507a6b91a3bfe65ededc4fb3ca980fea4cbc0cb5ffdca334722dfc58165e5",
+        "01d064a333c3ef3d88ddfc518b6aa31b30ae12214e57bb9adda4d37f50ac2c89",
     "memory_clock_scaled":
         "1a9ae58b455398c5779119f8f5810487f64b307e1a4ee87c4c6b22ef20090615",
     "memory_repetition":

@@ -229,6 +229,29 @@ def test_b_exact_array_matches_scalar_calls():
             b_exact(bad)
 
 
+def test_b_exact_float_path_matches_array_form():
+    # a scalar takes the sum in Python floats; it equals the array form
+    # bit for bit on a dense grid with 0, 1, their neighbouring floats and
+    # weights from 1e-300 to 1, as a Python float, and on every seventh
+    # point of it as a numpy float and as a 0-d array
+    grid = np.concatenate([
+        [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+         np.nextafter(np.nextafter(0.0, 1.0), 1.0),
+         np.nextafter(np.nextafter(1.0, 0.0), 0.0)],
+        np.linspace(0.0, 1.0, 20_001), np.logspace(-300, 0, 20_001)])
+    want = b_exact(grid)
+    floats = [b_exact(p) for p in grid.tolist()]
+    assert all(type(b) is float for b in floats)
+    assert np.array_equal(floats, want)
+    assert np.array_equal([b_exact(p) for p in grid[::7]], want[::7])
+    assert np.array_equal([b_exact(np.array(p)) for p in grid[::7]],
+                          want[::7])
+    for bad in (-1e-300, np.nextafter(1.0, 2.0), np.nan, np.inf):
+        for p in (bad, np.float64(bad), np.array(bad)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                b_exact(p)
+
+
 def test_b_exact_frozen_values():
     assert b_exact(0.001) == pytest.approx(9.977795550814813e-06, rel=1e-12)
     assert b_exact(0.01) == pytest.approx(0.0009779550814814817, rel=1e-12)

@@ -13,6 +13,7 @@ import inspect
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -402,6 +403,18 @@ def test_exact_weight_settles_over_many_levels():
     assert got == pytest.approx(1.50009e-4, rel=1e-5)
 
 
+def test_rounds_exact_one_weight_per_round_matches_trial_axis():
+    # per-round weights take b_exact's float path; the law equals the one
+    # of a single trial's row, which takes the array form, bit for bit
+    gen = np.random.default_rng(78)
+    for durations in (np.full(4, 0.005), np.full(6, 0.08),
+                      gen.uniform(0.0, 0.3, 5), np.zeros(2)):
+        got = _Rounds(durations, 1.0).exact()
+        assert type(got) is float
+        row = _Rounds(durations[None, :], 1.0).exact()
+        assert row.shape == (1,) and got == row[0]
+
+
 def test_circuit_round_spacing_is_t_prot():
     p = ProtocolParams(rate_r=1.0, levels=1, t_prot=0.2)
     est = simulate_circuit_model(p, 100_000, np.random.default_rng(46))
@@ -460,6 +473,18 @@ def class_counts(residuals):
     return np.bincount(residuals, minlength=4)
 
 
+def sampled_residuals(rounds, trials, gen):
+    """Residual codes (trials,) of _Rounds.sample, from its hit list: the
+    ascending trials whose residual is not I, and their uint8 codes."""
+    cells, codes = rounds.sample(trials, gen)
+    assert codes.dtype == np.uint8 and cells.shape == codes.shape
+    assert np.all(np.diff(cells) > 0) and np.all(codes != 0)
+    assert cells.size == 0 or 0 <= cells[0] <= cells[-1] < trials
+    residuals = np.zeros(trials, dtype=np.uint8)
+    residuals[cells] = codes
+    return residuals
+
+
 def dense_counts(rounds, trials, gen):
     """Residual class counts of dense_rounds on `trials` trials, drawn
     DENSE_CHUNK trials at a time (the trials are independent)."""
@@ -481,9 +506,8 @@ def gate_p_values(rounds, reps, seed):
     if rounds.durations.ndim == 2:
         rounds = per_trial(rounds, lambda a: np.tile(a, (reps, 1)))
     trials = weights.size * reps
-    got = rounds.sample(trials, np.random.default_rng([seed, 0]))
-    assert got.dtype == np.uint8 and got.shape == (trials,)
-    counts = class_counts(got)
+    counts = class_counts(sampled_residuals(
+        rounds, trials, np.random.default_rng([seed, 0])))
     want = dense_counts(rounds, trials, np.random.default_rng([seed, 1]))
     out = {"dense": chi2_table([counts, want])[2],
            "faults": count_p_value(int(trials - counts[0]),
@@ -562,9 +586,7 @@ def test_rounds_sample_single_trial_matches_dense_register(levels):
     got, want = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     for rounds in configs:
         for _ in range(SINGLE_CALLS):
-            residual = rounds.sample(1, gen)
-            assert residual.dtype == np.uint8 and residual.shape == (1,)
-            got += class_counts(residual)
+            got += class_counts(sampled_residuals(rounds, 1, gen))
         want += dense_counts(rounds, SINGLE_CALLS, dense_gen)
     weights = [float(np.sum(rounds.exact())) for rounds in configs]
     assert SINGLE_CALLS * sum(weights) > GATE_FAULTS
@@ -627,10 +649,22 @@ def test_fresh_frames_follow_binomial_given_two_hits():
         assert min(p_values.values()) >= GATE_ALPHA, (p, p_values)
 
 
+def predicted_bytes(trials, levels, t_prot):
+    """The peak allocation _Rounds.sample predicts for a circuit run:
+    FRESH_HIT_BYTES for each of the trials x (5^levels - 1)/4 cells of its
+    fresh-block draw expected to hit, at P(>= 2 hits of 5)."""
+    tail = float(_tails(-0.75 * math.expm1(-t_prot))[1])
+    return (protocols.FRESH_HIT_BYTES * trials * (BLOCK ** levels - 1) // 4
+            * tail)
+
+
 def test_circuit_six_levels_in_hit_lists():
     # 15 625 qubits x 2000 trials: the 31 MB register and its draws are
-    # never built, and the faults follow the exact channel
+    # never built, the peak allocation is at most the prediction the
+    # budget check reads and more than half of it, and the faults follow
+    # the exact channel
     params = ProtocolParams(rate_r=1.0, levels=6, t_prot=0.03)
+    predicted = predicted_bytes(2000, 6, 0.03)
     tracemalloc.start()
     try:
         est = simulate_circuit_model(params, 2000, np.random.default_rng(72))
@@ -638,9 +672,44 @@ def test_circuit_six_levels_in_hit_lists():
     finally:
         tracemalloc.stop()
     assert peak < 50e6, peak
+    assert predicted / 2 < peak <= predicted, (peak, predicted)
     weight = float(_Rounds(np.full(6, 0.03), 1.0).exact())
     faults = est.trials - int(est.counts[0])
     assert count_p_value(faults, [(est.trials, weight)]) >= GATE_ALPHA
+
+
+def test_circuit_above_threshold_matches_exact_law():
+    # t_prot 0.08 lies above the threshold t_prot* ~ 0.0408: over 3 levels
+    # the fault weight climbs 0.029, 0.059, 0.097, a round's blocks take two
+    # hits or more at 3%, and weight-2 and weight-3 frames are common, so
+    # many touched blocks also draw fresh ones (to be dropped)
+    est = simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=3,
+                                                t_prot=0.08),
+                                 200_000, np.random.default_rng(79))
+    weight = float(_Rounds(np.full(3, 0.08), 1.0).exact())
+    assert weight == pytest.approx(0.0971, abs=1e-4)
+    p_values = {"faults": count_p_value(int(est.trials - est.counts[0]),
+                                        [(est.trials, weight)])}
+    for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
+        p_values[label] = count_p_value(int(est.counts[code]),
+                                        [(est.trials, weight / 3.0)])
+    assert min(p_values.values()) >= GATE_ALPHA, p_values
+
+
+@pytest.mark.parametrize("trials, levels", [(10 ** 12, 3), (10 ** 7, 8)])
+def test_circuit_past_draw_budget_rejected_before_any_draw(trials, levels):
+    # 1e12 trials at 3 levels (4.3e9 fresh-block hits expected) and 1e7 at
+    # 8 (1.4e8), both past MAX_DRAW_BYTES: refused with the prediction
+    # named and the generator untouched
+    params = ProtocolParams(rate_r=1.0, levels=levels, t_prot=0.005)
+    predicted = predicted_bytes(trials, levels, 0.005)
+    assert predicted > protocols.MAX_DRAW_BYTES
+    gen = np.random.default_rng(80)
+    state = gen.bit_generator.state
+    with pytest.raises(ScheduleInfeasibleError,
+                       match=re.escape(f"allocate {predicted:.3g} bytes")):
+        simulate_circuit_model(params, trials, gen)
+    assert gen.bit_generator.state == state
 
 
 # --- clock controlled ----------------------------------------------------------
@@ -780,15 +849,16 @@ def test_clock_controlled_pinned_digest():
 
 
 def test_clock_controlled_pinned_counts():
-    # pass 2 (code-qubit noise), recorded from the rounds that draw only the
-    # blocks that can fail, with each level-1 kick composed into round 2's
-    # noise.  Every draw is dense: the round weights are 0.17-0.26, so
-    # P(>= 2 hits of 5) 0.19-0.39, and the last kicks, drawn on the last
-    # qubit, reach 0.046, above pauli.SPARSE_WEIGHT.  The 40 faults of the
-    # 57 decoded trials sit at a two-sided exact tail of 0.21 against the
-    # 35.0 their exact channels expect
+    # pass 2 (code-qubit noise), recorded from the rounds that draw the
+    # fresh blocks of both rounds before the first decode, with each
+    # level-1 kick composed into round 2's noise.  Every draw is dense: the
+    # round weights are 0.17-0.26, so P(>= 2 hits of 5) 0.19-0.39, and the
+    # last kicks, drawn on the last qubit, reach 0.046, above
+    # pauli.SPARSE_WEIGHT.  The 34 faults of the 57 decoded trials sit at a
+    # two-sided exact tail of 0.89 against the 35.0 their exact channels
+    # expect
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
-    assert est.counts.tolist() == [17, 14, 14, 19]
+    assert est.counts.tolist() == [23, 12, 10, 19]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
@@ -934,7 +1004,8 @@ def test_clock_code_rate_override_isolates_clock_noise():
     # h_norm ~ 0.125 those are tiny
     _, diag = simulate_clock_controlled(UNIT, 400, np.random.default_rng(52),
                                         return_diagnostics=True)
-    residuals = clock_rounds(diag, 0.0).sample(400, np.random.default_rng(53))
+    residuals = sampled_residuals(clock_rounds(diag, 0.0), 400,
+                                  np.random.default_rng(53))
     faults = np.count_nonzero(residuals[~diag.aborted]) + diag.aborted.sum()
     assert faults / 400 <= 0.05
 
