@@ -25,7 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # the hit-list rounds' residual classes against the exact law and against
-# the dense register, in distribution
+# the dense register, and the dense register's kicked rounds against the
+# exact law, in distribution
 HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_matches_dense_register",
     "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
@@ -44,8 +45,12 @@ FRESH_CHECK = ("tests/test_protocols.py::"
 COMPOSE_CHECK = ("tests/test_protocols.py::"
                  "test_rounds_exact_composes_each_kick_into_the_next_round")
 
-# the sampled clock faults against the exact channels, at power >= 0.99
-# against both mutations of _Rounds.exact below
+# the dense register's kicked rounds against the exact law
+KICKED_GATE = ("tests/test_protocols.py::"
+               "test_rounds_sample_with_kicks_matches_dense_register")
+
+# clock pass 2's sampled faults and X, Z and Y counts against each trial's
+# exact channel
 KICK_CHECK = "tests/test_protocols.py::test_clock_sampled_faults_see_the_kicks"
 
 # name -> (file under src/qmemsim, text, replacement, tests that must fail)
@@ -94,7 +99,7 @@ MUTANTS = {
         "        weights, last = replace(self, rate_r=1.5 * self.rate_r)._noise()\n"
         "        w = 0.0\n",
         ["tests/test_protocols.py",
-         KICK_CHECK,
+         KICKED_GATE,
          "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
          "tests/test_acceptance.py::test_criterion_5_exact_count_with_power",
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
@@ -106,17 +111,17 @@ MUTANTS = {
         "        weights, last = replace(self, kicks=None)._noise()\n"
         "        w = 0.0\n",
         ["tests/test_protocols.py",
-         KICK_CHECK,
+         KICKED_GATE,
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
     # each kick composed into the noise of its own round, before its
-    # decode, in the sampler and the exact law alike
+    # decode, in the exact law and so in clock pass 2
     "rounds_kick_before_its_decode": (
         "protocols.py",
         "np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))",
         "self.kicks",
         [*HIT_GATE, COMPOSE_CHECK,
          "tests/test_protocols.py::test_clock_exact_channel_composes_kicks"]),
-    # the last kick left out, in the sampler and the exact law alike
+    # the last kick left out, in the exact law and so in clock pass 2
     "rounds_last_kick_dropped": (
         "protocols.py",
         "self.kicks[:, -1])",
@@ -141,17 +146,14 @@ MUTANTS = {
     # blocks are still chosen at P(>= 2 hits)
     "fresh_count_given_one": (
         "protocols.py",
-        "v = gen.random((size, 1)) * tails[..., 1, None]",
-        "v = gen.random((size, 1)) * tails[..., 0, None]",
+        "v = gen.random((size, 1)) * tails[1]",
+        "v = gen.random((size, 1)) * tails[0]",
         [*HIT_GATE, FRESH_CHECK]),
     # a touched block's noise drawn like a fresh block's, given >= 2 hits
     "touched_drawn_given_two": (
         "protocols.py",
-        "                frames = _draw_frames((touched.size, BLOCK), p if not p.ndim\n"
-        "                                      else p[touched // width], gen)\n",
-        "                frames = _fresh_frames(tails[..., j, :] if not p.ndim\n"
-        "                                       else tails[touched // width, j],\n"
-        "                                       touched.size, gen)\n",
+        "frames = _draw_frames((touched.size, BLOCK), q, gen)",
+        "frames = _fresh_frames(tails, touched.size, gen)",
         HIT_GATE),
     # a touched block also kept in the fresh choice, so it can take a
     # fresh frame on top of its own
@@ -179,11 +181,18 @@ MUTANTS = {
     # a call, too little to see
     "hit_cells_redraw_in_row": (
         "pauli.py",
-        "        redo -= redo % n\n"
-        "        redo += gen.integers(0, n, redo.size)\n",
+        "        redo = gen.integers(0, n, np.count_nonzero(repeat))\n",
+        "        redo = cells[1:][repeat]\n"
         "        redo -= redo % shape[-1]\n"
         "        redo += gen.integers(0, shape[-1], redo.size)\n",
         ["tests/test_pauli.py::test_sparse_draw_matches_dense_draw"]),
+    # clock pass 2 draws each fault's code from X and Z alone, so Y appears
+    # only as an abort
+    "clock_pass2_never_y": (
+        "protocols.py",
+        "residuals[faults] = gen.integers(1, 4, faults.size, dtype=np.uint8)",
+        "residuals[faults] = gen.integers(1, 3, faults.size, dtype=np.uint8)",
+        [KICK_CHECK]),
     # two weight-2 failing strings, of classes X and Z, trade residuals:
     # every count, the 256-string classes and b_exact stay as they are
     "decoder_residuals_swapped": (

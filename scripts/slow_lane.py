@@ -21,11 +21,11 @@ summary as the last line; it exits 1 if any check fails.
    trials per level and per scan point.
 3. The frame-sampler gate of tests/test_pauli.py at full size: the sparse
    draw of pauli._draw_frames against its dense draw over three seeds, at
-   the weights of FRAME_WEIGHTS and at per-trial weights that mix them
-   with 0, on each FRAME_SIZES entry: one level-1 round of the 625-qubit
-   register at 1e4 trials, and ten times the tier-1 draws, where a bias of
-   1/n in the hit rate (n = 25 columns) shows.  Every chi-square p-value
-   (hits per row, column of each hit, Pauli class) must reach GATE_ALPHA.
+   each weight of FRAME_WEIGHTS, on each FRAME_SIZES entry: one level-1
+   round of the 625-qubit register at 1e4 trials, and ten times the tier-1
+   draws, where a bias of 1/n in the hit rate (n = 25 columns) shows.
+   Every chi-square p-value (hits per row, column of each hit, Pauli
+   class) must reach GATE_ALPHA.
 4. The circuit rounds at the benchmark's circuit_frames point (the searched
    t_prot, CIRCUIT_LEVELS levels, CIRCUIT_TRIALS trials a call): over three
    seeds, CIRCUIT_CALLS calls of simulate_circuit_model each, the pooled
@@ -67,7 +67,9 @@ from qmemsim.protocols import (ProtocolParams, _Rounds,  # noqa: E402
                                simulate_clock_controlled, with_sized_clock)
 
 GATE_TRIALS = 10_000       # trajectories a side per gate point and seed
-CRITERION6_EVENTS = 1_300  # event trajectories at the criterion-6 clock
+# event trajectories at the criterion-6 clock, each predicted at 102 MB
+# (2.55 M flips; 9.5% of clock.MAX_DRAW_BYTES), the largest event path here
+CRITERION6_EVENTS = 1_300
 SCALED_TRIALS = 2_000      # trials per SCALED level and per scan point
 SCALED = ProtocolParams(rate_r=1.0, levels=2, p_star=0.03, t_prot=0.006,
                         t_dec=0.0015, delta=1.4e-4, epsilon=0.01)
@@ -87,7 +89,7 @@ CIRCUIT_CALLS = 1_000
 # (t_prot, trials per level) on each side of the threshold, sized for tens
 # of faults at the smallest fault weight: 63 at 0.02 (0.0021 at level 1)
 # and 87 at 0.08 (0.029 at level 1).  At level 6 the 0.08 point's draw is
-# predicted at 104 MB, the largest circuit run here (a tenth of
+# predicted at 35 MB, the largest circuit run here (3% of
 # protocols.MAX_DRAW_BYTES)
 THRESHOLD_POINTS = ((0.02, 30_000), (0.08, 3_000))
 THRESHOLD_LEVELS = (1, 2, 3, 4, 5, 6)
@@ -183,24 +185,11 @@ def run_scaled():
 def run_frames():
     results = []
     for shape, calls in FRAME_SIZES:
-        mixed = np.resize((0.0,) + FRAME_WEIGHTS[:3], shape[0])
         for seed in (1, 2, 3):
-            for p in FRAME_WEIGHTS + (mixed,):
+            for p in FRAME_WEIGHTS:
                 start = time.perf_counter()
-                sparse, dense = frame_draws(shape, p, seed, calls)
-                if np.ndim(p):
-                    label = "per-trial"
-                    rows = np.tile(mixed, calls)
-                    p_values = {f"{name}_{w:.4g}": value
-                                for w in FRAME_WEIGHTS[:3]
-                                for name, value in compare_frames(
-                                    sparse[rows == w], dense[rows == w]).items()}
-                    p_values["untouched_0"] = float(
-                        not (sparse[rows == 0].any() or dense[rows == 0].any()))
-                else:
-                    label = f"p={p:.4g}"
-                    p_values = compare_frames(sparse, dense)
-                label = f"{calls}x{shape[0]}x{shape[1]} {label}"
+                p_values = compare_frames(*frame_draws(shape, p, seed, calls))
+                label = f"{calls}x{shape[0]}x{shape[1]} p={p:.4g}"
                 ok = min(p_values.values()) >= GATE_ALPHA
                 seconds = time.perf_counter() - start
                 print(f"{'PASS' if ok else 'FAIL'} frames {label} seed={seed}: "

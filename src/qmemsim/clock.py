@@ -81,6 +81,12 @@ class ScheduleInfeasibleError(ValueError):
 # (up to 2**63 - 1) only for K < 2**62.  The closed-form bounds take any K.
 MAX_BITS = 2 ** 62 - 1
 
+# the most bytes a sampler may be predicted to allocate at its peak (a draw
+# predicted past it is infeasible, before its first draw), and the bytes
+# sample_trajectory allocates a flip (tracemalloc reads 35 up to 2.55 M)
+MAX_DRAW_BYTES = 2 ** 30
+FLIP_BYTES = 40
+
 
 @dataclass(frozen=True)
 class ClockParams:
@@ -236,10 +242,19 @@ def sample_trajectory(params: ClockParams, horizon: float, rng) -> ClockTrajecto
     tail ratios and give each bit with exactly j flips j sorted uniform
     times (Poisson arrivals conditioned on their count).  A bit at 1 flips
     down first, so its 2nd, 4th, ... times are up flips.
+
+    Past MAX_DRAW_BYTES at FLIP_BYTES for each of the K r horizon / 2
+    expected flips, it raises ScheduleInfeasibleError before any draw.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     _require_countable(params)
+    flips = params.n_bits * params.rate_r * horizon / 2.0
+    if FLIP_BYTES * flips > MAX_DRAW_BYTES:
+        raise ScheduleInfeasibleError(
+            f"{flips:.3g} expected clock flips are predicted to allocate "
+            f"{FLIP_BYTES * flips:.3g} bytes, above the budget "
+            f"MAX_DRAW_BYTES = {MAX_DRAW_BYTES}")
     gen = np.random.default_rng(rng)
     mu = params.rate_r * horizon / 2.0
     times_parts, up_parts = [np.empty(0)], [np.empty(0, dtype=bool)]

@@ -21,15 +21,15 @@ lambda(t) = exp(-r t).  Frames are therefore drawn in one shot per cell by
 with probability p/3); no event times or counts are sampled.
 
 Every frame draw goes through one cell draw, `_hit_cells`, which returns
-the hit cells of a register in ascending flat order; `_draw_frames` gives
-each one X, Y or Z code in new zero frames, and the concatenated runs of
-protocols choose with `_hit_cells` the blocks that take two hits or more.
-The cell draw has two exact orders, chosen by the largest weight of the
-call.  Below SPARSE_WEIGHT (the low-noise regime the protection lives in,
-where a round's weight is a few 1e-3) it draws only the hit cells: a
-Binomial(n, p_i) hit count per row (a scalar weight makes the register one
-row), and that many uniform cells of the row with the collisions redrawn
-until distinct.  At or above it, it draws one uniform per cell.  Either way
+the hit cells of a register in ascending flat order, every cell hit at the
+call's one weight; `_draw_frames` gives each one X, Y or Z code in new
+zero frames, and the circuit rounds of protocols choose with `_hit_cells`
+the blocks that take two hits or more.  The cell draw has two exact
+orders, chosen by the weight.  Below SPARSE_WEIGHT (the low-noise regime
+the protection lives in, where a round's weight is a few 1e-3) it draws
+only the hit cells: one Binomial(N, p) hit count for the N cells of the
+register, and that many uniform cells with the collisions redrawn until
+distinct.  At or above it, it draws one uniform per cell.  Either way
 `_draw_frames` then draws one uniform X, Y or Z per hit cell in ascending
 order.  The two have the same law but not the same random stream.
 
@@ -51,10 +51,10 @@ CODE_LABELS = "IXZY"
 
 _LABEL_TO_CODE = {c: i for i, c in enumerate(CODE_LABELS)}
 
-#: _hit_cells draws only the hit cells when every weight of a call is below
-#: this.  The sparse draw (one row under a scalar weight) beats the dense
-#: one up to p of about 0.085-0.1 at 1e4 x 625, 1e4 x 125 and 3e4 x 125
-#: cells; 1/32 leaves a margin for hosts where the crossover falls lower.
+#: _hit_cells draws only the hit cells when the weight of a call is below
+#: this.  The sparse draw beats the dense one up to p of about 0.085-0.1 at
+#: 1e4 x 625, 1e4 x 125 and 3e4 x 125 cells; 1/32 leaves a margin for
+#: hosts where the crossover falls lower.
 SPARSE_WEIGHT = 1 / 32
 
 
@@ -76,12 +76,9 @@ def frame_to_label(frame):
 
 
 def _draw_frames(shape, p, rng):
-    """New uint8 frames of shape (trials, n) with X, Y or Z, each with
-    probability p/3, at every cell: the hit cells (`_hit_cells`, in either
-    of its two orders), then one uniform X, Y or Z per hit in ascending
-    order.  p is a scalar or a per-trial array (trials,), each weight in
-    [0, 1].
-    """
+    """New uint8 frames of that shape with X, Y or Z, each with probability
+    p/3, at every cell: the hit cells (`_hit_cells`), then one uniform X, Y
+    or Z per hit in ascending order."""
     gen = np.random.default_rng(rng)
     frames = np.zeros(shape, dtype=np.uint8)
     cells = _hit_cells(shape, p, gen)
@@ -90,50 +87,28 @@ def _draw_frames(shape, p, rng):
 
 
 def _hit_cells(shape, p, gen):
-    """Ascending flat indices of the hit cells of a (rows, n) register, each
-    cell hit independently at its row's weight p (a scalar or one per row,
-    each in [0, 1]).
+    """Ascending flat indices of the hit cells of a register of that shape,
+    each cell hit independently at weight p in [0, 1].
 
-    When every weight is below SPARSE_WEIGHT, row i gets a hit count
-    k_i ~ Binomial(n, p_i), then k_i uniform cells (cells that collide
-    within a row are redrawn until distinct, which leaves a uniform
-    k_i-subset since every step treats the cells alike); a scalar p makes
-    the register one row, whose uniform k-subset has the law of independent
-    cells.  Otherwise it draws one uniform per cell.
+    Below SPARSE_WEIGHT: a hit count k ~ Binomial(N, p) for its N cells,
+    then k uniform cells, those that collide redrawn until distinct (a
+    uniform k-subset, since every step treats the cells alike).  Otherwise
+    one uniform per cell.
     """
-    p = np.asarray(p, dtype=float)
-    top = p.max(initial=0.0)
-    if not (p.min(initial=0.0) >= 0.0 and top <= 1.0):
+    if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing weight p must lie in [0, 1]")
-    if top < SPARSE_WEIGHT:
-        return _sparse_cells(shape, p, gen)
-    return np.flatnonzero(gen.random(shape)
-                          < (p[:, None] if p.ndim == 1 else p))
-
-
-def _sparse_cells(shape, p, gen):
-    """The sparse order of _hit_cells, for a float array p below
-    SPARSE_WEIGHT.  Rows with one hit or none are in order as drawn, so the
-    sort runs only when a row has two."""
-    n = shape[-1]
-    rows = math.prod(shape[:-1])
-    if not p.ndim:
-        n, rows = rows * n, 1
-    counts = gen.binomial(n, p, size=rows)
-    cells = np.repeat(np.arange(0, rows * n, n), counts)
-    if not cells.size:
-        return cells
-    cells += gen.integers(0, n, cells.size)
-    if counts.max() < 2:
+    if p >= SPARSE_WEIGHT:
+        return np.flatnonzero(gen.random(shape) < p)
+    n = math.prod(shape)
+    cells = gen.integers(0, n, gen.binomial(n, p))
+    if cells.size < 2:
         return cells
     cells.sort()
     repeat = cells[1:] == cells[:-1]
     while repeat.any():
-        # keep one copy of each cell and redraw the others within their row;
-        # the kept cells stay in order, so a stable sort merges in the rest
-        redo = cells[1:][repeat]
-        redo -= redo % n
-        redo += gen.integers(0, n, redo.size)
+        # keep one copy of each cell and redraw the others; the kept cells
+        # stay in order, so a stable sort merges in the rest
+        redo = gen.integers(0, n, np.count_nonzero(repeat))
         cells = np.concatenate((cells[:1], cells[1:][~repeat], redo))
         cells.sort(kind="stable")
         repeat = cells[1:] == cells[:-1]
@@ -145,11 +120,9 @@ def sample_cumulative_frames(n_qubits, duration, rate_r, trials, rng):
 
     Each (trial, qubit) cell is depolarized once at weight
     p = 3(1 - e^{-r duration})/4, the exact law of the product of its noise
-    events over [0, duration].  duration may be a scalar or a per-trial
-    array (trials,).
+    events over [0, duration].
     """
-    duration = np.asarray(duration, dtype=float)
-    if np.any(duration < 0):
+    if duration < 0:
         raise ValueError("duration must be >= 0")
     return _draw_frames((trials, n_qubits),
                         -0.75 * np.expm1(-rate_r * duration), rng)

@@ -15,36 +15,31 @@ Four ways to hold one logical qubit for as long as possible:
 
 All strategies are simulated in the Pauli frame: the state is never
 represented, only the cumulative Pauli error per qubit, which is exact for
-stabilizer codes under Pauli noise and Clifford decoding.  The concatenated
-strategies hold each register as a hit list, the qubits that carry a
-non-identity Pauli and their codes.  A block with one hit or none decodes
-to the identity, so a run draws only the blocks that can decode to a
-fault: the blocks without a residual that take two hits or more, chosen
-for every round at once at P(>= 2 hits of 5) with their hits drawn from
-Binomial(5, p) given >= 2, and, round by round, every block that carries a
-residual, cell by cell.
+stabilizer codes under Pauli noise and Clifford decoding.  The circuit
+model holds each register as a hit list and draws only the blocks that can
+decode to a fault (_sample_rounds).
 
 Clock-controlled timing model.  Pass 1 resolves the clock: the trajectory is
 sampled, each level's decode time is the instant its window has been
 occupied for a total of t_dec (or the final window exit, if total occupancy
 T_l falls short), and the drive mistiming |T_l - t_dec| converts into an
 independent depolarizing kick of probability min(1, e^{h_norm |T_l - t_dec|} - 1)
-on each decoded qubit.  Pass 2 replays noise on the code qubits between
-decode instants; decoded-away qubits stop being tracked.  A kick and the
-next round's storage noise act on the same qubits and are both
-depolarizing, so pass 2 draws them as one noise of the composed weight,
-and the last kick on the last qubit.  A level whose window is never
-entered at all, or whose decode instants come out of order (possible only
-on non-good trajectories), aborts the trial: it is tallied as
-decode_failure and counted as a full logical fault.
+on each decoded qubit.  Pass 2 is the noise of the code qubits between
+decode instants, with those kicks; given pass 1's record its residual is
+depolarizing with an exact fault weight (see Exact channel), so pass 2
+draws each trial's residual from that law, without a frame.  A level whose
+window is never entered at all, or whose decode instants come out of order
+(possible only on non-good trajectories), aborts the trial: it is tallied
+as decode_failure and counted as a full logical fault.
 
 Exact channel.  Blocks are disjoint, their noise is i.i.d. depolarizing,
 and decoding a depolarized block gives a depolarized logical qubit (see
 fivequbit).  So the logical channel is one fault weight w, exact round by
-round: the round's noise of weight q (its kick included) takes w to
-w + q (1 - 4w/3), the decode applies b_exact, and the last kick composes
-like the noise.  A clock-controlled run has one such weight per trial,
-given its pass-1 record.
+round: the round's noise of weight q takes w to w + q (1 - 4w/3), the
+decode applies b_exact, and a kick composes like the noise, as one noise
+with the next round's storage noise on the same qubits.  A
+clock-controlled run has one such weight per trial, given its pass-1
+record.
 """
 
 from __future__ import annotations
@@ -56,11 +51,13 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import TWO_PI, clock_size_for
-from .clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError, is_good,
-                    refinement_pays, sample_passages, sample_trajectory,
-                    window_passage, window_schedule)
+from .clock import (MAX_BITS, MAX_DRAW_BYTES, ClockParams,
+                    ScheduleInfeasibleError, is_good, refinement_pays,
+                    sample_passages, sample_trajectory, window_passage,
+                    window_schedule)
 from .fivequbit import BLOCK, N_STRINGS, b_exact, decode_blocks, unpack
-from .pauli import _draw_frames, _hit_cells, sample_cumulative_frames
+from .pauli import (SPARSE_WEIGHT, _draw_frames, _hit_cells,
+                    sample_cumulative_frames)
 from .stats import affine_fit
 
 _LN2 = math.log(2.0)
@@ -214,21 +211,13 @@ def _law(w):
     return np.stack([1.0 - w, w / 3.0, w / 3.0, w / 3.0], axis=-1)
 
 
-def _firsts(values):
-    """True at the first entry of each run of equal values."""
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return first
-
-
 def _tails(p):
     """P(at least k of a block's five cells are hit) at weight p, for
-    k = 1..5 along a new last axis; each is summed from five hits down, so
-    a small tail keeps its relative precision."""
-    p = np.asarray(p, dtype=float)[..., None]
+    k = 1..5; each is summed from five hits down, so a small tail keeps its
+    relative precision."""
     k = np.arange(1, BLOCK + 1)
     pmf = np.array((5, 10, 10, 5, 1)) * p ** k * (1.0 - p) ** (BLOCK - k)
-    return np.cumsum(pmf[..., ::-1], axis=-1)[..., ::-1]
+    return np.cumsum(pmf[::-1])[::-1]
 
 
 @lru_cache(maxsize=1)
@@ -243,36 +232,30 @@ def _strings_by_weight():
 
 def _fresh_frames(tails, size, gen):
     """(size, 5) frames of blocks known to hold two hits or more, at the
-    weights whose _tails are tails (one row, or one per block): a hit count
-    from Binomial(5, p) given >= 2 by inversion, then a uniform string of
-    that weight, since every string of a weight is as likely as another."""
-    v = gen.random((size, 1)) * tails[..., 1, None]
+    weight whose _tails are tails: a hit count from Binomial(5, p) given
+    >= 2 by inversion, then a uniform string of that weight, since every
+    string of a weight is as likely as another."""
+    v = gen.random((size, 1)) * tails[1]
     count = np.count_nonzero(v < tails, axis=-1)
     strings, starts = _strings_by_weight()
     lo, hi = starts[count], starts[count + 1]
     return strings[lo + (gen.random(size) * (hi - lo)).astype(np.intp)]
 
 
-# the most bytes _Rounds.sample may be predicted to allocate at its peak; a
-# sample predicted past it is infeasible, before its first draw
-MAX_DRAW_BYTES = 2 ** 30
-
-# bytes per cell that _Rounds.sample's fresh-block draw is expected to hit,
-# at the peak of the call: tracemalloc reads 169 at every weight below
-# pauli.SPARSE_WEIGHT, and the draw of one uniform per cell at or above it
-# (P(>= 2 hits of 5) >= 1/32) peaks at 9 bytes a cell, at most 288 a hit
-FRESH_HIT_BYTES = 300
+# peak bytes of _sample_rounds a fresh-block hit (tracemalloc reads 80-92)
+# and, when that draw is dense, a block cell (9: one float64, one bool)
+FRESH_HIT_BYTES = 100
+DENSE_CELL_BYTES = 9
 
 
 @dataclass(frozen=True)
 class _Rounds:
-    """The noise of a concatenated run, round by round.
+    """The law of a concatenated run's noise, round by round.
 
     Round j depolarizes every qubit of the register for durations[..., j]
     at rate_r, decodes one level, then depolarizes each decoded qubit at
     weight kicks[:, j] (no kicks when None).  A leading trial axis gives
-    each trial its own rounds.  sample draws and decodes only the blocks
-    that can decode to a fault; exact gives the residual's law.
+    each trial its own rounds.  exact gives the residual's law.
     """
 
     durations: np.ndarray    # (levels,) or (trials, levels)
@@ -290,99 +273,6 @@ class _Rounds:
         return (_depolarized(q, np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))),
                 self.kicks[:, -1])
 
-    def sample(self, trials: int, gen):
-        """Hit list (cells, codes) of the last qubit: the ascending trials
-        whose residual is not I, and their residual codes.
-
-        The trials x 5^levels register is held as its hit list: the
-        ascending flat cells (trial * width + qubit) that carry a Pauli, and
-        their codes.  The block of cell c is c // 5, which is also its
-        decoded qubit's cell one level up.  A frame of weight 1 or 0
-        decodes to I, so each round decodes only two kinds of block, whose
-        noises (_noise, a kick included) are independent:
-
-        * a fresh block, one that carries no residual, with two hits or
-          more.  The fresh blocks of every round are drawn before the first
-          decode, from one register that holds the block registers of all
-          rounds side by side, (trials, (5^levels - 1)/4): its hit cells
-          (pauli._hit_cells) at each row's largest P(>= 2 hits of 5) over
-          the rounds, each kept at the ratio of its round's own tail to
-          that largest one (every hit, where the rounds share one weight).
-          One _fresh_frames call gives them their frames and one
-          decode_blocks call their residuals.
-        * a touched block, one that carries a residual: its five cells take
-          the round's noise (pauli._draw_frames at its trial's weight), the
-          residual is XORed in, and it is decoded.  A fresh block drawn for
-          a touched block is dropped, since the touched block's own noise
-          stands for it.
-
-        The last kick is drawn on the last qubit alone.  A fresh-block draw
-        predicted to allocate more than MAX_DRAW_BYTES at its peak
-        (FRESH_HIT_BYTES for each cell it is expected to hit) raises
-        ScheduleInfeasibleError before the first draw.
-        """
-        weights, last = self._noise()
-        levels = weights.shape[-1]
-        tails = _tails(weights)
-        top = tails[..., 1].max(axis=-1)
-        span = (BLOCK ** levels - 1) // 4
-        predicted = FRESH_HIT_BYTES * span * float(
-            top.sum() if top.ndim else trials * top)
-        if predicted > MAX_DRAW_BYTES:
-            raise ScheduleInfeasibleError(
-                f"{trials} trials at {levels} levels are predicted to "
-                f"allocate {predicted:.3g} bytes, above the budget "
-                f"MAX_DRAW_BYTES = {MAX_DRAW_BYTES}")
-        widths = BLOCK ** np.arange(levels - 1, -1, -1)
-        starts = np.cumsum(widths) - widths
-        found = _hit_cells((trials, span), top, gen)
-        trial, column = np.divmod(found, span)
-        level = np.searchsorted(starts, column, side="right") - 1
-        found_tails = tails[level if not top.ndim else (trial, level)]
-        kept = (gen.random(found.size) * (top if not top.ndim else top[trial])
-                < found_tails[:, 1])
-        level = level[kept]
-        fresh = trial[kept] * widths[level] + column[kept] - starts[level]
-        fresh_codes = decode_blocks(_fresh_frames(found_tails[kept],
-                                                  fresh.size, gen))
-        # the fresh blocks that decode to a fault, round by round
-        fault = fresh_codes != 0
-        level, fresh, fresh_codes = level[fault], fresh[fault], fresh_codes[fault]
-        order = np.argsort(level, kind="stable")
-        fresh, fresh_codes = fresh[order], fresh_codes[order]
-        edges = np.searchsorted(level[order], np.arange(levels + 1))
-        width = BLOCK ** levels
-        cells = np.zeros(0, dtype=np.intp)
-        codes = np.zeros(0, dtype=np.uint8)
-        for j in range(levels):
-            width //= BLOCK
-            new = fresh[edges[j]:edges[j + 1]]
-            new_codes = fresh_codes[edges[j]:edges[j + 1]]
-            if cells.size:
-                blocks = cells // BLOCK
-                first = _firsts(blocks)
-                touched = blocks[first]
-                # a touched block takes its noise cell by cell, not fresh
-                free = touched.take(np.searchsorted(touched, new),
-                                    mode="clip") != new
-                p = weights[..., j]
-                frames = _draw_frames((touched.size, BLOCK), p if not p.ndim
-                                      else p[touched // width], gen)
-                frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes
-                residuals = decode_blocks(frames)
-                hit = residuals != 0
-                new = np.concatenate((touched[hit], new[free]))
-                new_codes = np.concatenate((residuals[hit], new_codes[free]))
-                order = np.argsort(new)
-                new, new_codes = new[order], new_codes[order]
-            cells, codes = new, new_codes
-        if last is not None:
-            out = _draw_frames((trials, 1), last, gen)[:, 0]
-            out[cells] ^= codes
-            cells = np.flatnonzero(out)
-            codes = out[cells]
-        return cells, codes
-
     def exact(self):
         """Exact fault weight of that residual, one entry per trial axis;
         the residual is depolarizing, so this is its whole law."""
@@ -391,6 +281,74 @@ class _Rounds:
         for q in weights.T:
             w = b_exact(_depolarized(w, q))
         return w if last is None else _depolarized(w, last)
+
+
+def _sample_rounds(q, levels: int, trials: int, gen):
+    """Hit list (cells, codes) of the last qubit of `trials` runs of
+    `levels` rounds, each depolarizing every qubit at weight q and decoding
+    one level: the ascending trials whose residual is not I, and their codes.
+
+    The register is held as its hit list, the ascending flat cells
+    (trial * width + qubit) that carry a Pauli and their codes; the block
+    of cell c is c // 5, its decoded qubit's cell one level up.  A frame of
+    weight 1 or 0 decodes to I, so a round decodes only two kinds of block:
+
+    * fresh blocks, which carry no residual and take two hits or more: for
+      every round at once, the hit cells (pauli._hit_cells) at
+      P(>= 2 hits of 5) of the block registers of all rounds side by side,
+      (trials, (5^levels - 1)/4), with frames from _fresh_frames.
+    * touched blocks, which carry a residual: the round's noise on their
+      five cells (pauli._draw_frames) with the residual XORed in; a fresh
+      block drawn for one is dropped.
+
+    A draw predicted past MAX_DRAW_BYTES at its peak (FRESH_HIT_BYTES a
+    fresh-block hit it expects, and DENSE_CELL_BYTES a cell when that draw
+    is dense) raises ScheduleInfeasibleError before the first draw.
+    """
+    tails = _tails(q)
+    span = (BLOCK ** levels - 1) // 4
+    predicted = FRESH_HIT_BYTES * float(tails[1]) * trials * span
+    if tails[1] >= SPARSE_WEIGHT:
+        predicted += DENSE_CELL_BYTES * trials * span
+    if predicted > MAX_DRAW_BYTES:
+        raise ScheduleInfeasibleError(
+            f"{trials} trials at {levels} levels are predicted to "
+            f"allocate {predicted:.3g} bytes, above the budget "
+            f"MAX_DRAW_BYTES = {MAX_DRAW_BYTES}")
+    widths = BLOCK ** np.arange(levels - 1, -1, -1)
+    starts = np.cumsum(widths) - widths
+    trial, column = np.divmod(_hit_cells((trials, span), tails[1], gen), span)
+    level = np.searchsorted(starts, column, side="right") - 1
+    fresh = trial * widths[level] + column - starts[level]
+    fresh_codes = decode_blocks(_fresh_frames(tails, fresh.size, gen))
+    # the fresh blocks that decode to a fault, round by round
+    fault = fresh_codes != 0
+    level, fresh, fresh_codes = level[fault], fresh[fault], fresh_codes[fault]
+    order = np.argsort(level, kind="stable")
+    fresh, fresh_codes = fresh[order], fresh_codes[order]
+    edges = np.searchsorted(level[order], np.arange(levels + 1))
+    cells, codes = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8)
+    for j in range(levels):
+        new = fresh[edges[j]:edges[j + 1]]
+        new_codes = fresh_codes[edges[j]:edges[j + 1]]
+        if cells.size:
+            blocks = cells // BLOCK
+            first = np.ones(blocks.size, dtype=bool)
+            first[1:] = blocks[1:] != blocks[:-1]
+            touched = blocks[first]
+            # a touched block takes its noise cell by cell, not fresh
+            free = touched.take(np.searchsorted(touched, new),
+                                mode="clip") != new
+            frames = _draw_frames((touched.size, BLOCK), q, gen)
+            frames[np.cumsum(first) - 1, cells % BLOCK] ^= codes
+            residuals = decode_blocks(frames)
+            hit = residuals != 0
+            new = np.concatenate((touched[hit], new[free]))
+            new_codes = np.concatenate((residuals[hit], new_codes[free]))
+            order = np.argsort(new)
+            new, new_codes = new[order], new_codes[order]
+        cells, codes = new, new_codes
+    return cells, codes
 
 
 def _check_trials(trials: int, levels: int) -> None:
@@ -518,7 +476,9 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
     _check_trials(trials, params.levels)
     rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
                      params.rate_r)
-    _, codes = rounds.sample(trials, np.random.default_rng(rng))
+    weights, _ = rounds._noise()
+    _, codes = _sample_rounds(weights[0], params.levels, trials,
+                              np.random.default_rng(rng))
     counts = np.bincount(codes, minlength=4)
     counts[0] = trials - codes.size
     return LogicalChannelEstimate(counts=counts, trials=trials,
@@ -552,8 +512,10 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
     (estimate, ClockRunDiagnostics).
 
     Both passes draw from one generator, np.random.default_rng(rng): pass 1
-    resolves the clocks of all trials, then pass 2 samples the
-    code-register noise of all trials.  When the clock is large enough that
+    resolves the clocks of all trials, then pass 2 draws each trial's
+    residual from its exact law given that record (fault weight w_i, see
+    ClockRunDiagnostics.channels): one uniform per trial against w_i, then
+    one uniform X, Z or Y per fault.  When the clock is large enough that
     refinement_pays, pass 1 is one call of clock.sample_passages, which
     resolves flips only near the band edges and the window thresholds, for
     a batch of trials at a time: at acceptance criterion 6 (K = 3.1e8), 15
@@ -599,13 +561,13 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         params.h_norm * abs(a - params.t_dec)) for a in row]
         for row in active], 0.0)
 
-    # pass 2: noise on the code register between decode instants
-    rounds = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
-                     params.rate_r, kick_probs)
-    cells, codes = rounds.sample(trials, gen)
+    # pass 2: each trial's residual from its exact law given its record
+    weights = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
+                      params.rate_r, kick_probs).exact()
     residuals = np.zeros(trials, dtype=np.uint8)
-    residuals[cells] = codes
-    channels = _law(rounds.exact())
+    faults = np.flatnonzero(gen.random(trials) < weights)
+    residuals[faults] = gen.integers(1, 4, faults.size, dtype=np.uint8)
+    channels = _law(weights)
     channels[aborted] = (0.0, 0.0, 0.0, 1.0)  # a Y fault
     estimate = estimate_logical_channel(residuals[~aborted],
                                         decode_failures=int(aborted.sum()),

@@ -13,8 +13,8 @@ from qmemsim.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, ExperimentConfig, main, parse_config,
                          render_rows_csv, result_payload, run_experiment,
                          write_result)
-from qmemsim import protocols
-from qmemsim.clock import MAX_BITS
+from qmemsim import cli, protocols
+from qmemsim.clock import MAX_BITS, sample_trajectory
 from qmemsim.stats import wilson_interval
 
 
@@ -677,7 +677,7 @@ def test_main_register_past_int64_exit(tmp_path, capsys, sub, levels, cells):
 
 def test_main_circuit_past_draw_budget_exit(tmp_path, capsys, monkeypatch):
     # memory_circuit at 1e12 trials: the fresh-block draw is predicted at
-    # 1.29e12 bytes, past protocols.MAX_DRAW_BYTES, so the run exits 2
+    # 4.31e11 bytes, past protocols.MAX_DRAW_BYTES, so the run exits 2
     # with the prediction named and samples nothing
     def no_draw(*args):
         raise AssertionError("the budget check must come before any draw")
@@ -690,7 +690,32 @@ def test_main_circuit_past_draw_budget_exit(tmp_path, capsys, monkeypatch):
                                              str(path)])
     assert code == EXIT_INFEASIBLE and not stdout, stderr
     assert stderr.startswith("infeasible parameters: ")
-    assert "1.29e+12 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
+    assert "4.31e+11 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
+
+
+def test_main_clock_verify_past_draw_budget_exit(tmp_path, capsys,
+                                                 monkeypatch):
+    # K = MAX_BITS at t_max 1: 2.31e18 expected flips, predicted at 9.22e19
+    # bytes, past clock.MAX_DRAW_BYTES, so the run exits 2 with the
+    # prediction named and the generator untouched
+    untouched = []
+
+    def sample(params, horizon, rng):
+        state = rng.bit_generator.state
+        try:
+            return sample_trajectory(params, horizon, rng)
+        finally:
+            untouched.append(rng.bit_generator.state == state)
+    monkeypatch.setattr(cli, "sample_trajectory", sample)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "clock-verify", "K": MAX_BITS,
+                                "trials": 1, "seed": 3}))
+    code, stdout, stderr = run_main(capsys, ["clock-verify", "--config",
+                                             str(path)])
+    assert code == EXIT_INFEASIBLE and not stdout, stderr
+    assert stderr.startswith("infeasible parameters: ")
+    assert "9.22e+19 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
+    assert untouched == [True]
 
 
 def test_main_clock_past_live_interval_budget_exit(tmp_path, capsys):
@@ -727,7 +752,7 @@ BUNDLED_CSV_SHA256 = {
     "lifetime_unprotected":
         "85fc2d654bec4e5b2411a4cf0534313e3af862dd860b77200a829b37947e78bc",
     "memory_circuit":
-        "01d064a333c3ef3d88ddfc518b6aa31b30ae12214e57bb9adda4d37f50ac2c89",
+        "3cc55e33022d219f200b2857d989fb354891432d36837a20539d5c59d46d5c9f",
     "memory_clock_scaled":
         "1a9ae58b455398c5779119f8f5810487f64b307e1a4ee87c4c6b22ef20090615",
     "memory_repetition":

@@ -6,12 +6,16 @@ independently checked inputs and pinned here.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmemsim.clock import (MAX_BITS, ClockCheckpoints, ClockParams,
+from qmemsim.clock import (FLIP_BYTES, MAX_BITS, MAX_DRAW_BYTES,
+                           ClockCheckpoints, ClockParams,
                            ClockTrajectory, DegenerateWindowError, LevelWindow,
+                           ScheduleInfeasibleError,
                            checkpoint_times, first_exit, good_prob_bound,
                            is_good, max_time_error, mean_polarization,
                            sample_count_matrix, sample_passages,
@@ -89,6 +93,41 @@ def test_samplers_bound_register_size_by_int64_sums():
                 draw(gen)
             assert gen.bit_generator.state == np.random.default_rng(
                 1).bit_generator.state
+
+
+# (K, r, horizon) just past MAX_DRAW_BYTES through each factor of the
+# expected flip count K r horizon / 2, and at K = MAX_BITS
+@pytest.mark.parametrize("n_bits, rate_r, horizon", [
+    (MAX_BITS, 1.0, 1.0), (53_687_092, 1.0, 1.0), (4096, 1.0, 13_108.0),
+    (4096, 1000.0, 13.108)])
+def test_sample_trajectory_past_draw_budget_rejected_before_any_draw(
+        n_bits, rate_r, horizon):
+    predicted = FLIP_BYTES * n_bits * rate_r * horizon / 2.0
+    assert predicted > MAX_DRAW_BYTES
+    params = ClockParams(n_bits=n_bits, epsilon=0.25, t_max=horizon,
+                         rate_r=rate_r)
+    gen = np.random.default_rng(5)
+    with pytest.raises(ScheduleInfeasibleError,
+                       match=re.escape(f"allocate {predicted:.3g} bytes")):
+        sample_trajectory(params, horizon, gen)
+    assert gen.bit_generator.state == np.random.default_rng(
+        5).bit_generator.state
+
+
+def test_sample_trajectory_peak_within_prediction():
+    # 250 000 expected flips: the peak allocation is at most the prediction
+    # the budget check reads, FLIP_BYTES a flip, and more than half of it
+    params = ClockParams(n_bits=1_000_000, epsilon=0.25, t_max=0.5,
+                         rate_r=1.0)
+    sample_trajectory(REF, 0.1, np.random.default_rng(6))  # one-time costs
+    tracemalloc.start()
+    try:
+        sample_trajectory(params, 0.5, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    predicted = FLIP_BYTES * 250_000
+    assert predicted / 2 < peak <= predicted, (peak, predicted)
 
 
 def test_band_half_width():

@@ -33,8 +33,7 @@ from qmemsim.bounds import clock_size_for, feasibility_search
 from qmemsim.clock import (MAX_BITS, ClockParams, ScheduleInfeasibleError,
                            sample_trajectory)
 from qmemsim.fivequbit import BLOCK, b_exact, decode_blocks
-from qmemsim.pauli import (SPARSE_WEIGHT, _draw_frames,
-                           sample_cumulative_frames)
+from qmemsim.pauli import SPARSE_WEIGHT
 from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                ProtocolParams, estimate_logical_channel,
                                exact_majority_failure, lifetime_scan,
@@ -44,7 +43,7 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
                                _fresh_frames, _kick_probability,
-                               _Rounds, _tails)
+                               _Rounds, _sample_rounds, _tails)
 from qmemsim.stats import wilson_interval
 
 TWO_PI = 2.0 * math.pi
@@ -436,18 +435,29 @@ def test_circuit_storage_levels_override():
 
 # --- hit-list rounds against the exact law and the dense register ------------
 
+def dense_noise(shape, p, gen):
+    """uint8 frames of shape (trials, n), each cell of trial i hit at weight
+    p[i]: one uniform per cell against p, then a uniform X, Z or Y per hit."""
+    frames = np.zeros(shape, dtype=np.uint8)
+    hit = gen.random(shape) < p[:, None]
+    frames[hit] = gen.integers(1, 4, np.count_nonzero(hit), dtype=np.uint8)
+    return frames
+
+
 def dense_rounds(rounds, trials, gen):
-    """Reference for _Rounds.sample: the whole trials x 5^levels register,
-    XORed with fresh frames, decoded block by block and kicked in place."""
+    """Reference for the rounds' law, sharing no code with _sample_rounds:
+    the whole trials x 5^levels register takes each round's storage noise,
+    is decoded block by block, and takes each kick in place after its
+    decode."""
     levels = rounds.durations.shape[-1]
+    durations = np.broadcast_to(rounds.durations, (trials, levels))
     frames = np.zeros((trials, BLOCK ** levels), dtype=np.uint8)
     for j in range(levels):
-        frames ^= sample_cumulative_frames(frames.shape[1],
-                                           rounds.durations[..., j],
-                                           rounds.rate_r, trials, gen)
+        q = -0.75 * np.expm1(-rounds.rate_r * durations[:, j])
+        frames ^= dense_noise(frames.shape, q, gen)
         frames = decode_blocks(frames.reshape(trials, -1, BLOCK))
         if rounds.kicks is not None:
-            frames ^= _draw_frames(frames.shape, rounds.kicks[:, j], gen)
+            frames ^= dense_noise(frames.shape, rounds.kicks[:, j], gen)
     return frames[:, 0]
 
 
@@ -474,9 +484,12 @@ def class_counts(residuals):
 
 
 def sampled_residuals(rounds, trials, gen):
-    """Residual codes (trials,) of _Rounds.sample, from its hit list: the
-    ascending trials whose residual is not I, and their uint8 codes."""
-    cells, codes = rounds.sample(trials, gen)
+    """Residual codes (trials,) of _sample_rounds at the one weight of
+    rounds, from its hit list: the ascending trials whose residual is not
+    I, and their uint8 codes."""
+    weights, _ = rounds._noise()
+    assert weights.ndim == 1 and np.all(weights == weights[0])
+    cells, codes = _sample_rounds(weights[0], weights.size, trials, gen)
     assert codes.dtype == np.uint8 and cells.shape == codes.shape
     assert np.all(np.diff(cells) > 0) and np.all(codes != 0)
     assert cells.size == 0 or 0 <= cells[0] <= cells[-1] < trials
@@ -496,26 +509,36 @@ def dense_counts(rounds, trials, gen):
     return counts
 
 
-def gate_p_values(rounds, reps, seed):
-    """p-values of _Rounds.sample's residual classes, with each trial of
-    rounds (one, when it has no trial axis) repeated reps times: the fault
-    count and each of the X, Z and Y counts against the exact law
-    (count_p_value), and the four class counts against dense_rounds on as
-    many trials (chi2_table)."""
-    weights = np.atleast_1d(rounds.exact())
-    if rounds.durations.ndim == 2:
-        rounds = per_trial(rounds, lambda a: np.tile(a, (reps, 1)))
-    trials = weights.size * reps
-    counts = class_counts(sampled_residuals(
-        rounds, trials, np.random.default_rng([seed, 0])))
-    want = dense_counts(rounds, trials, np.random.default_rng([seed, 1]))
-    out = {"dense": chi2_table([counts, want])[2],
-           "faults": count_p_value(int(trials - counts[0]),
+def exact_p_values(counts, weights, reps):
+    """count_p_value of the fault count and of each of the X, Z and Y
+    counts against the exact fault weights, each repeated reps times."""
+    out = {"faults": count_p_value(int(counts[1:].sum()),
                                    [(reps, w) for w in weights])}
     for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
         out[label] = count_p_value(int(counts[code]),
                                    [(reps, w / 3.0) for w in weights])
     return out
+
+
+def gate_p_values(rounds, reps, seed):
+    """p-values of the residual classes of rounds, with each trial of
+    rounds (one, when it has no trial axis) repeated reps times.  Rounds
+    of one weight: _sample_rounds' counts against the exact law
+    (exact_p_values) and against dense_rounds on as many trials
+    (chi2_table).  Rounds with a trial axis, which only the exact law and
+    dense_rounds take: dense_rounds' counts against the exact law."""
+    weights = np.atleast_1d(rounds.exact())
+    trials = weights.size * reps
+    if rounds.durations.ndim == 2:
+        rounds = per_trial(rounds, lambda a: np.tile(a, (reps, 1)))
+        return exact_p_values(
+            dense_counts(rounds, trials, np.random.default_rng([seed, 1])),
+            weights, reps)
+    counts = class_counts(sampled_residuals(
+        rounds, trials, np.random.default_rng([seed, 0])))
+    want = dense_counts(rounds, trials, np.random.default_rng([seed, 1]))
+    return {"dense": chi2_table([counts, want])[2],
+            **exact_p_values(counts, weights, reps)}
 
 
 def reps_for(rounds):
@@ -552,8 +575,9 @@ def test_rounds_sample_matches_dense_register(levels, t):
 
 
 # 300 trials of per-trial storage durations and kicks, each repeated as
-# reps_for says; the kicks' largest weight (trial 0's) is 0, below the cut,
-# the float below it, the cut, and 0.5
+# reps_for says, in dense_rounds against the exact law; the kicks' largest
+# weight (trial 0's) is 0, below the cut, the float below it, the cut, and
+# 0.5
 @pytest.mark.parametrize("kick", [0.0, 0.02, BELOW_CUT, SPARSE_WEIGHT, 0.5])
 @pytest.mark.parametrize("longest", [0.02, 0.5])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -569,33 +593,36 @@ def test_rounds_sample_with_kicks_matches_dense_register(levels, longest,
 
 
 # one-trial calls, SINGLE_CALLS a configuration: the storage weights of
-# test_rounds_sample_matches_dense_register (0.5 for the dense one), and
-# kicks below the cut, at it and at 0.5 over storage at 0.02
+# test_rounds_sample_matches_dense_register (0.5 for the dense one) in
+# _sample_rounds; and kicks below the cut, at it and at 0.5 over storage at
+# 0.02, SINGLE_CALLS trials of each in dense_rounds against the exact law
 SINGLE_CALLS = 60
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_rounds_sample_single_trial_matches_dense_register(levels):
-    configs = [_Rounds(np.full(levels, t), 1.0)
-               for t in (0.005, T_BELOW_CUT, T_CUT, 0.5)]
-    configs += [_Rounds(np.full((1, levels), 0.02), 1.0,
-                        np.full((1, levels), kick))
-                for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5)]
+    plain = [_Rounds(np.full(levels, t), 1.0)
+             for t in (0.005, T_BELOW_CUT, T_CUT, 0.5)]
+    kicked = [_Rounds(np.full((1, levels), 0.02), 1.0,
+                      np.full((1, levels), kick))
+              for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5)]
     gen = np.random.default_rng([110 + levels, 0])
     dense_gen = np.random.default_rng([110 + levels, 1])
     got, want = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
-    for rounds in configs:
+    for rounds in plain:
         for _ in range(SINGLE_CALLS):
             got += class_counts(sampled_residuals(rounds, 1, gen))
         want += dense_counts(rounds, SINGLE_CALLS, dense_gen)
-    weights = [float(np.sum(rounds.exact())) for rounds in configs]
-    assert SINGLE_CALLS * sum(weights) > GATE_FAULTS
-    p_values = {"dense": chi2_table([got, want])[2],
-                "faults": count_p_value(int(got[1:].sum()), [
-                    (SINGLE_CALLS, w) for w in weights])}
-    for code, label in ((1, "X"), (2, "Z"), (3, "Y")):
-        p_values[label] = count_p_value(int(got[code]), [
-            (SINGLE_CALLS, w / 3.0) for w in weights])
+    kicked_got = sum(dense_counts(rounds, SINGLE_CALLS, dense_gen)
+                     for rounds in kicked)
+    weights = {label: [float(np.sum(rounds.exact())) for rounds in configs]
+               for label, configs in (("plain", plain), ("kicked", kicked))}
+    assert SINGLE_CALLS * sum(map(sum, weights.values())) > GATE_FAULTS
+    p_values = {"dense": chi2_table([got, want])[2]}
+    for label, counts in (("plain", got), ("kicked", kicked_got)):
+        p_values.update({f"{label}_{name}": value for name, value in
+                         exact_p_values(counts, weights[label],
+                                        SINGLE_CALLS).items()})
     assert min(p_values.values()) >= GATE_ALPHA, p_values
 
 
@@ -620,16 +647,14 @@ def fit_p_value(counts, probs):
 def test_fresh_frames_follow_binomial_given_two_hits():
     # the frames of fresh blocks: hit counts from Binomial(5, p) given >= 2,
     # every subset of sites of a count equally likely, and each hit an
-    # X, Z or Y alike; at one weight for the call, and at one per block
+    # X, Z or Y alike, at the circuit point's weight and at three more
     gen = np.random.default_rng(74)
-    cases = [(0.0037, _fresh_frames(_tails(0.0037), 40_000, gen))]
-    weights = np.tile([0.05, 0.3, 1.0], 20_000)
-    frames = _fresh_frames(_tails(weights), weights.size, gen)
-    assert frames.dtype == np.uint8 and frames.shape == (weights.size, BLOCK)
-    cases += [(p, frames[weights == p]) for p in (0.05, 0.3, 1.0)]
+    cases = [(p, _fresh_frames(_tails(p), size, gen)) for p, size in (
+        (0.0037, 40_000), (0.05, 20_000), (0.3, 20_000), (1.0, 20_000))]
     masks = np.arange(2 ** BLOCK)
     sizes = np.array([bin(m).count("1") for m in masks])
     for p, frames in cases:
+        assert frames.dtype == np.uint8 and frames.shape[1:] == (BLOCK,)
         hits = frames != 0
         count = hits.sum(axis=1)
         assert count.min() >= 2
@@ -650,12 +675,14 @@ def test_fresh_frames_follow_binomial_given_two_hits():
 
 
 def predicted_bytes(trials, levels, t_prot):
-    """The peak allocation _Rounds.sample predicts for a circuit run:
+    """The peak allocation _sample_rounds predicts for a circuit run:
     FRESH_HIT_BYTES for each of the trials x (5^levels - 1)/4 cells of its
-    fresh-block draw expected to hit, at P(>= 2 hits of 5)."""
+    fresh-block draw expected to hit, at P(>= 2 hits of 5), and
+    DENSE_CELL_BYTES for each of those cells when that draw is dense."""
     tail = float(_tails(-0.75 * math.expm1(-t_prot))[1])
-    return (protocols.FRESH_HIT_BYTES * trials * (BLOCK ** levels - 1) // 4
-            * tail)
+    cells = trials * (BLOCK ** levels - 1) // 4
+    dense = protocols.DENSE_CELL_BYTES if tail >= SPARSE_WEIGHT else 0
+    return (protocols.FRESH_HIT_BYTES * tail + dense) * cells
 
 
 def test_circuit_six_levels_in_hit_lists():
@@ -676,6 +703,24 @@ def test_circuit_six_levels_in_hit_lists():
     weight = float(_Rounds(np.full(6, 0.03), 1.0).exact())
     faults = est.trials - int(est.counts[0])
     assert count_p_value(faults, [(est.trials, weight)]) >= GATE_ALPHA
+
+
+# fresh-block draws in the dense order: just past its cut, where the cell
+# draw itself makes the peak (about 9 bytes a cell), and at 0.4, where the
+# hits do (P(>= 2 hits of 5) = 0.36)
+@pytest.mark.parametrize("t_prot", [0.085, 0.4])
+def test_circuit_dense_fresh_draw_within_prediction(t_prot):
+    assert _tails(-0.75 * math.expm1(-t_prot))[1] >= SPARSE_WEIGHT
+    predicted = predicted_bytes(3000, 4, t_prot)
+    tracemalloc.start()
+    try:
+        simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=4,
+                                              t_prot=t_prot),
+                               3000, np.random.default_rng(73))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= predicted, (peak, predicted)
 
 
 def test_circuit_above_threshold_matches_exact_law():
@@ -704,6 +749,7 @@ def test_circuit_past_draw_budget_rejected_before_any_draw(trials, levels):
     params = ProtocolParams(rate_r=1.0, levels=levels, t_prot=0.005)
     predicted = predicted_bytes(trials, levels, 0.005)
     assert predicted > protocols.MAX_DRAW_BYTES
+    assert protocols.MAX_DRAW_BYTES is clock.MAX_DRAW_BYTES
     gen = np.random.default_rng(80)
     state = gen.bit_generator.state
     with pytest.raises(ScheduleInfeasibleError,
@@ -849,16 +895,14 @@ def test_clock_controlled_pinned_digest():
 
 
 def test_clock_controlled_pinned_counts():
-    # pass 2 (code-qubit noise), recorded from the rounds that draw the
-    # fresh blocks of both rounds before the first decode, with each
-    # level-1 kick composed into round 2's noise.  Every draw is dense: the
-    # round weights are 0.17-0.26, so P(>= 2 hits of 5) 0.19-0.39, and the
-    # last kicks, drawn on the last qubit, reach 0.046, above
-    # pauli.SPARSE_WEIGHT.  The 34 faults of the 57 decoded trials sit at a
-    # two-sided exact tail of 0.89 against the 35.0 their exact channels
-    # expect
+    # pass 2, recorded from the draw of each trial's residual from its exact
+    # law given its pass-1 record: one uniform per trial against its fault
+    # weight, then a uniform X, Z or Y per fault.  The 31 faults of the 57
+    # decoded trials sit at a two-sided exact tail of 0.34 against the 34.97
+    # their exact channels expect, and their 11 X, 11 Z and 9 Y at 0.99,
+    # 0.99 and 0.49 against 11.66 each
     est = simulate_clock_controlled(PINNED, 64, np.random.default_rng(61))
-    assert est.counts.tolist() == [23, 12, 10, 19]
+    assert est.counts.tolist() == [26, 11, 11, 16]
     assert est.decode_failures == 7 and est.bad_trajectories == 7
 
 
@@ -1004,8 +1048,8 @@ def test_clock_code_rate_override_isolates_clock_noise():
     # h_norm ~ 0.125 those are tiny
     _, diag = simulate_clock_controlled(UNIT, 400, np.random.default_rng(52),
                                         return_diagnostics=True)
-    residuals = sampled_residuals(clock_rounds(diag, 0.0), 400,
-                                  np.random.default_rng(53))
+    residuals = dense_rounds(clock_rounds(diag, 0.0), 400,
+                             np.random.default_rng(53))
     faults = np.count_nonzero(residuals[~diag.aborted]) + diag.aborted.sum()
     assert faults / 400 <= 0.05
 
@@ -1036,11 +1080,12 @@ def count_check_power(truth, alternative):
 
 def test_clock_sampled_faults_see_the_kicks():
     # pooled pass-2 faults against each trial's exact channel.  The power
-    # of that check at GATE_ALPHA, from the exact channels of this run: 1.0
-    # (to 1e-15) against the channels without the kicks (mean fault weight
-    # 0.057, against 0.269) and 0.997 against those at 1.5x the code's
-    # noise rate (0.335); 2000 trials is the smallest of 1200, 1500, 1800
-    # and 2000 that passes 0.99 against both
+    # of that check at GATE_ALPHA against a pass 2 that draws from other
+    # channels, from the exact channels of this run: 1.0 (to 1e-15) against
+    # the channels without the kicks (mean fault weight 0.057, against
+    # 0.269) and 0.997 against those at 1.5x the code's noise rate (0.335);
+    # 2000 trials is the smallest of 1200, 1500, 1800 and 2000 that passes
+    # 0.99 against both
     assert KICKED.h_norm == 25.0
     trials = 2000
     est, diag = simulate_clock_controlled(KICKED, trials,
@@ -1049,6 +1094,10 @@ def test_clock_sampled_faults_see_the_kicks():
     truth = diag.channels[:, 1:].sum(axis=1)
     faults = trials - int(est.counts[0])
     assert count_p_value(faults, [(1, p) for p in truth]) >= GATE_ALPHA
+    # and each class: X, Z and Y at w_i / 3 a decoded trial, an abort a Y
+    for code in (1, 2, 3):
+        assert count_p_value(int(est.counts[code]), [
+            (1, p) for p in diag.channels[:, code]]) >= GATE_ALPHA, code
     for alternative in (replace(clock_rounds(diag, 1.0), kicks=None),
                         clock_rounds(diag, 1.5)):
         weights = np.where(diag.aborted, 1.0, alternative.exact())
