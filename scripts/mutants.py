@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # exact law, in distribution
 HIT_GATE = [
     "tests/test_protocols.py::test_rounds_sample_matches_dense_register",
-    "tests/test_protocols.py::test_rounds_sample_with_kicks_matches_dense_register",
+    "tests/test_protocols.py::test_kicked_dense_register_matches_exact_law",
     "tests/test_protocols.py::test_rounds_sample_single_trial_matches_dense_register"]
 
 # the circuit model above threshold (t_prot 0.08, 3 levels), where many
@@ -41,13 +41,13 @@ ABOVE_GATE = ("tests/test_protocols.py::"
 FRESH_CHECK = ("tests/test_protocols.py::"
                "test_fresh_frames_follow_binomial_given_two_hits")
 
-# the exact law against the kicks composed in the order they act in
+# the kicked exact law against its 50-digit decimal reference
 COMPOSE_CHECK = ("tests/test_protocols.py::"
-                 "test_rounds_exact_composes_each_kick_into_the_next_round")
+                 "test_kicked_fault_weight_matches_decimal_reference")
 
 # the dense register's kicked rounds against the exact law
 KICKED_GATE = ("tests/test_protocols.py::"
-               "test_rounds_sample_with_kicks_matches_dense_register")
+               "test_kicked_dense_register_matches_exact_law")
 
 # clock pass 2's sampled faults and X, Z and Y counts against each trial's
 # exact channel
@@ -94,10 +94,8 @@ MUTANTS = {
     # the exact logical channel at 1.5 times the storage noise rate
     "rounds_exact_rate_1_5x": (
         "protocols.py",
-        "        weights, last = self._noise()\n"
-        "        w = 0.0\n",
-        "        weights, last = replace(self, rate_r=1.5 * self.rate_r)._noise()\n"
-        "        w = 0.0\n",
+        "q = -0.75 * np.expm1(-rate_r * durations)",
+        "q = -0.75 * np.expm1(-1.5 * rate_r * durations)",
         ["tests/test_protocols.py",
          KICKED_GATE,
          "tests/test_acceptance.py::test_criterion_5_circuit_log_scaling",
@@ -106,26 +104,28 @@ MUTANTS = {
     # the exact logical channel without the clock's decode kicks
     "rounds_exact_no_kicks": (
         "protocols.py",
-        "        weights, last = self._noise()\n"
-        "        w = 0.0\n",
-        "        weights, last = replace(self, kicks=None)._noise()\n"
-        "        w = 0.0\n",
+        "        if kicks is not None:\n",
+        "        if False:\n",
         ["tests/test_protocols.py",
          KICKED_GATE,
          "tests/test_acceptance.py::test_criterion_6_clock_controlled_protocol"]),
-    # each kick composed into the noise of its own round, before its
-    # decode, in the exact law and so in clock pass 2
+    # each kick composed before its own round's decode, in the exact law
+    # and so in clock pass 2
     "rounds_kick_before_its_decode": (
         "protocols.py",
-        "np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))",
-        "self.kicks",
+        "        w = b_exact(_depolarized(w, q[..., j]))\n"
+        "        if kicks is not None:\n"
+        "            w = _depolarized(w, kicks[:, j])\n",
+        "        if kicks is not None:\n"
+        "            w = _depolarized(w, kicks[:, j])\n"
+        "        w = b_exact(_depolarized(w, q[..., j]))\n",
         [*HIT_GATE, COMPOSE_CHECK,
          "tests/test_protocols.py::test_clock_exact_channel_composes_kicks"]),
     # the last kick left out, in the exact law and so in clock pass 2
     "rounds_last_kick_dropped": (
         "protocols.py",
-        "self.kicks[:, -1])",
-        "None)",
+        "if kicks is not None:",
+        "if kicks is not None and j < q.shape[-1] - 1:",
         [*HIT_GATE, COMPOSE_CHECK,
          "tests/test_protocols.py::test_clock_exact_channel_composes_kicks"]),
     # a residual's site read from the block's digit instead of the cell's,

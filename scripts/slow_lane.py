@@ -30,7 +30,7 @@ summary as the last line; it exits 1 if any check fails.
    t_prot, CIRCUIT_LEVELS levels, CIRCUIT_TRIALS trials a call): over three
    seeds, CIRCUIT_CALLS calls of simulate_circuit_model each, the pooled
    fault count and each of the X, Z and Y counts against the exact law of
-   _Rounds.exact (count_p_value, about 1500 expected faults a seed), each
+   _fault_weight (count_p_value, about 1500 expected faults a seed), each
    p-value at least GATE_ALPHA.
 5. The circuit rounds on both sides of the threshold t_prot* ~ 0.0408:
    at each (t_prot, trials) of THRESHOLD_POINTS, levels 1 to 6 (5 to
@@ -62,7 +62,7 @@ from distribution_gate import (BELOW_CUT, GATE_ALPHA,  # noqa: E402
                                passage_samplers)
 from qmemsim.bounds import feasibility_search  # noqa: E402
 from qmemsim.clock import ClockParams, window_schedule  # noqa: E402
-from qmemsim.protocols import (ProtocolParams, _Rounds,  # noqa: E402
+from qmemsim.protocols import (ProtocolParams, _fault_weight,  # noqa: E402
                                lifetime_scan, simulate_circuit_model,
                                simulate_clock_controlled, with_sized_clock)
 
@@ -243,7 +243,7 @@ def run_threshold():
             est = simulate_circuit_model(
                 ProtocolParams(rate_r=1.0, levels=level, t_prot=t_prot),
                 trials, gen)
-            weight = float(_Rounds(np.full(level, t_prot), 1.0).exact())
+            weight = float(_fault_weight(np.full(level, t_prot), 1.0))
             faults = trials - int(est.counts[0])
             p_values = {"faults": count_p_value(faults, [(trials, weight)])}
             for code, label in ((1, "X"), (2, "Z"), (3, "Y")):

@@ -82,10 +82,14 @@ class ScheduleInfeasibleError(ValueError):
 MAX_BITS = 2 ** 62 - 1
 
 # the most bytes a sampler may be predicted to allocate at its peak (a draw
-# predicted past it is infeasible, before its first draw), and the bytes
-# sample_trajectory allocates a flip (tracemalloc reads 35 up to 2.55 M)
+# predicted past it is infeasible, before its first draw), the bytes
+# sample_trajectory allocates a flip (tracemalloc reads 35 up to 2.55 M),
+# and the bytes a checkpoint of sample_trajectory_checkpointed holds at the
+# peak of its draw and of is_good and max_time_error on it (tracemalloc
+# reads 50 to 53 from 1e3 checkpoints up, 24 to 32 of them in the draw)
 MAX_DRAW_BYTES = 2 ** 30
 FLIP_BYTES = 40
+CHECKPOINT_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -344,7 +348,19 @@ def sample_count_matrix(params: ClockParams, times: np.ndarray, trials: int,
 
 def sample_trajectory_checkpointed(params: ClockParams, checkpoint_spacing: float,
                                    horizon: float, rng) -> ClockCheckpoints:
-    """One trajectory at checkpoint resolution; exact jointly at checkpoints."""
+    """One trajectory at checkpoint resolution; exact jointly at checkpoints.
+
+    Past MAX_DRAW_BYTES at CHECKPOINT_BYTES for each of the
+    horizon / checkpoint_spacing + 2 checkpoints or fewer, it raises
+    ScheduleInfeasibleError before any draw.
+    """
+    if checkpoint_spacing > 0:  # checkpoint_times refuses the others
+        predicted = CHECKPOINT_BYTES * (horizon / checkpoint_spacing + 2)
+        if predicted > MAX_DRAW_BYTES:
+            raise ScheduleInfeasibleError(
+                f"checkpoint_spacing {checkpoint_spacing:.3g} over "
+                f"{horizon:.3g} is predicted to allocate {predicted:.3g} "
+                f"bytes, above the budget MAX_DRAW_BYTES = {MAX_DRAW_BYTES}")
     times = checkpoint_times(checkpoint_spacing, horizon)
     counts = sample_count_matrix(params, times[1:], 1, rng)[0]
     k = 2 * np.concatenate(([params.n_bits], counts)) - params.n_bits

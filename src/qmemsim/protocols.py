@@ -35,9 +35,9 @@ as decode_failure and counted as a full logical fault.
 Exact channel.  Blocks are disjoint, their noise is i.i.d. depolarizing,
 and decoding a depolarized block gives a depolarized logical qubit (see
 fivequbit).  So the logical channel is one fault weight w, exact round by
-round: the round's noise of weight q takes w to w + q (1 - 4w/3), the
-decode applies b_exact, and a kick composes like the noise, as one noise
-with the next round's storage noise on the same qubits.  A
+round (_fault_weight): the round's noise of weight q takes w to
+w + q (1 - 4w/3), the decode applies b_exact, and a kick, which acts on
+the decoded qubits after their decode, composes like the noise.  A
 clock-controlled run has one such weight per trial, given its pass-1
 record.
 """
@@ -248,39 +248,20 @@ FRESH_HIT_BYTES = 100
 DENSE_CELL_BYTES = 9
 
 
-@dataclass(frozen=True)
-class _Rounds:
-    """The law of a concatenated run's noise, round by round.
-
-    Round j depolarizes every qubit of the register for durations[..., j]
-    at rate_r, decodes one level, then depolarizes each decoded qubit at
-    weight kicks[:, j] (no kicks when None).  A leading trial axis gives
-    each trial its own rounds.  exact gives the residual's law.
-    """
-
-    durations: np.ndarray    # (levels,) or (trials, levels)
-    rate_r: float
-    kicks: np.ndarray | None = None  # (trials, levels)
-
-    def _noise(self):
-        """Each round's noise weight (..., levels) and the last kick
-        ((trials,), None without kicks).  The kick after round j's decode
-        and round j + 1's storage noise depolarize the same register, so
-        they are one depolarizing noise, of the composed weight."""
-        q = -0.75 * np.expm1(-self.rate_r * self.durations)
-        if self.kicks is None:
-            return q, None
-        return (_depolarized(q, np.pad(self.kicks[:, :-1], ((0, 0), (1, 0)))),
-                self.kicks[:, -1])
-
-    def exact(self):
-        """Exact fault weight of that residual, one entry per trial axis;
-        the residual is depolarizing, so this is its whole law."""
-        weights, last = self._noise()
-        w = 0.0
-        for q in weights.T:
-            w = b_exact(_depolarized(w, q))
-        return w if last is None else _depolarized(w, last)
+def _fault_weight(durations, rate_r, kicks=None):
+    """Exact fault weight of a concatenated run's residual, in the order the
+    noise acts: round j depolarizes every qubit of the register for
+    durations[..., j] at rate_r, decodes one level, then depolarizes each
+    decoded qubit at weight kicks[:, j] (no kicks when None).  A leading
+    trial axis gives each trial its own rounds and its own weight; the
+    residual is depolarizing, so this is its whole law."""
+    q = -0.75 * np.expm1(-rate_r * durations)
+    w = 0.0
+    for j in range(q.shape[-1]):
+        w = b_exact(_depolarized(w, q[..., j]))
+        if kicks is not None:
+            w = _depolarized(w, kicks[:, j])
+    return w
 
 
 def _sample_rounds(q, levels: int, trials: int, gen):
@@ -474,15 +455,14 @@ def simulate_circuit_model(params: ProtocolParams, trials: int,
     if params.t_prot is None:
         raise ValueError("t_prot is required")
     _check_trials(trials, params.levels)
-    rounds = _Rounds(np.full(params.levels, float(params.t_prot)),
-                     params.rate_r)
-    weights, _ = rounds._noise()
-    _, codes = _sample_rounds(weights[0], params.levels, trials,
+    q = -0.75 * np.expm1(-params.rate_r * params.t_prot)
+    _, codes = _sample_rounds(q, params.levels, trials,
                               np.random.default_rng(rng))
     counts = np.bincount(codes, minlength=4)
     counts[0] = trials - codes.size
+    weight = _fault_weight(np.full(params.levels, params.t_prot), params.rate_r)
     return LogicalChannelEstimate(counts=counts, trials=trials,
-                                  exact=_law(rounds.exact()))
+                                  exact=_law(weight))
 
 
 def _kick_probability(exponent: float) -> float:
@@ -562,8 +542,8 @@ def simulate_clock_controlled(params: ProtocolParams, trials: int, rng,
         for row in active], 0.0)
 
     # pass 2: each trial's residual from its exact law given its record
-    weights = _Rounds(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0, None),
-                      params.rate_r, kick_probs).exact()
+    weights = _fault_weight(np.clip(np.diff(taus, axis=1, prepend=0.0), 0.0,
+                                    None), params.rate_r, kick_probs)
     residuals = np.zeros(trials, dtype=np.uint8)
     faults = np.flatnonzero(gen.random(trials) < weights)
     residuals[faults] = gen.integers(1, 4, faults.size, dtype=np.uint8)

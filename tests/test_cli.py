@@ -13,7 +13,7 @@ from qmemsim.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, ExperimentConfig, main, parse_config,
                          render_rows_csv, result_payload, run_experiment,
                          write_result)
-from qmemsim import cli, protocols
+from qmemsim import cli, clock, protocols
 from qmemsim.clock import MAX_BITS, sample_trajectory
 from qmemsim.stats import wilson_interval
 
@@ -716,6 +716,25 @@ def test_main_clock_verify_past_draw_budget_exit(tmp_path, capsys,
     assert stderr.startswith("infeasible parameters: ")
     assert "9.22e+19 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
     assert untouched == [True]
+
+
+def test_main_clock_verify_checkpointed_past_draw_budget_exit(
+        tmp_path, capsys, monkeypatch):
+    # K 1e8 at t_max 1 and checkpoint_spacing 1e-12: 1e12 checkpoints,
+    # predicted at 5.6e13 bytes, past clock.MAX_DRAW_BYTES, so the run exits
+    # 2 with the prediction named and draws nothing
+    def no_draw(*args):
+        raise AssertionError("the budget check must come before any draw")
+    monkeypatch.setattr(clock, "sample_count_matrix", no_draw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "clock-verify",
+                                "K": 100_000_000, "t_max": 1.0, "trials": 1,
+                                "seed": 1, "checkpoint_spacing": 1e-12}))
+    code, stdout, stderr = run_main(capsys, ["clock-verify", "--config",
+                                             str(path)])
+    assert code == EXIT_INFEASIBLE and not stdout, stderr
+    assert stderr.startswith("infeasible parameters: ")
+    assert "5.6e+13 bytes" in stderr and "MAX_DRAW_BYTES" in stderr
 
 
 def test_main_clock_past_live_interval_budget_exit(tmp_path, capsys):

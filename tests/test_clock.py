@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmemsim.clock import (FLIP_BYTES, MAX_BITS, MAX_DRAW_BYTES,
-                           ClockCheckpoints, ClockParams,
+from qmemsim.clock import (CHECKPOINT_BYTES, FLIP_BYTES, MAX_BITS,
+                           MAX_DRAW_BYTES, ClockCheckpoints, ClockParams,
                            ClockTrajectory, DegenerateWindowError, LevelWindow,
                            ScheduleInfeasibleError,
                            checkpoint_times, first_exit, good_prob_bound,
@@ -403,6 +403,44 @@ def test_checkpoint_times_grid():
         checkpoint_times(0.0, 1.0)
     with pytest.raises(ValueError):
         checkpoint_times(2.0, 1.0)
+
+
+# K 1e8 over [0, 1]: spacing 1e-12 makes 1e12 checkpoints, 5.6e13 bytes;
+# the 201 checkpoints of acceptance criterion 4 (spacing 0.01 over 2.0)
+# take 1.1e4, about 1e-5 of the budget
+def test_checkpointed_past_draw_budget_rejected_before_any_draw():
+    params = ClockParams(n_bits=100_000_000, epsilon=0.25, t_max=1.0,
+                         rate_r=1.0)
+    predicted = CHECKPOINT_BYTES * (1.0 / 1e-12 + 2)
+    assert predicted > MAX_DRAW_BYTES
+    assert CHECKPOINT_BYTES * (2.0 / 0.01 + 2) < 2e-5 * MAX_DRAW_BYTES
+    gen = np.random.default_rng(7)
+    with pytest.raises(ScheduleInfeasibleError,
+                       match=re.escape(f"allocate {predicted:.3g} bytes")):
+        sample_trajectory_checkpointed(params, 1e-12, 1.0, gen)
+    assert gen.bit_generator.state == np.random.default_rng(
+        7).bit_generator.state
+
+
+def test_checkpointed_peak_within_prediction():
+    # 20 001 checkpoints: the peak allocation of the draw and of is_good
+    # and max_time_error on it, as clock-verify runs them, is at most the
+    # prediction the budget check reads and more than half of it
+    params = ClockParams(n_bits=100_000_000, epsilon=0.25, t_max=1.0,
+                         rate_r=1.0)
+    gen = np.random.default_rng(8)
+    traj = sample_trajectory_checkpointed(params, 0.1, 1.0, gen)
+    is_good(traj, params), max_time_error(traj, params)  # one-time costs
+    tracemalloc.start()
+    try:
+        traj = sample_trajectory_checkpointed(params, 5e-5, 1.0, gen)
+        is_good(traj, params), max_time_error(traj, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 20_001
+    predicted = CHECKPOINT_BYTES * (1.0 / 5e-5 + 2)
+    assert predicted / 2 < peak <= predicted, (peak, predicted)
 
 
 def test_count_matrix_moments():

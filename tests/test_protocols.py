@@ -7,6 +7,7 @@ decimal reference of the same recursion and, over two rounds, against
 brute-force enumeration of general (not depolarizing) block laws.
 """
 
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -42,8 +43,8 @@ from qmemsim.protocols import (ClockRunDiagnostics, LogicalChannelEstimate,
                                simulate_classical_repetition,
                                simulate_clock_controlled, simulate_unprotected,
                                with_sized_clock, _depolarized,
-                               _fresh_frames, _kick_probability,
-                               _Rounds, _sample_rounds, _tails)
+                               _fault_weight, _fresh_frames,
+                               _kick_probability, _sample_rounds, _tails)
 from qmemsim.stats import wilson_interval
 
 TWO_PI = 2.0 * math.pi
@@ -366,16 +367,21 @@ def test_circuit_two_rounds_match_enumeration_oracle():
     assert within_sigmas(est)
 
 
-def reference_weight(q, levels, digits=50):
-    """The round recursion w -> b(w + q (1 - 4w/3)) in decimal arithmetic,
-    from the float round weight q; b is the failing-count polynomial."""
+def reference_weight(weights, kicks=None, digits=50):
+    """The round recursion in decimal arithmetic, from the float storage
+    weight weights[j] and kick kicks[j] of each round (no kicks when None):
+    w -> b(w + q (1 - 4w/3)), b the failing-count polynomial, then
+    w -> w + k (1 - 4w/3)."""
     with localcontext() as ctx:
         ctx.prec = digits
-        q, w = Decimal(q), Decimal(0)
-        for _ in range(levels):
+        w = Decimal(0)
+        for j, q in enumerate(map(Decimal, weights)):
             p = w + q * (1 - 4 * w / 3)
+            # strings of weight 0 and 1 never fail (and 0 ** 0 is invalid)
             w = sum(n * (p / 3) ** k * (1 - p) ** (5 - k)
-                    for k, n in enumerate(N_W))
+                    for k, n in enumerate(N_W) if n)
+            if kicks is not None:
+                w += Decimal(kicks[j]) * (1 - 4 * w / 3)
         return float(w)
 
 
@@ -383,13 +389,14 @@ def reference_weight(q, levels, digits=50):
 def test_exact_weight_matches_decimal_reference(t_prot):
     q = -0.75 * math.expm1(-t_prot)
     for levels in range(1, 7):
-        got = _Rounds(np.full(levels, t_prot), 1.0).exact()
-        assert got == pytest.approx(reference_weight(q, levels), rel=2e-15)
+        got = _fault_weight(np.full(levels, t_prot), 1.0)
+        assert got == pytest.approx(reference_weight([q] * levels),
+                                    rel=2e-15)
     # one level of the circuit model carries the same weight
     est = simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=1,
                                                 t_prot=t_prot),
                                  10, np.random.default_rng(1))
-    assert est.exact[1:].sum() == pytest.approx(reference_weight(q, 1),
+    assert est.exact[1:].sum() == pytest.approx(reference_weight([q]),
                                                 rel=2e-15)
 
 
@@ -397,8 +404,8 @@ def test_exact_weight_settles_over_many_levels():
     # below threshold the weight settles at the recursion's fixed point,
     # and its law still sums to 1 exactly
     q = -0.75 * math.expm1(-0.005)
-    got = _Rounds(np.full(250, 0.005), 1.0).exact()
-    assert got == pytest.approx(reference_weight(q, 250), rel=2e-15)
+    got = _fault_weight(np.full(250, 0.005), 1.0)
+    assert got == pytest.approx(reference_weight([q] * 250), rel=2e-15)
     assert got == pytest.approx(1.50009e-4, rel=1e-5)
 
 
@@ -408,9 +415,9 @@ def test_rounds_exact_one_weight_per_round_matches_trial_axis():
     gen = np.random.default_rng(78)
     for durations in (np.full(4, 0.005), np.full(6, 0.08),
                       gen.uniform(0.0, 0.3, 5), np.zeros(2)):
-        got = _Rounds(durations, 1.0).exact()
+        got = _fault_weight(durations, 1.0)
         assert type(got) is float
-        row = _Rounds(durations[None, :], 1.0).exact()
+        row = _fault_weight(durations[None, :], 1.0)
         assert row.shape == (1,) and got == row[0]
 
 
@@ -434,6 +441,13 @@ def test_circuit_storage_levels_override():
 
 
 # --- hit-list rounds against the exact law and the dense register ------------
+
+# a run's rounds: each round's storage duration at rate_r, (levels,) or with
+# a leading trial axis, and the kick after its decode ((trials, levels), or
+# None), as _fault_weight takes them
+Rounds = collections.namedtuple("Rounds", "durations rate_r kicks",
+                                defaults=(None,))
+
 
 def dense_noise(shape, p, gen):
     """uint8 frames of shape (trials, n), each cell of trial i hit at weight
@@ -475,8 +489,8 @@ DENSE_CHUNK = 20_000
 
 def per_trial(rounds, f):
     """rounds with f applied to each array of it that has a trial axis."""
-    return _Rounds(*(a if a is None or np.ndim(a) < 2 else f(a) for a in (
-        rounds.durations, rounds.rate_r, rounds.kicks)))
+    return Rounds(*(a if a is None or np.ndim(a) < 2 else f(a)
+                    for a in rounds))
 
 
 def class_counts(residuals):
@@ -487,9 +501,9 @@ def sampled_residuals(rounds, trials, gen):
     """Residual codes (trials,) of _sample_rounds at the one weight of
     rounds, from its hit list: the ascending trials whose residual is not
     I, and their uint8 codes."""
-    weights, _ = rounds._noise()
-    assert weights.ndim == 1 and np.all(weights == weights[0])
-    cells, codes = _sample_rounds(weights[0], weights.size, trials, gen)
+    q = -0.75 * np.expm1(-rounds.rate_r * rounds.durations)
+    assert rounds.kicks is None and q.ndim == 1 and np.all(q == q[0])
+    cells, codes = _sample_rounds(q[0], q.size, trials, gen)
     assert codes.dtype == np.uint8 and cells.shape == codes.shape
     assert np.all(np.diff(cells) > 0) and np.all(codes != 0)
     assert cells.size == 0 or 0 <= cells[0] <= cells[-1] < trials
@@ -527,7 +541,7 @@ def gate_p_values(rounds, reps, seed):
     (exact_p_values) and against dense_rounds on as many trials
     (chi2_table).  Rounds with a trial axis, which only the exact law and
     dense_rounds take: dense_rounds' counts against the exact law."""
-    weights = np.atleast_1d(rounds.exact())
+    weights = np.atleast_1d(_fault_weight(*rounds))
     trials = weights.size * reps
     if rounds.durations.ndim == 2:
         rounds = per_trial(rounds, lambda a: np.tile(a, (reps, 1)))
@@ -544,7 +558,7 @@ def gate_p_values(rounds, reps, seed):
 def reps_for(rounds):
     """Repeats of rounds' trials that make at least GATE_TRIALS trials and
     expect at least GATE_FAULTS faults."""
-    weights = np.atleast_1d(rounds.exact())
+    weights = np.atleast_1d(_fault_weight(*rounds))
     return max(math.ceil(GATE_TRIALS / weights.size),
                math.ceil(GATE_FAULTS / float(weights.sum())))
 
@@ -569,7 +583,7 @@ def test_cut_durations_straddle_the_cut():
                          ids=["circuit", "below_cut", "cut", "dense"])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_rounds_sample_matches_dense_register(levels, t):
-    rounds = _Rounds(np.full(levels, t), 1.0)
+    rounds = Rounds(np.full(levels, t), 1.0)
     p_values = gate_p_values(rounds, reps_for(rounds), 90 + levels)
     assert min(p_values.values()) >= GATE_ALPHA, p_values
 
@@ -581,13 +595,12 @@ def test_rounds_sample_matches_dense_register(levels, t):
 @pytest.mark.parametrize("kick", [0.0, 0.02, BELOW_CUT, SPARSE_WEIGHT, 0.5])
 @pytest.mark.parametrize("longest", [0.02, 0.5])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_rounds_sample_with_kicks_matches_dense_register(levels, longest,
-                                                         kick):
+def test_kicked_dense_register_matches_exact_law(levels, longest, kick):
     gen = np.random.default_rng(70 + levels)
     durations = gen.uniform(0.0, longest, (300, levels))
     kicks = gen.uniform(0.0, kick, (300, levels))
     kicks[0] = kick
-    rounds = _Rounds(durations, 1.0, kicks)
+    rounds = Rounds(durations, 1.0, kicks)
     p_values = gate_p_values(rounds, reps_for(rounds), 100 + levels)
     assert min(p_values.values()) >= GATE_ALPHA, p_values
 
@@ -601,10 +614,12 @@ SINGLE_CALLS = 60
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_rounds_sample_single_trial_matches_dense_register(levels):
-    plain = [_Rounds(np.full(levels, t), 1.0)
+    # the plain rounds sample with _sample_rounds, against dense_rounds and
+    # the exact law; the kicked half gates dense_rounds against the exact law
+    plain = [Rounds(np.full(levels, t), 1.0)
              for t in (0.005, T_BELOW_CUT, T_CUT, 0.5)]
-    kicked = [_Rounds(np.full((1, levels), 0.02), 1.0,
-                      np.full((1, levels), kick))
+    kicked = [Rounds(np.full((1, levels), 0.02), 1.0,
+                     np.full((1, levels), kick))
               for kick in (BELOW_CUT, SPARSE_WEIGHT, 0.5)]
     gen = np.random.default_rng([110 + levels, 0])
     dense_gen = np.random.default_rng([110 + levels, 1])
@@ -615,7 +630,8 @@ def test_rounds_sample_single_trial_matches_dense_register(levels):
         want += dense_counts(rounds, SINGLE_CALLS, dense_gen)
     kicked_got = sum(dense_counts(rounds, SINGLE_CALLS, dense_gen)
                      for rounds in kicked)
-    weights = {label: [float(np.sum(rounds.exact())) for rounds in configs]
+    weights = {label: [float(np.sum(_fault_weight(*rounds)))
+                       for rounds in configs]
                for label, configs in (("plain", plain), ("kicked", kicked))}
     assert SINGLE_CALLS * sum(map(sum, weights.values())) > GATE_FAULTS
     p_values = {"dense": chi2_table([got, want])[2]}
@@ -700,7 +716,7 @@ def test_circuit_six_levels_in_hit_lists():
         tracemalloc.stop()
     assert peak < 50e6, peak
     assert predicted / 2 < peak <= predicted, (peak, predicted)
-    weight = float(_Rounds(np.full(6, 0.03), 1.0).exact())
+    weight = float(_fault_weight(np.full(6, 0.03), 1.0))
     faults = est.trials - int(est.counts[0])
     assert count_p_value(faults, [(est.trials, weight)]) >= GATE_ALPHA
 
@@ -731,7 +747,7 @@ def test_circuit_above_threshold_matches_exact_law():
     est = simulate_circuit_model(ProtocolParams(rate_r=1.0, levels=3,
                                                 t_prot=0.08),
                                  200_000, np.random.default_rng(79))
-    weight = float(_Rounds(np.full(3, 0.08), 1.0).exact())
+    weight = float(_fault_weight(np.full(3, 0.08), 1.0))
     assert weight == pytest.approx(0.0971, abs=1e-4)
     p_values = {"faults": count_p_value(int(est.trials - est.counts[0]),
                                         [(est.trials, weight)])}
@@ -801,7 +817,7 @@ def clock_rounds(diag, rate_r):
     code register's noise at rate_r."""
     durations = np.clip(np.diff(diag.decode_times, axis=1, prepend=0.0),
                         0.0, None)
-    return _Rounds(durations, rate_r, diag.kick_probs)
+    return Rounds(durations, rate_r, diag.kick_probs)
 
 
 def test_clock_exact_channel_composes_kicks():
@@ -814,44 +830,31 @@ def test_clock_exact_channel_composes_kicks():
                                         return_diagnostics=True)
     ok = ~diag.aborted
     assert ok.sum() > 30 and diag.kick_probs[ok].min() > 0.0
-    weights = clock_rounds(diag, 0.0).exact()
+    weights = _fault_weight(*clock_rounds(diag, 0.0))
     for (k1, k2), weight in zip(diag.kick_probs[ok], weights[ok]):
         b = b_exact(float(k1))
         w = b + k2 - 4.0 * b * k2 / 3.0
         assert weight == pytest.approx(w, rel=1e-12)
     # the run's own channels are those rounds at the code's noise rate
-    channels = protocols._law(clock_rounds(diag, params.rate_r).exact())
+    channels = protocols._law(_fault_weight(*clock_rounds(diag,
+                                                          params.rate_r)))
     assert np.array_equal(diag.channels[ok], channels[ok])
 
 
-def kicked_after_decode(rounds):
-    """Exact fault weight in the order the noise acts: storage, decode,
-    then the kick, round by round, each composition written out as
-    w + q (1 - 4w/3)."""
-    w = 0.0
-    for j in range(rounds.durations.shape[-1]):
-        q = -0.75 * np.expm1(-rounds.rate_r * rounds.durations[:, j])
-        w = b_exact(w + q * (1.0 - 4.0 * w / 3.0))
-        k = rounds.kicks[:, j]
-        w = w + k * (1.0 - 4.0 * w / 3.0)
-    return w
-
-
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_rounds_exact_composes_each_kick_into_the_next_round(levels):
-    # _Rounds takes each kick as part of the next round's noise; the law is
-    # the one of a kick after its own decode, at nonzero storage, with a
-    # saturated kick (1.0) and a noiseless trial among the random ones
+def test_kicked_fault_weight_matches_decimal_reference(levels):
+    # each kick after its own decode, at nonzero storage, with a saturated
+    # kick (1.0) and a noiseless trial among the random ones
     gen = np.random.default_rng(75 + levels)
     durations = gen.uniform(0.0, 0.05, (200, levels))
     kicks = gen.uniform(0.0, 0.05, (200, levels))
     kicks[0] = 1.0
     durations[1], kicks[1] = 0.0, 0.0
-    rounds = _Rounds(durations, 1.0, kicks)
-    got = rounds.exact()
+    got = _fault_weight(durations, 1.0, kicks)
     assert got.shape == (200,) and got[1] == 0.0
-    np.testing.assert_allclose(got, kicked_after_decode(rounds), rtol=1e-13,
-                               atol=0.0)
+    want = [reference_weight([-0.75 * math.expm1(-d) for d in row], kick)
+            for row, kick in zip(durations, kicks)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_clock_controlled_two_levels_ordered():
@@ -1098,9 +1101,9 @@ def test_clock_sampled_faults_see_the_kicks():
     for code in (1, 2, 3):
         assert count_p_value(int(est.counts[code]), [
             (1, p) for p in diag.channels[:, code]]) >= GATE_ALPHA, code
-    for alternative in (replace(clock_rounds(diag, 1.0), kicks=None),
+    for alternative in (clock_rounds(diag, 1.0)._replace(kicks=None),
                         clock_rounds(diag, 1.5)):
-        weights = np.where(diag.aborted, 1.0, alternative.exact())
+        weights = np.where(diag.aborted, 1.0, _fault_weight(*alternative))
         assert count_check_power(truth, weights) >= 0.99
 
 
